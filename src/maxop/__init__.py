@@ -13,15 +13,12 @@ from .grid import (
     sample,
 )
 from .grushin import (
-    GrushinFunction,
-    GrushinGrid,
     GrushinPoint,
     cc_domination_note,
     grushin_maximal,
     iterated_maximal,
     koranyi_ball_volume,
     koranyi_distance,
-    sample_grushin,
 )
 from .maximal import RadiiSet, default_radii, hl_maximal, maximal_1d, weighted_maximal
 from .multiplier import (

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .grid import fft_workers
 from .multiplier import decay_constants, decay_table_csv
 from .scan import OPERATORS, ScanConfig, emit_csv, emit_plotdata, report_violations, run_scan
 
@@ -93,6 +94,24 @@ def _run_and_emit(cfg: ScanConfig, out: str, plotdata: str | None) -> int:
     return CONTRACT_EXIT if violations else 0
 
 
+def _scan_jobs(args) -> list[tuple[ScanConfig, str, str | None]]:
+    """(config, CSV path, plot-data path) of each scan the command runs; every
+    config is validated before the first scan starts."""
+    if args.command == "scan":
+        return [(_config_from_args(args), args.out, args.plotdata)]
+    if args.command == "grushin":
+        base, ext = args.out.rsplit(".", 1) if "." in args.out else (args.out, "csv")
+        return [
+            (
+                _config_from_args(args, forced_operator=op),
+                f"{base}_{op.lower()}.{ext}",
+                f"{args.plotdata}_{op.lower()}" if args.plotdata else None,
+            )
+            for op in ("MK", "MK_iter")
+        ]
+    return []
+
+
 def main(argv=None) -> int:
     parser = _Parser(prog="maxop", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -114,9 +133,15 @@ def main(argv=None) -> int:
     _add_scan_flags(p_gr, with_operator=False)
 
     args = parser.parse_args(argv)
+    try:
+        fft_workers()  # a malformed MAXOP_THREADS is a usage error, caught before any work
+        jobs = _scan_jobs(args)
+    except (ValueError, OSError) as exc:  # OSError: an unreadable --config file
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return USAGE_EXIT
 
-    if args.command == "scan":
-        return _run_and_emit(_config_from_args(args), args.out, args.plotdata)
+    if jobs:
+        return max([_run_and_emit(*job) for job in jobs])
 
     if args.command == "decay":
         rows = decay_constants(args.d, args.l_max)
@@ -133,16 +158,6 @@ def main(argv=None) -> int:
             status = "PASS" if r.passed else "FAIL"
             print(f"{status} {r.name} ({r.seconds:.1f}s): {r.detail}")
         return CONTRACT_EXIT if failed else 0
-
-    if args.command == "grushin":
-        rc = 0
-        base, ext = args.out.rsplit(".", 1) if "." in args.out else (args.out, "csv")
-        for op in ("MK", "MK_iter"):
-            cfg = _config_from_args(args, forced_operator=op)
-            out = f"{base}_{op.lower()}.{ext}"
-            pd = f"{args.plotdata}_{op.lower()}" if args.plotdata else None
-            rc = max(rc, _run_and_emit(cfg, out, pd))
-        return rc
 
     raise AssertionError("unreachable")
 

@@ -43,7 +43,10 @@ def fft_workers() -> int:
     """Worker cap for FFT calls; MAXOP_THREADS overrides the CPU count."""
     env = os.environ.get("MAXOP_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"MAXOP_THREADS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 

@@ -10,7 +10,10 @@ pseudo-distance is
 with the inner expression clamped at zero against roundoff.  Koranyi balls
 use closed membership (dist <= r), matching the ball definition; the maximal
 operator therefore keeps ``M f >= |f|`` by including a radius below the
-smallest node spacing min(h_x, sqrt(2 h_u)).
+smallest node spacing :func:`min_node_gap`.
+
+Grushin data are ordinary GridFunctions on ``GridSpec(d + 1, L, N)``: the
+first d axes are x and the last axis is u, all with the same spacing h.
 
 Counting conventions mirror the Euclidean module: numerators sum |f| over
 in-box nodes, denominators count the ball on the infinite lattice extension,
@@ -25,18 +28,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .grid import GridSpec
-from .maximal import _as_radii, _ball_max_values, _interval_max_values
+from .grid import GridFunction, GridSpec, _wrap
+from .maximal import _as_radii, _ball_max_values, _interval_max_values, _require_real_physical
 
 __all__ = [
     "GrushinPoint",
-    "GrushinGrid",
-    "GrushinFunction",
-    "sample_grushin",
     "koranyi_distance",
     "koranyi_ball_volume",
     "grushin_maximal",
@@ -61,78 +60,6 @@ class GrushinPoint:
     @property
     def d(self) -> int:
         return len(self.x)
-
-
-@dataclass(frozen=True)
-class GrushinGrid:
-    """Product grid: d isotropic x-axes on [-L_x, L_x], one u-axis on [-L_u, L_u]."""
-
-    d: int
-    L_x: float
-    L_u: float
-    N_x: int
-    N_u: int
-
-    def __post_init__(self):
-        # reuse GridSpec validation per factor
-        GridSpec(self.d, self.L_x, self.N_x)
-        GridSpec(1, self.L_u, self.N_u)
-
-    @property
-    def h_x(self) -> float:
-        return 2.0 * self.L_x / self.N_x
-
-    @property
-    def h_u(self) -> float:
-        return 2.0 * self.L_u / self.N_u
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return (self.N_x,) * self.d + (self.N_u,)
-
-    @property
-    def cell_volume(self) -> float:
-        return self.h_x**self.d * self.h_u
-
-    def x_axis(self) -> np.ndarray:
-        return -self.L_x + (np.arange(self.N_x) + 0.5) * self.h_x
-
-    def u_axis(self) -> np.ndarray:
-        return -self.L_u + (np.arange(self.N_u) + 0.5) * self.h_u
-
-    def node_points(self) -> np.ndarray:
-        axes = [self.x_axis()] * self.d + [self.u_axis()]
-        grids = np.meshgrid(*axes, indexing="ij")
-        return np.stack(grids, axis=-1)
-
-
-@dataclass(frozen=True)
-class GrushinFunction:
-    grid: GrushinGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.array(self.values, dtype=float)
-        if vals.shape != self.grid.shape:
-            raise ValueError(f"values shape {vals.shape} != grid shape {self.grid.shape}")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-
-def _wrap_grushin(grid: GrushinGrid, values: np.ndarray) -> GrushinFunction:
-    gf = object.__new__(GrushinFunction)
-    values.setflags(write=False)
-    object.__setattr__(gf, "grid", grid)
-    object.__setattr__(gf, "values", values)
-    return gf
-
-
-def sample_grushin(grid: GrushinGrid, field: Callable[[np.ndarray], np.ndarray]) -> GrushinFunction:
-    """Sample ``field`` (acting on arrays of shape (..., d+1)) at the nodes."""
-    vals = np.asarray(field(grid.node_points()), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("field produced non-finite values on the grid")
-    return GrushinFunction(grid, vals)
 
 
 def koranyi_distance(g: GrushinPoint, g2: GrushinPoint) -> float:
@@ -161,19 +88,24 @@ def _dk_values(x: np.ndarray, u: float, X: np.ndarray, U: np.ndarray) -> np.ndar
     return np.sqrt(np.maximum(np.sqrt(a * a + 4.0 * du * du) - 2.0 * inner, 0.0))
 
 
-def min_node_gap(grid: GrushinGrid) -> float:
+def _x_dim(spec: GridSpec) -> int:
+    """Number of x-axes of Grushin data on ``spec``: every axis but the last."""
+    if spec.d < 2:
+        raise ValueError(f"Grushin data need x-axes plus the u-axis, got a {spec.d}-D grid")
+    return spec.d - 1
+
+
+def min_node_gap(spec: GridSpec) -> float:
     """Smallest pseudo-distance between distinct nodes.
 
-    x-neighbors sit at distance h_x regardless of position; u-neighbors sit
-    at sqrt(sqrt(4|x|^4 + 4 h_u^2) - 2|x|^2), which decays like h_u/|x|, so
+    x-neighbors sit at distance h regardless of position; u-neighbors sit
+    at sqrt(sqrt(4|x|^4 + 4 h^2) - 2|x|^2), which decays like h/|x|, so
     the minimum is taken at the largest node radius.  A maximal-operator
     radius below this gap gives a center-only smallest ball at every node.
     """
-    xmax2 = grid.d * (grid.L_x - grid.h_x / 2.0) ** 2
-    gap_u = math.sqrt(
-        math.sqrt(4.0 * xmax2**2 + 4.0 * grid.h_u**2) - 2.0 * xmax2
-    )
-    return min(grid.h_x, gap_u)
+    xmax2 = _x_dim(spec) * (spec.L - spec.h / 2.0) ** 2
+    gap_u = math.sqrt(math.sqrt(4.0 * xmax2**2 + 4.0 * spec.h**2) - 2.0 * xmax2)
+    return min(spec.h, gap_u)
 
 
 def _u_window(x_norm: float, r: float) -> float:
@@ -181,70 +113,66 @@ def _u_window(x_norm: float, r: float) -> float:
     return 0.5 * (r * r + 2.0 * x_norm * (x_norm + r))
 
 
-def _ball_lattice(grid: GrushinGrid, x: np.ndarray, u: float, r: float):
+def _ball_lattice(spec: GridSpec, x: np.ndarray, u: float, r: float):
     """Integer index ranges (possibly outside the box) covering the ball,
     enumerated lexicographically; returns (X, U, index_arrays)."""
+    L, h = spec.L, spec.h
+    centers = list(x) + [u]
+    reaches = [r] * x.size + [_u_window(float(np.linalg.norm(x)), r)]
     ranges = []
-    for ax in range(grid.d):
-        lo = math.ceil((x[ax] - r + grid.L_x) / grid.h_x - 0.5 - 1e-12)
-        hi = math.floor((x[ax] + r + grid.L_x) / grid.h_x - 0.5 + 1e-12)
+    for c, w in zip(centers, reaches):
+        lo = math.ceil((c - w + L) / h - 0.5 - 1e-12)
+        hi = math.floor((c + w + L) / h - 0.5 + 1e-12)
         ranges.append(np.arange(lo, hi + 1))
-    ub = _u_window(float(np.linalg.norm(x)), r)
-    lo = math.ceil((u - ub + grid.L_u) / grid.h_u - 0.5 - 1e-12)
-    hi = math.floor((u + ub + grid.L_u) / grid.h_u - 0.5 + 1e-12)
-    ranges.append(np.arange(lo, hi + 1))
     mesh = np.meshgrid(*ranges, indexing="ij")
     idx = np.stack([m.reshape(-1) for m in mesh], axis=-1)
-    X = -grid.L_x + (idx[:, : grid.d] + 0.5) * grid.h_x
-    U = -grid.L_u + (idx[:, grid.d] + 0.5) * grid.h_u
+    X = -L + (idx[:, :-1] + 0.5) * h
+    U = -L + (idx[:, -1] + 0.5) * h
     return X, U, idx
 
 
-def koranyi_ball_volume(g: GrushinPoint, r: float, grid: GrushinGrid) -> float:
+def _in_box(spec: GridSpec, idx: np.ndarray) -> np.ndarray:
+    return np.all((idx >= 0) & (idx < spec.N), axis=1)
+
+
+def koranyi_ball_volume(g: GrushinPoint, r: float, spec: GridSpec) -> float:
     """Cell count times cell volume of the closed ball; the ball must sit
     inside the box (any member node outside raises)."""
     if not (r > 0):
         raise ValueError(f"radius must be positive, got {r}")
-    if g.d != grid.d:
+    if g.d != _x_dim(spec):
         raise ValueError("point dimension does not match the grid")
     x = np.asarray(g.x)
-    X, U, idx = _ball_lattice(grid, x, g.u, r)
+    X, U, idx = _ball_lattice(spec, x, g.u, r)
     member = _dk_values(x, g.u, X, U) <= r
-    nx, nu = grid.N_x, grid.N_u
-    inside = np.all((idx[:, : grid.d] >= 0) & (idx[:, : grid.d] < nx), axis=1)
-    inside &= (idx[:, grid.d] >= 0) & (idx[:, grid.d] < nu)
-    if np.any(member & ~inside):
+    if np.any(member & ~_in_box(spec, idx)):
         raise ValueError(f"ball of radius {r} at {g} exits the box")
-    return float(np.count_nonzero(member)) * grid.cell_volume
+    return float(np.count_nonzero(member)) * spec.cell_volume
 
 
-def grushin_maximal(f: GrushinFunction, radii) -> GrushinFunction:
+def grushin_maximal(f: GridFunction, radii) -> GridFunction:
     """Max over radii of closed Koranyi-ball cell averages of |f|.
 
     Numerators use in-box nodes (zero extension); denominators count the
     ball on the infinite lattice.  Node enumeration is lexicographic, so the
     small-grid values reproduce a naive loop bit-for-bit.
     """
+    _require_real_physical(f)
+    spec = f.spec
+    d = _x_dim(spec)
     rs = _as_radii(radii)
-    grid = f.grid
-    absf = np.abs(f.values)
-    flat = absf.reshape(-1)
-    nx, nu = grid.N_x, grid.N_u
-    x_axis, u_axis = grid.x_axis(), grid.u_axis()
-    out = np.zeros(grid.shape)
+    flat = np.abs(f.values).reshape(-1)
+    axis = spec.axis_nodes()
+    out = np.zeros(spec.shape)
     out_flat = out.reshape(-1)
     r_max = rs[-1]
-    strides = np.array(
-        [nx ** (grid.d - 1 - ax) * nu for ax in range(grid.d)] + [1], dtype=np.int64
-    )
-    for node, multi in enumerate(np.ndindex(grid.shape)):
-        x = x_axis[list(multi[: grid.d])]
-        u = float(u_axis[multi[grid.d]])
-        X, U, idx = _ball_lattice(grid, x, u, r_max)
+    for node, multi in enumerate(np.ndindex(spec.shape)):
+        x = axis[list(multi[:d])]
+        u = float(axis[multi[d]])
+        X, U, idx = _ball_lattice(spec, x, u, r_max)
         dk = _dk_values(x, u, X, U)
-        inside = np.all((idx[:, : grid.d] >= 0) & (idx[:, : grid.d] < nx), axis=1)
-        inside &= (idx[:, grid.d] >= 0) & (idx[:, grid.d] < nu)
-        flat_idx = idx[inside] @ strides
+        inside = _in_box(spec, idx)
+        flat_idx = np.ravel_multi_index(tuple(idx[inside].T), spec.shape)
         dk_in = dk[inside]
         best = 0.0
         for r in rs:
@@ -254,21 +182,23 @@ def grushin_maximal(f: GrushinFunction, radii) -> GrushinFunction:
             num = float(np.sum(flat[flat_idx[dk_in <= r]]))
             best = max(best, num / count)
         out_flat[node] = best
-    return _wrap_grushin(grid, out)
+    return _wrap(spec, out, "physical")
 
 
-def iterated_maximal(f: GrushinFunction, radii_x, radii_u) -> GrushinFunction:
+def iterated_maximal(f: GridFunction, radii_x, radii_u) -> GridFunction:
     """1-D maximal averages along u, then Euclidean ball averages in x per
     u-slice.  This iterated operator dominates the Koranyi one up to a
     constant, which is how its mapping bounds transfer."""
+    _require_real_physical(f)
+    spec = f.spec
+    d = _x_dim(spec)
     rs_x = _as_radii(radii_x)
     rs_u = _as_radii(radii_u)
-    grid = f.grid
-    stage1 = _interval_max_values(f.values, grid.h_u, rs_u, axis=grid.d)
-    out = np.empty(grid.shape)
-    for iu in range(grid.N_u):
-        out[..., iu] = _ball_max_values(stage1[..., iu], grid.h_x, rs_x, 0)
-    return _wrap_grushin(grid, out)
+    stage1 = _interval_max_values(f.values, spec.h, rs_u, axis=d)
+    out = np.empty(spec.shape)
+    for iu in range(spec.N):
+        out[..., iu] = _ball_max_values(stage1[..., iu], spec.h, rs_x, 0)
+    return _wrap(spec, out, "physical")
 
 
 def cc_domination_note() -> str:

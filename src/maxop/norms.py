@@ -46,28 +46,35 @@ def _pvalue(p) -> float:
     return Exponent(float(p)).value
 
 
-def lp_norm(f: GridFunction, p) -> float:
-    """(sum |f|^p h^d)^(1/p); max |f| for p = inf."""
-    f.require("physical")
-    pv = _pvalue(p)
-    a = np.abs(f.values)
+def _lp(a: np.ndarray, pv: float, cell_volume: float) -> float:
+    a = np.abs(a)
     if not np.all(np.isfinite(a)):
         raise ValueError("non-finite values in lp_norm input")
     if math.isinf(pv):
         return float(a.max())
-    return float((np.sum(a**pv) * f.spec.cell_volume) ** (1.0 / pv))
+    return float((np.sum(a**pv) * cell_volume) ** (1.0 / pv))
+
+
+def _lq(arrays, qv: float) -> np.ndarray:
+    if math.isinf(qv):
+        raise ValueError("the pointwise l^q reduction requires a finite q")
+    acc = np.zeros(np.shape(arrays[0]))
+    for a in arrays:
+        acc += np.abs(a) ** qv
+    return acc ** (1.0 / qv)
+
+
+def lp_norm(f: GridFunction, p) -> float:
+    """(sum |f|^p h^d)^(1/p); max |f| for p = inf."""
+    f.require("physical")
+    return _lp(f.values, _pvalue(p), f.spec.cell_volume)
 
 
 def lq_pointwise(F: VectorField, q) -> GridFunction:
     """Node-wise (sum_n |f_n|^q)^(1/q); q must be finite."""
-    qv = _pvalue(q)
-    if math.isinf(qv):
-        raise ValueError("lq_pointwise requires a finite q")
-    acc = np.zeros(F.spec.shape)
     for m in F:
         m.require("physical")
-        acc += np.abs(m.values) ** qv
-    return _wrap(F.spec, acc ** (1.0 / qv), "physical")
+    return _wrap(F.spec, _lq([m.values for m in F], _pvalue(q)), "physical")
 
 
 def mixed_norm(F: VectorField, p, q) -> float:
@@ -76,18 +83,9 @@ def mixed_norm(F: VectorField, p, q) -> float:
 
 
 def mixed_norm_values(arrays, p, q, cell_volume: float) -> float:
-    """Mixed norm on raw sample arrays sharing one cell volume (used for
-    product grids that carry no GridSpec)."""
-    pv, qv = _pvalue(p), _pvalue(q)
-    if math.isinf(qv):
-        raise ValueError("mixed_norm_values requires a finite q")
-    acc = np.zeros(np.shape(arrays[0]))
-    for a in arrays:
-        acc += np.abs(np.asarray(a)) ** qv
-    red = acc ** (1.0 / qv)
-    if math.isinf(pv):
-        return float(red.max())
-    return float((np.sum(red**pv) * cell_volume) ** (1.0 / pv))
+    """Mixed norm on raw sample arrays sharing one cell volume; the same
+    reduction as :func:`mixed_norm`."""
+    return _lp(_lq(arrays, _pvalue(q)), _pvalue(p), cell_volume)
 
 
 def level_measure(g: GridFunction, lam: float) -> float:

@@ -77,11 +77,16 @@ def haar_rotation(d: int, seed: int) -> RotationMatrix:
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    g = rng.standard_normal((d, d))
-    q, r = np.linalg.qr(g)
+    return RotationMatrix(d=d, matrix=_haar_matrix(rng, d))
+
+
+def _haar_matrix(rng: np.random.Generator, d: int) -> np.ndarray:
+    """One Haar draw from O(d): QR of a d x d Gaussian block drawn from
+    ``rng``, columns sign-fixed so that diag(R) > 0."""
+    q, r = np.linalg.qr(rng.standard_normal((d, d)))
     signs = np.sign(np.diag(r))
     signs[signs == 0] = 1.0
-    return RotationMatrix(d=d, matrix=q * signs)
+    return q * signs
 
 
 def _sphere_points(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
@@ -209,11 +214,7 @@ def rotation_average_check(
     samples = np.empty(n_mc)
     for i, child in enumerate(children):
         rng = np.random.default_rng(child)
-        g = rng.standard_normal((spec.d, spec.d))
-        q, rr = np.linalg.qr(g)
-        signs = np.sign(np.diag(rr))
-        signs[signs == 0] = 1.0
-        theta = q * signs
+        theta = _haar_matrix(rng, spec.d)
         sphere = _sphere_points(rng, n_sphere, split.d_prime)
         samples[i] = _point_weighted_average(absf, spec, x, theta, split, r, sphere, rho, rho_w)
     return MCComparison(lhs=lhs, rhs=float(samples.mean()), stderr=_batch_stderr(samples))
@@ -235,12 +236,9 @@ def sphere_identity_check(
     rhs_rng = np.random.default_rng(root.spawn(2)[1])
     rhs_samples = np.empty(n_mc)
     for i in range(n_mc):
-        g = rhs_rng.standard_normal((split.d, split.d))
-        q, rr = np.linalg.qr(g)
-        signs = np.sign(np.diag(rr))
-        signs[signs == 0] = 1.0
+        theta = _haar_matrix(rhs_rng, split.d)
         y = _sphere_points(rhs_rng, 1, split.d_prime)[0]
-        lifted = (q * signs)[:, : split.d_prime] @ y
+        lifted = theta[:, : split.d_prime] @ y
         rhs_samples[i] = float(np.asarray(f1(lifted[None, :]))[0])
     se = math.hypot(
         float(lhs_samples.std(ddof=1) / math.sqrt(n_mc)),
@@ -274,12 +272,7 @@ def lemma2_domination(
     per_batch = max(1, n_mc // 16)
     in_batch = 0
     for i, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        g = rng.standard_normal((f.spec.d, f.spec.d))
-        q, rr = np.linalg.qr(g)
-        signs = np.sign(np.diag(rr))
-        signs[signs == 0] = 1.0
-        theta = RotationMatrix(f.spec.d, q * signs)
+        theta = RotationMatrix(f.spec.d, _haar_matrix(np.random.default_rng(child), f.spec.d))
         vals = descent_maximal(
             f, theta, split, radii, n_radial=n_radial, n_sphere=n_sphere, seed=int(child.generate_state(1)[0])
         ).values

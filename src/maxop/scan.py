@@ -2,11 +2,13 @@
 
 A scan fixes one operator and one test-function family, then walks the
 requested dimensions and (p, q) exponent pairs, recording the mixed-norm
-ratio ||op F|| / ||F|| per row.  Operator outputs are computed once per
-dimension (and per descent split, which depends on (p, q)) and shared among
-the exponent rows.  Everything is seeded, and rows are sorted before
-emission, so a config re-run reproduces the CSV byte for byte apart from
-the wall_ms column.
+ratio ||op F|| / ||F|| per row.  Each operator is one entry of
+:data:`OPERATORS`, which also fixes its default grid, whether its data carry
+the Grushin u-axis, and which part of (p, q) its output depends on (only the
+descent split does).  Operator outputs are computed once per dimension and
+such key and shared among the exponent rows.  Everything is seeded, and rows
+are sorted before emission, so a config re-run on one machine reproduces the
+CSV byte for byte apart from the wall_ms column.
 """
 
 from __future__ import annotations
@@ -16,27 +18,19 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
+from typing import Callable, Hashable
 
 import numpy as np
 
 from .families import FAMILIES, family_values
 from .grid import GridFunction, GridSpec, VectorField, _wrap, node_coordinates
-from .grushin import (
-    GrushinFunction,
-    GrushinGrid,
-    cc_domination_note,
-    grushin_maximal,
-    iterated_maximal,
-    min_node_gap,
-)
+from .grushin import cc_domination_note, grushin_maximal, iterated_maximal, min_node_gap
 from .maximal import RadiiSet, default_radii, hl_maximal, weighted_maximal
 from .multiplier import dyadic_piece, maximal_multiplier, spherical_maximal
-from .norms import mixed_norm, mixed_norm_values
+from .norms import mixed_norm
 from .rotations import DescentSplit, descent_maximal, dimension_split, haar_rotation
 from .squarefn import default_tgrid, square_function
-
-OPERATORS = ("HL", "HL_weighted", "SPH", "MULT_L", "SQFN", "DESCENT", "MK", "MK_iter")
 
 CSV_HEADER = "operator,d,p,q,family,n_members,input_norm,output_norm,ratio,wall_ms,extra"
 
@@ -70,6 +64,10 @@ def _grushin_default_grid(d: int) -> tuple[float, int]:
     return (3.0, 8)
 
 
+def _is_int(v) -> bool:
+    return float(v).is_integer()
+
+
 @dataclass(frozen=True)
 class ScanConfig:
     """Flat scan configuration; JSON files use exactly these field names."""
@@ -87,16 +85,38 @@ class ScanConfig:
     k: int = 1  # weight exponent for HL_weighted
 
     def __post_init__(self):
+        # plain arithmetic only, so building a config stays cheap: no grid,
+        # radii or profile is built here
         if self.operator not in OPERATORS:
-            raise ValueError(f"unknown operator {self.operator!r}; choose from {OPERATORS}")
+            raise ValueError(f"unknown operator {self.operator!r}; choose from {tuple(OPERATORS)}")
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; choose from {FAMILIES}")
+        if not all(_is_int(d) and d >= 1 for d in self.d_range):
+            raise ValueError(f"dimensions must be integers >= 1, got {self.d_range}")
         object.__setattr__(self, "d_range", tuple(int(v) for v in self.d_range))
         object.__setattr__(self, "p_list", tuple(float(v) for v in self.p_list))
         object.__setattr__(self, "q_list", tuple(float(v) for v in self.q_list))
         if self.grid is not None:
-            L, N = self.grid
-            object.__setattr__(self, "grid", (float(L), int(N)))
+            L, N = float(self.grid[0]), self.grid[1]
+            if not (0.0 < L < math.inf and _is_int(N) and N >= 4 and N % 2 == 0):
+                raise ValueError(f"grid needs a finite L > 0 and an even integer N >= 4, got {self.grid}")
+            object.__setattr__(self, "grid", (L, int(N)))
+        if not all(p > 1.0 for p in self.p_list):
+            raise ValueError(f"exponents p must be > 1 (or inf), got {self.p_list}")
+        if not all(1.0 < q < math.inf for q in self.q_list):
+            raise ValueError(f"exponents q must be finite and > 1, got {self.q_list}")
+        if not (_is_int(self.n_members) and self.n_members >= 1):
+            raise ValueError(f"n_members must be an integer >= 1, got {self.n_members}")
+        if not (_is_int(self.radii_K) and self.radii_K >= 2):
+            raise ValueError(f"radii_K must be an integer >= 2, got {self.radii_K}")
+        if not (_is_int(self.k) and self.k >= 0):
+            raise ValueError(f"weight exponent k must be a nonnegative integer, got {self.k}")
+        if not (_is_int(self.l) and self.l >= (1 if self.operator == "SQFN" else 0)):
+            raise ValueError(
+                f"dyadic index l must be a nonnegative integer (>= 1 for SQFN), got {self.l}"
+            )
+        if not (_is_int(self.seed) and self.seed >= 0):
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
 
     @classmethod
     def from_json(cls, path: str) -> "ScanConfig":
@@ -136,20 +156,6 @@ class ScanReport:
         object.__setattr__(self, "rows", ordered)
 
 
-def _euclid_field(cfg: ScanConfig, d: int) -> tuple[GridSpec, VectorField]:
-    L, N = cfg.grid if cfg.grid is not None else default_grid(d)
-    spec = GridSpec(d, L, N)
-    vals = family_values(cfg.family, node_coordinates(spec), cfg.n_members, cfg.seed, L)
-    return spec, VectorField(tuple(_wrap(spec, v, "physical") for v in vals))
-
-
-def _grushin_field(cfg: ScanConfig, d: int) -> tuple[GrushinGrid, list[GrushinFunction]]:
-    L, N = cfg.grid if cfg.grid is not None else _grushin_default_grid(d)
-    grid = GrushinGrid(d, L, L, N, N)
-    vals = family_values(cfg.family, grid.node_points(), cfg.n_members, cfg.seed, L)
-    return grid, [GrushinFunction(grid, v) for v in vals]
-
-
 def _decay_slope_extra(spec: GridSpec, member: GridFunction) -> str:
     """log-log slope of the leading member over the first-axis ray, fitted on
     the radii window [2, 4] (clipped to the grid)."""
@@ -165,111 +171,119 @@ def _decay_slope_extra(spec: GridSpec, member: GridFunction) -> str:
     return f"slope={float(slope)!r}"
 
 
-def _apply_euclid(cfg: ScanConfig, spec: GridSpec, F: VectorField, p: float, q: float):
-    """Returns (list of output GridFunctions, extra string)."""
+# Each apply function maps (config, grid, input members, pq key) to the output
+# members and the row's extra field.
+
+
+def _apply_hl(cfg: ScanConfig, spec: GridSpec, F: VectorField, key) -> tuple[list, str]:
     radii = default_radii(spec, cfg.radii_K)
-    op = cfg.operator
-    if op == "HL":
-        return [hl_maximal(m, radii) for m in F], ""
-    if op == "HL_weighted":
-        return [weighted_maximal(m, cfg.k, radii) for m in F], ""
-    if op == "SPH":
-        out = [spherical_maximal(m, radii) for m in F]
-        extra = _decay_slope_extra(spec, out[0]) if cfg.family == "remark_bump" else ""
-        return out, extra
-    if op == "MULT_L":
-        piece = dyadic_piece(spec.d, cfg.l)
-        return [maximal_multiplier(m, piece, radii) for m in F], ""
-    if op == "SQFN":
-        piece = dyadic_piece(spec.d, cfg.l)
-        tg = default_tgrid(piece, spec)
-        return [square_function(m, piece, tg) for m in F], ""
-    if op == "DESCENT":
-        split = DescentSplit(spec.d, dimension_split(p, q))
-        theta = haar_rotation(spec.d, cfg.seed)
-        rs = RadiiSet(tuple(np.geomspace(spec.h, spec.L / 2.0, min(cfg.radii_K, 8))))
-        return (
-            [descent_maximal(m, theta, split, rs, seed=cfg.seed) for m in F],
-            f"d_prime={split.d_prime}",
-        )
-    raise ValueError(f"operator {op} is not a Euclidean-grid operator")
+    return [hl_maximal(m, radii) for m in F], ""
 
 
-def _grushin_radii(grid: GrushinGrid, K: int) -> tuple[RadiiSet, RadiiSet, RadiiSet]:
-    r0 = 0.9 * min_node_gap(grid)
-    rk = RadiiSet(tuple(np.geomspace(r0, 1.2, min(K, 8))))
-    rx = RadiiSet(tuple(np.geomspace(grid.h_x, 2.0 * grid.L_x * math.sqrt(grid.d), K)))
-    ru = RadiiSet(tuple(np.geomspace(grid.h_u, 2.0 * grid.L_u, K)))
-    return rk, rx, ru
+def _apply_hl_weighted(cfg: ScanConfig, spec: GridSpec, F: VectorField, key) -> tuple[list, str]:
+    radii = default_radii(spec, cfg.radii_K)
+    return [weighted_maximal(m, cfg.k, radii) for m in F], ""
+
+
+def _apply_sph(cfg: ScanConfig, spec: GridSpec, F: VectorField, key) -> tuple[list, str]:
+    radii = default_radii(spec, cfg.radii_K)
+    out = [spherical_maximal(m, radii) for m in F]
+    extra = _decay_slope_extra(spec, out[0]) if cfg.family == "remark_bump" else ""
+    return out, extra
+
+
+def _apply_mult_l(cfg: ScanConfig, spec: GridSpec, F: VectorField, key) -> tuple[list, str]:
+    radii = default_radii(spec, cfg.radii_K)
+    piece = dyadic_piece(spec.d, cfg.l)
+    return [maximal_multiplier(m, piece, radii) for m in F], ""
+
+
+def _apply_sqfn(cfg: ScanConfig, spec: GridSpec, F: VectorField, key) -> tuple[list, str]:
+    piece = dyadic_piece(spec.d, cfg.l)
+    tg = default_tgrid(piece, spec)
+    return [square_function(m, piece, tg) for m in F], ""
+
+
+def _apply_descent(cfg: ScanConfig, spec: GridSpec, F: VectorField, d_prime) -> tuple[list, str]:
+    split = DescentSplit(spec.d, d_prime)
+    theta = haar_rotation(spec.d, cfg.seed)
+    rs = RadiiSet(tuple(np.geomspace(spec.h, spec.L / 2.0, min(cfg.radii_K, 8))))
+    return [descent_maximal(m, theta, split, rs, seed=cfg.seed) for m in F], f"d_prime={d_prime}"
+
+
+def _apply_mk(cfg: ScanConfig, spec: GridSpec, F: VectorField, key) -> tuple[list, str]:
+    rk = RadiiSet(tuple(np.geomspace(0.9 * min_node_gap(spec), 1.2, min(cfg.radii_K, 8))))
+    return [grushin_maximal(m, rk) for m in F], f"cc_note={cc_domination_note()}"
+
+
+def _apply_mk_iter(cfg: ScanConfig, spec: GridSpec, F: VectorField, key) -> tuple[list, str]:
+    d = spec.d - 1
+    rx = RadiiSet(tuple(np.geomspace(spec.h, 2.0 * spec.L * math.sqrt(d), cfg.radii_K)))
+    ru = RadiiSet(tuple(np.geomspace(spec.h, 2.0 * spec.L, cfg.radii_K)))
+    return [iterated_maximal(m, rx, ru) for m in F], f"cc_note={cc_domination_note()}"
+
+
+def _no_pq_key(p: float, q: float) -> None:
+    return None
+
+
+@dataclass(frozen=True)
+class Operator:
+    """A scan operator and the grid its data live on."""
+
+    apply: Callable[[ScanConfig, GridSpec, VectorField, Hashable], tuple[list, str]]
+    default_grid: Callable[[int], tuple[float, int]] = default_grid
+    # Grushin operators: a row's d counts the x-axes, and the data carry one
+    # more axis, u, so they live on GridSpec(d + 1, L, N)
+    u_axis: bool = False
+    # the part of (p, q) the output depends on; rows sharing it share one
+    # operator evaluation
+    pq_key: Callable[[float, float], Hashable] = _no_pq_key
+
+
+OPERATORS: dict[str, Operator] = {
+    "HL": Operator(_apply_hl),
+    "HL_weighted": Operator(_apply_hl_weighted),
+    "SPH": Operator(_apply_sph),
+    "MULT_L": Operator(_apply_mult_l),
+    "SQFN": Operator(_apply_sqfn),
+    "DESCENT": Operator(_apply_descent, pq_key=dimension_split),
+    "MK": Operator(_apply_mk, _grushin_default_grid, u_axis=True),
+    "MK_iter": Operator(_apply_mk_iter, _grushin_default_grid, u_axis=True),
+}
+
+
+def _field(cfg: ScanConfig, op: Operator, d: int) -> tuple[GridSpec, VectorField]:
+    L, N = cfg.grid if cfg.grid is not None else op.default_grid(d)
+    spec = GridSpec(d + 1 if op.u_axis else d, L, N)
+    vals = family_values(cfg.family, node_coordinates(spec), cfg.n_members, cfg.seed, L)
+    return spec, VectorField(tuple(_wrap(spec, v, "physical") for v in vals))
 
 
 def run_scan(cfg: ScanConfig) -> ScanReport:
     """Execute the sweep; per-row module errors become error-tagged rows."""
+    op = OPERATORS[cfg.operator]
     rows: list[ScanRow] = []
-    grushin_op = cfg.operator in ("MK", "MK_iter")
     for d in cfg.d_range:
-        pq_pairs = [(p, q) for p in cfg.p_list for q in cfg.q_list]
         cache: dict = {}
-        for p, q in pq_pairs:
-            t0 = time.perf_counter()
-            try:
-                if grushin_op:
-                    key = "grushin"
+        for p in cfg.p_list:
+            for q in cfg.q_list:
+                t0 = time.perf_counter()
+                try:
+                    key = op.pq_key(p, q)
                     if key not in cache:
-                        grid, members = _grushin_field(cfg, d)
-                        rk, rx, ru = _grushin_radii(grid, cfg.radii_K)
-                        if cfg.operator == "MK":
-                            outs = [grushin_maximal(m, rk) for m in members]
-                        else:
-                            outs = [iterated_maximal(m, rx, ru) for m in members]
-                        cache[key] = (grid, members, outs)
-                    grid, members, outs = cache[key]
-                    inn = mixed_norm_values([m.values for m in members], p, q, grid.cell_volume)
-                    out = mixed_norm_values([m.values for m in outs], p, q, grid.cell_volume)
-                    extra = f"cc_note={cc_domination_note()}"
-                else:
-                    split_key = dimension_split(p, q) if cfg.operator == "DESCENT" else None
-                    key = ("euclid", split_key)
-                    if key not in cache:
-                        spec, F = _euclid_field(cfg, d)
-                        outs, extra0 = _apply_euclid(cfg, spec, F, p, q)
-                        cache[key] = (spec, F, outs, extra0)
-                    spec, F, outs, extra = cache[key]
+                        spec, F = _field(cfg, op, d)
+                        outs, extra = op.apply(cfg, spec, F, key)
+                        cache[key] = (F, VectorField(tuple(outs)), extra)
+                    F, G, extra = cache[key]
                     inn = mixed_norm(F, p, q)
-                    out = mixed_norm(VectorField(tuple(outs)), p, q)
+                    out = mixed_norm(G, p, q)
+                    values = dict(input_norm=inn, output_norm=out, ratio=out / inn, extra=extra)
+                except ValueError as exc:
+                    nan = float("nan")
+                    values = dict(input_norm=nan, output_norm=nan, ratio=nan, extra=f"error={exc}")
                 wall = (time.perf_counter() - t0) * 1000.0
-                rows.append(
-                    ScanRow(
-                        operator=cfg.operator,
-                        d=d,
-                        p=p,
-                        q=q,
-                        family=cfg.family,
-                        n_members=cfg.n_members,
-                        input_norm=inn,
-                        output_norm=out,
-                        ratio=out / inn,
-                        wall_ms=wall,
-                        extra=extra,
-                    )
-                )
-            except ValueError as exc:
-                wall = (time.perf_counter() - t0) * 1000.0
-                rows.append(
-                    ScanRow(
-                        operator=cfg.operator,
-                        d=d,
-                        p=p,
-                        q=q,
-                        family=cfg.family,
-                        n_members=cfg.n_members,
-                        input_norm=float("nan"),
-                        output_norm=float("nan"),
-                        ratio=float("nan"),
-                        wall_ms=wall,
-                        extra=f"error={exc}",
-                    )
-                )
+                rows.append(ScanRow(cfg.operator, d, p, q, cfg.family, cfg.n_members, wall_ms=wall, **values))
     return ScanReport(tuple(rows))
 
 

@@ -1,0 +1,57 @@
+"""Reproduction gate for the committed scan outputs: the experiment scripts'
+configs, re-run, give the rows in ``outputs/``.
+
+Labels and error messages must match exactly.  Norms and ratios may move in
+the last bits between machines (BLAS and libm builds differ), so they are
+compared to 1e-12 relative.  The d = 5 rows of the dimension scans take
+about two minutes and are left out.
+"""
+
+import csv
+import importlib.util
+import io
+import math
+import pathlib
+from dataclasses import replace
+
+import pytest
+
+from maxop.scan import csv_text, run_scan
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+EXACT = ("operator", "d", "p", "q", "family", "n_members", "extra")
+NUMERIC = ("input_norm", "output_norm", "ratio")
+MAX_D = 4
+
+
+def _script_configs(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.CONFIGS
+
+
+CASES = [
+    (cfg, f"{prefix}_{cfg.operator.lower()}.csv")
+    for name, prefix in (("dimension_scan", "dimension_scan"), ("grushin_scan", "grushin_scan"))
+    for cfg in _script_configs(name)
+]
+
+
+def _rows(text):
+    return [r for r in csv.DictReader(io.StringIO(text)) if int(r["d"]) <= MAX_D]
+
+
+@pytest.mark.parametrize("cfg,filename", CASES, ids=[f for _, f in CASES])
+def test_committed_output_reproduces(cfg, filename):
+    cfg = replace(cfg, d_range=tuple(d for d in cfg.d_range if d <= MAX_D))
+    got = _rows(csv_text(run_scan(cfg), mask_wall=True))
+    want = _rows((ROOT / "outputs" / filename).read_text())
+    assert [tuple(r[k] for k in EXACT) for r in got] == [tuple(r[k] for k in EXACT) for r in want]
+    for g, w in zip(got, want):
+        for key in NUMERIC:
+            a, b = float(g[key]), float(w[key])
+            if math.isnan(b):
+                assert math.isnan(a), (key, g)
+            else:
+                assert abs(a - b) <= 1e-12 * abs(b), (key, g[key], w[key], g)

@@ -39,6 +39,10 @@ def test_config_validation():
         ScanConfig(operator="NOPE")
     with pytest.raises(ValueError):
         ScanConfig(family="NOPE")
+    # JSON configs can carry non-integral counts, which int() would truncate
+    for bad in (dict(d_range=(1.5,)), dict(n_members=2.5), dict(grid=(2.0, 8.5)), dict(radii_K=4.5)):
+        with pytest.raises(ValueError):
+            ScanConfig(**bad)
 
 
 def test_config_json_roundtrip(tmp_path):
@@ -157,6 +161,34 @@ def test_cli_scan_and_exit_codes(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["nonsense"])
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize(
+    "flags,env",
+    [
+        (["--p_list", "1.0"], None),
+        ([], "abc"),
+        (["--d_range", "0"], None),
+        (["--n_members", "0"], None),
+        (["--operator", "SQFN", "--l", "0"], None),
+        (["--q_list", "inf"], None),
+        (["--grid", "0,8"], None),
+        (["--grid", "2,5"], None),
+        (["--radii_K", "1"], None),
+        (["--k", "-1"], None),
+        (["--seed", "-1"], None),
+    ],
+)
+def test_cli_rejects_bad_config_up_front(tmp_path, monkeypatch, capsys, flags, env):
+    if env is not None:
+        monkeypatch.setenv("MAXOP_THREADS", env)
+    out = tmp_path / "scan.csv"
+    base = ["scan", "--operator", "HL", "--d_range", "1", "--n_members", "1",
+            "--grid", "2,8", "--radii_K", "4", "--out", str(out)]
+    rc = main(base + flags)
+    assert rc == 1
+    assert not out.exists()
+    assert "error:" in capsys.readouterr().err
 
 
 def test_cli_decay(tmp_path):
