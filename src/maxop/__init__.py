@@ -6,6 +6,7 @@ bounds behave as the dimension grows."""
 from .grid import (
     GridFunction,
     GridSpec,
+    PreconditionError,
     VectorField,
     forward_transform,
     inverse_transform,

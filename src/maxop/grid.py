@@ -36,7 +36,14 @@ __all__ = [
     "node_radii",
     "frequency_radii",
     "fft_workers",
+    "PreconditionError",
 ]
+
+
+class PreconditionError(ValueError):
+    """An operator's declared precondition on its dimensions or exponents
+    fails, so the operator is not defined there; scans record such rows as
+    errors instead of aborting."""
 
 
 def fft_workers() -> int:

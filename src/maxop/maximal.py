@@ -13,6 +13,21 @@ Numerators sum |f| over in-cube nodes (zero extension outside the cube);
 denominators count (or weight-sum) the ball on the *infinite* lattice, so
 averages near the boundary are biased downward, exactly like the continuum
 operator acting on a function supported in the cube.
+
+Stencil engine
+--------------
+:func:`hl_maximal` and :func:`weighted_maximal` take a GridFunction or a
+VectorField; all members go through one engine call with a leading member
+axis, and the Grushin iterated operator passes its u-slices the same way.
+Grids of at most 64 nodes per member take the quadratic per-node path, the
+bit-exact reference.  Larger grids take the FFT path: each distinct ball
+stencil is transformed once and applied to every member by zero-padded
+convolution, the padded shape growing with the stencil's reach.  The
+stencil is even in every axis, so its spectrum is computed from its
+nonnegative-offset part.  The center-only radius is taken exactly.  The
+first radius whose ball holds every in-grid offset ends the sweep: for
+k = 0 its numerator is each member's mass, and every larger radius has the
+same numerator over a denominator no smaller.
 """
 
 from __future__ import annotations
@@ -23,11 +38,15 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft as _fft
 
-from .grid import GridFunction, GridSpec, _wrap, fft_workers
+from .grid import GridFunction, GridSpec, VectorField, _wrap, fft_workers
 
 __all__ = ["RadiiSet", "default_radii", "hl_maximal", "weighted_maximal", "maximal_1d"]
 
-_EXACT_PATH_MAX_NODES = 1100
+# the largest grid the brute-force check compares bit for bit (8 x 8)
+_EXACT_PATH_MAX_NODES = 64
+# bytes of padded member spectra per batched transform; at d = 5 on the
+# default grid a single member already exceeds it
+_BATCH_BYTES = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -104,19 +123,20 @@ def _validate_radii_for_spec(radii: tuple[float, ...], spec_like_h: float, limit
 
 
 def _ball_max_values(vals: np.ndarray, h: float, radii: tuple[float, ...], k: int) -> np.ndarray:
-    """max over r of weighted lattice-ball averages of |vals| (zero-extended)."""
+    """max over r of weighted lattice-ball averages of |vals| (zero-extended),
+    for each member along the leading axis of ``vals`` (shape ``(n, *grid)``)."""
     a = np.abs(np.asarray(vals, dtype=float))
-    d = a.ndim
+    d = a.ndim - 1
     tmax = _strict_bound(radii[-1], h)
     denom = _cumulative_weights(d, tmax, k, h)
-    if a.size <= _EXACT_PATH_MAX_NODES:
-        return _ball_max_exact(a, h, radii, k, denom)
+    if a[0].size <= _EXACT_PATH_MAX_NODES:
+        return np.stack([_ball_max_exact(m, h, radii, k, denom) for m in a])
     return _ball_max_fft(a, h, radii, k, denom)
 
 
 def _ball_max_exact(a, h, radii, k, denom):
-    # quadratic-cost reference path; numerators are per-node sums over the
-    # masked flat array in linear index order
+    # quadratic-cost reference path for one member; numerators are per-node
+    # sums over the masked flat array in linear index order
     shape = a.shape
     d = a.ndim
     idx = np.indices(shape).reshape(d, -1)
@@ -144,49 +164,124 @@ def _ball_max_exact(a, h, radii, k, denom):
 
 
 def _ball_max_fft(a, h, radii, k, denom):
-    d = a.ndim
-    N = a.shape[0]
+    # The stencil of radius r is the ball's (weighted) indicator, even in
+    # every axis.  It is applied to every member by zero-padded FFT
+    # convolution on a per-reach padded shape.  Radii increase, so only the
+    # current shape's member spectra and the last distinct convolution are
+    # kept.
+    shape = a.shape[1:]
+    axes = tuple(range(1, a.ndim))
+    cover = sum((m - 1) ** 2 for m in shape)  # |delta|^2 of the farthest in-grid offset
+    full = tuple(min(math.isqrt(_strict_bound(radii[-1], h)), m - 1) for m in shape)
+    n2_full, fold_full = _half_box(full, cover)
     out = np.zeros_like(a)
-    fhat_cache: dict[tuple[int, ...], np.ndarray] = {}
-    n2_cache: dict[int, np.ndarray] = {}
-    conv_cache: dict[tuple[int, int], np.ndarray] = {}
+    mshape = spectra = key = conv = None
     for r in radii:
         t = _strict_bound(r, h)
         den = denom[t]
         if den <= 0:
             continue
-        reach = min(math.isqrt(t), N - 1)
-        t_eff = t if t < d * reach * reach else -1  # -1: ball covers the reach box
-        key = (reach, t_eff)
-        conv = conv_cache.get(key)
-        if conv is None:
-            mshape = tuple(_fft.next_fast_len(N + reach) for _ in range(d))
-            fhat = fhat_cache.get(mshape)
-            if fhat is None:
-                pad = np.zeros(mshape)
-                pad[tuple(slice(0, N) for _ in range(d))] = a
-                fhat = _fft.rfftn(pad, workers=fft_workers())
-                fhat_cache[mshape] = fhat
-            n2 = n2_cache.get(reach)
-            if n2 is None:
-                off2 = (np.arange(-reach, reach + 1).astype(float)) ** 2
-                n2 = np.zeros((2 * reach + 1,) * d)
-                for ax in range(d):
-                    sh = [1] * d
-                    sh[ax] = off2.size
-                    n2 = n2 + off2.reshape(sh)
-                n2_cache[reach] = n2
-            if k == 0:
-                st = (n2 <= t).astype(float)
+        if k == 0 and t >= cover:
+            # the ball holds every in-grid offset from every node, so the
+            # numerator is each member's mass
+            np.maximum(out, a.sum(axis=axes, keepdims=True) / den, out=out)
+            break
+        reach = tuple(min(math.isqrt(t), m - 1) for m in shape)
+        # a ball that covers its reach box shares the box's stencil
+        new_key = (reach, t if t < sum(R * R for R in reach) else -1)
+        if new_key != key:
+            key = new_key
+            if t == 0:
+                # the center alone (k = 0; for k >= 1 its denominator is 0),
+                # taken exactly so that Mf >= |f| holds without rounding
+                conv = a
             else:
-                st = np.where(n2 <= t, (n2 * (h * h)) ** (k / 2.0), 0.0)
-            spad = np.zeros(mshape)
-            spad[tuple(slice(0, 2 * reach + 1) for _ in range(d))] = st
-            conv = _fft.irfftn(_fft.rfftn(spad, workers=fft_workers()) * fhat, s=mshape, workers=fft_workers())
-            conv = conv[tuple(slice(reach, reach + N) for _ in range(d))].copy()
-            conv_cache[key] = conv
+                shp = tuple(_fft.next_fast_len(m + R) for m, R in zip(shape, reach))
+                if shp != mshape:
+                    mshape, spectra = shp, None  # drop the old spectra first
+                    spectra = _member_spectra(a, mshape)
+                box = tuple(slice(0, R + 1) for R in reach)
+                half = _stencil(n2_full[box], t, k, h) * fold_full[box]
+                conv = _convolve(spectra, _even_spectrum(half, mshape), mshape, shape)
         np.maximum(out, conv / den, out=out)
+        if t >= cover:
+            # every larger radius has the same numerator and a denominator no
+            # smaller, so it cannot raise the max
+            break
     return np.maximum(out, 0.0)
+
+
+def _half_box(reach: tuple[int, ...], cover: int) -> tuple[np.ndarray, np.ndarray]:
+    """|delta|^2 over the nonnegative offsets [0, reach] (in the smallest
+    integer type that holds ``cover``), and each offset's fold count: the
+    number of offsets it stands for under the reflections of the axes."""
+    dtype = np.min_scalar_type(cover)
+    n2 = np.zeros((1,) * len(reach), dtype=dtype)
+    fold = np.ones((1,) * len(reach))
+    for ax, R in enumerate(reach):
+        sh = [1] * len(reach)
+        sh[ax] = R + 1
+        off = np.arange(R + 1)
+        n2 = n2 + (off**2).astype(dtype).reshape(sh)
+        fold = fold * np.where(off > 0, 2.0, 1.0).reshape(sh)
+    return n2, fold
+
+
+def _stencil(n2: np.ndarray, t: int, k: int, h: float) -> np.ndarray:
+    if k == 0:
+        return n2 <= t
+    return np.where(n2 <= t, (n2 * (h * h)) ** (k / 2.0), 0.0)
+
+
+def _chunk(mshape: tuple[int, ...]) -> int:
+    """Members per batched transform, capping one batch of padded spectra."""
+    per_member = 16 * math.prod(mshape[:-1]) * (mshape[-1] // 2 + 1)
+    return max(1, _BATCH_BYTES // per_member)
+
+
+def _member_spectra(a: np.ndarray, mshape: tuple[int, ...]) -> np.ndarray:
+    """rfftn of every member zero-padded to ``mshape``, one axis at a time
+    and last axis first, so each axis is padded only when it is transformed."""
+    n, c = a.shape[0], _chunk(mshape)
+    out = np.empty((n,) + mshape[:-1] + (mshape[-1] // 2 + 1,), dtype=complex)
+    for lo in range(0, n, c):
+        y = _fft.rfftn(a[lo : lo + c], s=mshape[-1:], axes=(a.ndim - 1,), workers=fft_workers())
+        for ax in range(a.ndim - 2, 0, -1):
+            y = _fft.fftn(y, s=(mshape[ax - 1],), axes=(ax,), overwrite_x=True, workers=fft_workers())
+        out[lo : lo + c] = y
+    return out
+
+
+def _even_spectrum(half: np.ndarray, mshape: tuple[int, ...]) -> np.ndarray:
+    """Spectrum, on the layout of the member spectra, of the even stencil
+    centered at offset 0 whose nonnegative-offset part, times the fold
+    counts, is ``half``.
+
+    Per axis the transform of an even sequence is the real part of the
+    transform of its folded half, and it is even in the frequency, so only
+    frequencies 0..m//2 are computed and the rest are read off by symmetry.
+    """
+    s = half
+    for ax, m in enumerate(mshape):
+        s = _fft.rfftn(s, s=(m,), axes=(ax,), workers=fft_workers()).real
+    idx = [np.minimum(np.arange(m), m - np.arange(m)) for m in mshape[:-1]]
+    return s[np.ix_(*idx, np.arange(s.shape[-1]))]
+
+
+def _convolve(spectra, sfft, mshape, shape) -> np.ndarray:
+    """Inverse transforms of every member spectrum times ``sfft``, cropped to
+    the grid; each axis is cropped as soon as it is transformed."""
+    n, c = spectra.shape[0], _chunk(mshape)
+    d = len(shape)
+    conv = np.empty((n,) + tuple(shape))
+    for lo in range(0, n, c):
+        y = spectra[lo : lo + c] * sfft
+        for ax in range(1, d):
+            y = _fft.ifftn(y, axes=(ax,), overwrite_x=True, workers=fft_workers())
+            y = y[(slice(None),) * ax + (slice(0, shape[ax - 1]),)]
+        y = _fft.irfftn(y, s=mshape[-1:], axes=(d,), workers=fft_workers())
+        conv[lo : lo + c] = y[..., : shape[-1]]
+    return conv
 
 
 def _require_real_physical(f: GridFunction) -> None:
@@ -195,27 +290,39 @@ def _require_real_physical(f: GridFunction) -> None:
         raise ValueError("maximal operators act on real-valued grid functions")
 
 
-def hl_maximal(f: GridFunction, radii) -> GridFunction:
-    """Centered Hardy-Littlewood maximal function over the RadiiSet."""
-    _require_real_physical(f)
+def _ball_max(f, radii, k: int):
+    """Ball maximal function of a GridFunction, or of every member of a
+    VectorField in one batched engine call; returns the same kind."""
+    members = f.members if isinstance(f, VectorField) else (f,)
+    for m in members:
+        _require_real_physical(m)
+    spec = members[0].spec
     rs = _as_radii(radii)
-    _validate_radii_for_spec(rs, f.spec.h, 2.0 * f.spec.L * math.sqrt(f.spec.d))
-    return _wrap(f.spec, _ball_max_values(f.values, f.spec.h, rs, 0), "physical")
+    _validate_radii_for_spec(rs, spec.h, 2.0 * spec.L * math.sqrt(spec.d))
+    out = _ball_max_values(np.stack([m.values for m in members]), spec.h, rs, k)
+    if isinstance(f, VectorField):
+        return VectorField(tuple(_wrap(spec, o, "physical") for o in out))
+    return _wrap(spec, out[0], "physical")
 
 
-def weighted_maximal(f: GridFunction, k: int, radii) -> GridFunction:
+def hl_maximal(f: GridFunction | VectorField, radii) -> GridFunction | VectorField:
+    """Centered Hardy-Littlewood maximal function over the RadiiSet, of a
+    GridFunction or of each member of a VectorField."""
+    return _ball_max(f, radii, 0)
+
+
+def weighted_maximal(f: GridFunction | VectorField, k: int, radii) -> GridFunction | VectorField:
     """Ball averages against the weight |y|^k, maximized over the RadiiSet.
 
     k = 0 reduces to :func:`hl_maximal` exactly.  For k >= 1 the center offset
     carries zero weight; a radius whose ball holds only the center therefore
-    has an empty weighted average, which is taken as 0.
+    has an empty weighted average, which is taken as 0.  Like
+    :func:`hl_maximal` it acts on a GridFunction or on each member of a
+    VectorField.
     """
-    _require_real_physical(f)
     if k < 0 or int(k) != k:
         raise ValueError(f"weight exponent must be a nonnegative integer, got {k}")
-    rs = _as_radii(radii)
-    _validate_radii_for_spec(rs, f.spec.h, 2.0 * f.spec.L * math.sqrt(f.spec.d))
-    return _wrap(f.spec, _ball_max_values(f.values, f.spec.h, rs, int(k)), "physical")
+    return _ball_max(f, radii, int(k))
 
 
 def _interval_max_values(vals: np.ndarray, h: float, radii: tuple[float, ...], axis: int) -> np.ndarray:

@@ -27,6 +27,7 @@ from scipy.interpolate import CubicSpline
 from .grid import (
     GridFunction,
     GridSpec,
+    PreconditionError,
     _wrap,
     fft_workers,
     forward_transform,
@@ -104,7 +105,7 @@ class _SurfaceTransform:
 
     def __init__(self, d: int):
         if d < 2:
-            raise ValueError(f"surface multiplier needs d >= 2, got {d}")
+            raise PreconditionError(f"surface multiplier needs d >= 2, got {d}")
         self.d = d
         self.mass = gegenbauer_weight_mass(d)
         self._tables: dict[bool, tuple[float, object]] = {}
@@ -331,7 +332,7 @@ def spherical_maximal(f: GridFunction, radii) -> GridFunction:
     """Spherical means maximized over radii, realized through the surface
     multiplier (requires d >= 2 and real input)."""
     if f.spec.d < 2:
-        raise ValueError("spherical maximal operator needs d >= 2")
+        raise PreconditionError("spherical maximal operator needs d >= 2")
     if not f.is_real:
         raise ValueError("spherical maximal operator acts on real functions")
     return maximal_multiplier(f, surface_multiplier(f.spec.d), radii)

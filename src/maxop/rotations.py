@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy import ndimage
 
-from .grid import GridFunction, GridSpec, _wrap
+from .grid import GridFunction, GridSpec, PreconditionError, _wrap
 from .maximal import _as_radii, _cumulative_weights, _strict_bound
 from .quadrature import radial_power_rule
 
@@ -64,7 +64,7 @@ class DescentSplit:
 
     def __post_init__(self):
         if not (3 <= self.d_prime <= self.d):
-            raise ValueError(f"need 3 <= d' <= d, got d'={self.d_prime}, d={self.d}")
+            raise PreconditionError(f"need 3 <= d' <= d, got d'={self.d_prime}, d={self.d}")
 
     @property
     def k(self) -> int:
@@ -303,6 +303,6 @@ def dimension_split(p: float, q: float) -> int:
 
     pv, qv = Exponent(float(p)).value, Exponent(float(q)).value
     if math.isinf(pv) or math.isinf(qv):
-        raise ValueError("dimension_split needs finite exponents")
+        raise PreconditionError("dimension_split needs finite exponents")
     target = max(2.0, pv, qv, pv / (pv - 1.0), qv / (qv - 1.0))
     return int(math.floor(target)) + 1

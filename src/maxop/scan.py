@@ -24,7 +24,7 @@ from typing import Callable, Hashable
 import numpy as np
 
 from .families import FAMILIES, family_values
-from .grid import GridFunction, GridSpec, VectorField, _wrap, node_coordinates
+from .grid import GridFunction, GridSpec, PreconditionError, VectorField, _wrap, node_coordinates
 from .grushin import cc_domination_note, grushin_maximal, iterated_maximal, min_node_gap
 from .maximal import RadiiSet, default_radii, hl_maximal, weighted_maximal
 from .multiplier import dyadic_piece, maximal_multiplier, spherical_maximal
@@ -177,12 +177,12 @@ def _decay_slope_extra(spec: GridSpec, member: GridFunction) -> str:
 
 def _apply_hl(cfg: ScanConfig, spec: GridSpec, F: VectorField, key) -> tuple[list, str]:
     radii = default_radii(spec, cfg.radii_K)
-    return [hl_maximal(m, radii) for m in F], ""
+    return hl_maximal(F, radii).members, ""
 
 
 def _apply_hl_weighted(cfg: ScanConfig, spec: GridSpec, F: VectorField, key) -> tuple[list, str]:
     radii = default_radii(spec, cfg.radii_K)
-    return [weighted_maximal(m, cfg.k, radii) for m in F], ""
+    return weighted_maximal(F, cfg.k, radii).members, ""
 
 
 def _apply_sph(cfg: ScanConfig, spec: GridSpec, F: VectorField, key) -> tuple[list, str]:
@@ -261,7 +261,12 @@ def _field(cfg: ScanConfig, op: Operator, d: int) -> tuple[GridSpec, VectorField
 
 
 def run_scan(cfg: ScanConfig) -> ScanReport:
-    """Execute the sweep; per-row module errors become error-tagged rows."""
+    """Execute the sweep; a failed declared precondition (PreconditionError)
+    becomes an error-tagged row, and any other exception propagates.
+
+    A row's wall_ms is the time of the field sampling and operator evaluation
+    it shares, repeated on every row that shares it, plus its own norm time.
+    """
     op = OPERATORS[cfg.operator]
     rows: list[ScanRow] = []
     for d in cfg.d_range:
@@ -269,20 +274,23 @@ def run_scan(cfg: ScanConfig) -> ScanReport:
         for p in cfg.p_list:
             for q in cfg.q_list:
                 t0 = time.perf_counter()
+                op_ms = 0.0
                 try:
                     key = op.pq_key(p, q)
                     if key not in cache:
                         spec, F = _field(cfg, op, d)
                         outs, extra = op.apply(cfg, spec, F, key)
-                        cache[key] = (F, VectorField(tuple(outs)), extra)
-                    F, G, extra = cache[key]
+                        op_ms = (time.perf_counter() - t0) * 1000.0
+                        t0 = time.perf_counter()
+                        cache[key] = (F, VectorField(tuple(outs)), extra, op_ms)
+                    F, G, extra, op_ms = cache[key]
                     inn = mixed_norm(F, p, q)
                     out = mixed_norm(G, p, q)
                     values = dict(input_norm=inn, output_norm=out, ratio=out / inn, extra=extra)
-                except ValueError as exc:
+                except PreconditionError as exc:
                     nan = float("nan")
                     values = dict(input_norm=nan, output_norm=nan, ratio=nan, extra=f"error={exc}")
-                wall = (time.perf_counter() - t0) * 1000.0
+                wall = op_ms + (time.perf_counter() - t0) * 1000.0
                 rows.append(ScanRow(cfg.operator, d, p, q, cfg.family, cfg.n_members, wall_ms=wall, **values))
     return ScanReport(tuple(rows))
 

@@ -98,6 +98,31 @@ def test_iterated_constant_and_separable(rng):
     np.testing.assert_allclose(got, np.outer(Ma, Mb), rtol=1e-12)
 
 
+def test_iterated_matches_per_slice_exact_reference(rng):
+    # 10 x 10 u-slices take the batched FFT route; the reference runs the
+    # quadratic exact path slice by slice
+    from maxop.maximal import (
+        _EXACT_PATH_MAX_NODES,
+        _ball_max_exact,
+        _cumulative_weights,
+        _interval_max_values,
+        _strict_bound,
+    )
+
+    grid = make_grid(3, 3.0, 10)
+    assert grid.N ** 2 > _EXACT_PATH_MAX_NODES
+    f = GridFunction(grid, rng.standard_normal(grid.shape))
+    rx = RadiiSet(tuple(np.geomspace(grid.h, 2 * grid.L * math.sqrt(2), 12)))
+    ru = RadiiSet(tuple(np.geomspace(grid.h, 2 * grid.L, 12)))
+    got = iterated_maximal(f, rx, ru).values
+    stage1 = _interval_max_values(f.values, grid.h, ru.radii, axis=2)
+    denom = _cumulative_weights(2, _strict_bound(rx.radii[-1], grid.h), 0, grid.h)
+    want = np.stack(
+        [_ball_max_exact(stage1[..., iu], grid.h, rx.radii, 0, denom) for iu in range(grid.N)], axis=-1
+    )
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_koranyi_below_iterated_on_bump():
     grid = make_grid(3, 3.0, 10)
     f = sample(grid, lambda p: np.exp(-np.sum(p**2, -1)))

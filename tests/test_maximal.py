@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from maxop.grid import GridFunction, make_grid, sample
+from maxop.checks import _oracle_hl
+from maxop.grid import GridFunction, VectorField, make_grid, sample
 from maxop.maximal import (
+    _EXACT_PATH_MAX_NODES,
     RadiiSet,
     _ball_max_exact,
     _cumulative_weights,
@@ -90,16 +92,64 @@ def test_interval_indicator_matches_continuum_sup():
     assert abs(M.values[node] - 1.0 / 3.0) <= 2 * spec.h
 
 
-def test_fft_path_matches_exact_path(rng):
-    spec = make_grid(2, 2.0, 40)  # large enough to take the FFT route
+@pytest.mark.parametrize(
+    "d,N,k", [(2, 40, 0), (2, 40, 1), (3, 6, 0)], ids=["d2-k0", "d2-k1", "d3-k0"]
+)
+def test_fft_path_matches_exact_path(rng, d, N, k):
+    spec = make_grid(d, 2.0, N)
+    assert spec.size > _EXACT_PATH_MAX_NODES  # the FFT route
     vals = rng.standard_normal(spec.shape)
+    # default radii end at the cube diameter, past the first radius whose ball
+    # covers every in-grid offset
     radii = default_radii(spec, 10)
-    got = hl_maximal(GridFunction(spec, vals), radii).values
+    got = weighted_maximal(GridFunction(spec, vals), k, radii).values
     tmax = _strict_bound(radii.radii[-1], spec.h)
     want = _ball_max_exact(
-        np.abs(vals), spec.h, radii.radii, 0, _cumulative_weights(2, tmax, 0, spec.h)
+        np.abs(vals), spec.h, radii.radii, k, _cumulative_weights(d, tmax, k, spec.h)
     )
-    np.testing.assert_allclose(got, want, atol=1e-12)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_covering_radius_reaches_the_far_corner(k):
+    # a spike in one corner enters a ball centered at the opposite corner
+    # only once the ball covers every in-grid offset
+    spec = make_grid(2, 2.0, 10)
+    vals = np.zeros(spec.shape)
+    vals[0, 0] = 1.0
+    radii = default_radii(spec, 8)
+    got = weighted_maximal(GridFunction(spec, vals), k, radii).values
+    tmax = _strict_bound(radii.radii[-1], spec.h)
+    denom = _cumulative_weights(2, tmax, k, spec.h)
+    want = _ball_max_exact(vals, spec.h, radii.radii, k, denom)
+    assert want[-1, -1] > 0
+    assert got[-1, -1] == pytest.approx(want[-1, -1], rel=1e-12)
+    assert np.abs(got - want).max() <= 1e-12 * want.max()
+
+
+def test_fft_path_matches_naive_oracle(rng):
+    spec = make_grid(2, 1.5, 12)  # 144 nodes: the FFT route
+    assert spec.size > _EXACT_PATH_MAX_NODES
+    vals = rng.standard_normal(spec.shape)
+    radii = RadiiSet((spec.h, 0.3, 0.55, 1.0, 1.9, 4.2))
+    got = hl_maximal(GridFunction(spec, vals), radii).values
+    want = _oracle_hl(vals, spec.h, radii)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    # the center-only radius is exact, so domination holds without rounding
+    assert np.all(got >= np.abs(vals))
+
+
+@pytest.mark.parametrize("N", [8, 12], ids=["exact", "fft"])
+def test_vector_field_matches_per_member_calls(rng, N):
+    spec = make_grid(2, 2.0, N)
+    F = VectorField(tuple(GridFunction(spec, rng.standard_normal(spec.shape)) for _ in range(3)))
+    radii = default_radii(spec, 12)
+    for op in (lambda f: hl_maximal(f, radii), lambda f: weighted_maximal(f, 2, radii)):
+        G = op(F)
+        assert isinstance(G, VectorField) and len(G) == len(F)
+        for g, f in zip(G, F):
+            want = op(f).values
+            assert np.abs(g.values - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_weighted_k0_is_hl(rng):

@@ -1,12 +1,15 @@
 import csv
 import json
 import math
+import time
 
 import pytest
 
+from maxop import scan
 from maxop.cli import main
 from maxop.scan import (
     CSV_HEADER,
+    Operator,
     ScanConfig,
     ScanReport,
     ScanRow,
@@ -88,6 +91,28 @@ def test_error_rows_do_not_abort():
     assert tagged[1] is True and tagged[2] is False
     assert math.isnan(rep.rows[0].ratio)
     assert report_violations(rep) == []
+
+
+def test_only_declared_preconditions_become_error_rows(monkeypatch):
+    # a malformed MAXOP_THREADS is a fault of the caller, not a precondition
+    # of the operator: a direct call raises instead of writing an error row
+    monkeypatch.setenv("MAXOP_THREADS", "abc")
+    with pytest.raises(ValueError, match="MAXOP_THREADS"):
+        run_scan(_small_cfg(d_range=(2,), grid=(2.0, 12)))
+    monkeypatch.delenv("MAXOP_THREADS")
+    rep = run_scan(_small_cfg(operator="DESCENT", d_range=(3,), p_list=(math.inf,), grid=(2.0, 8), radii_K=4))
+    assert rep.rows[0].extra == "error=dimension_split needs finite exponents"
+
+
+def test_wall_ms_carries_the_shared_operator_time(monkeypatch):
+    def sleepy(cfg, spec, F, key):
+        time.sleep(0.05)
+        return list(F), ""
+
+    monkeypatch.setitem(scan.OPERATORS, "HL", Operator(sleepy))
+    rep = run_scan(_small_cfg(d_range=(1, 2), p_list=(2.0, 3.0), q_list=(1.5, 2.0)))
+    assert len(rep.rows) == 8
+    assert all(r.wall_ms >= 50.0 for r in rep.rows)
 
 
 def test_plotdata_blocks(tmp_path):
