@@ -28,6 +28,8 @@ from .grushin import (
 )
 from .maximal import RadiiSet, default_radii, hl_maximal, maximal_1d, weighted_maximal
 from .multiplier import (
+    RadialProfile,
+    _surface,
     bump,
     dyadic_piece,
     funk_hecke_kernel,
@@ -37,9 +39,10 @@ from .multiplier import (
     surface_multiplier,
     tilde_piece,
     decay_constants,
+    sphere_area,
 )
 from .norms import lp_norm, lq_pointwise, mixed_norm
-from .quadrature import gegenbauer_rule, gegenbauer_weight_mass
+from .quadrature import gegenbauer_rule, gegenbauer_weight_mass, refine_until_stationary
 from .rotations import (
     DescentSplit,
     descent_maximal,
@@ -196,6 +199,36 @@ def _oracle_grushin(f: GridFunction, radii) -> np.ndarray:
                 best = max(best, num / count)
         out[multi] = best
     return out
+
+
+def _zonal_inverse(
+    profile: RadialProfile, d: int, rho: np.ndarray, tol: float = 1e-10, m_tol: float = 1e-12
+) -> np.ndarray:
+    """Radial profile of the d-dim inverse transform of a compactly supported
+    radial function: area(S^(d-1)) * int profile(s) m(s rho) s^(d-1) ds.
+
+    Every m value is an adaptive quadrature of its own, so this is accurate
+    but expensive; bulk sweeps go through ``maxop.multiplier._CosineTransform``
+    instead, and the two paths cross-check each other in the test suite.
+    """
+    a, b = profile.support
+    if not math.isfinite(b):
+        raise ValueError("zonal inverse transform needs compact support")
+    rho = np.asarray(rho, dtype=float)
+    st = _surface(d)
+    rmax = float(np.max(rho)) if rho.size else 0.0
+
+    def with_rule(n: int) -> np.ndarray:
+        t, w = gegenbauer_rule(3, n)  # plain Legendre nodes for the radial leg
+        s = a + (b - a) * (t + 1.0) / 2.0
+        dens = profile(s) * s ** (d - 1) * (w * (b - a) / 2.0)
+        vals = st.value(np.outer(rho.reshape(-1), s), tol=m_tol)
+        return vals @ dens
+
+    out = refine_until_stationary(
+        with_rule, max_arg=(b - a) * max(rmax, 1.0), tol=tol, scale=1.0
+    )
+    return sphere_area(d) * out.reshape(rho.shape)
 
 
 def criterion_brute_force() -> CheckResult:

@@ -128,8 +128,8 @@ def node_radii(spec: GridSpec) -> np.ndarray:
     return _readonly(np.sqrt(np.sum(node_coordinates(spec) ** 2, axis=-1)))
 
 
-@lru_cache(maxsize=32)
 def frequency_radii(spec: GridSpec) -> np.ndarray:
+    """|xi| on the ascending frequency lattice of :func:`forward_transform`."""
     ax = spec.axis_freqs()
     grids = np.meshgrid(*([ax] * spec.d), indexing="ij")
     return _readonly(np.sqrt(sum(g**2 for g in grids)))
@@ -198,6 +198,28 @@ class VectorField:
 
     def __iter__(self):
         return iter(self.members)
+
+
+def _require_real_physical(f: GridFunction) -> None:
+    f.require("physical")
+    if not f.is_real:
+        raise ValueError("maximal and multiplier operators act on real-valued grid functions")
+
+
+def _stack(f: GridFunction | VectorField) -> np.ndarray:
+    """Values of a real physical-domain GridFunction, or of every member of a
+    VectorField, stacked along a new leading axis."""
+    members = f.members if isinstance(f, VectorField) else (f,)
+    for m in members:
+        _require_real_physical(m)
+    return np.stack([m.values for m in members])
+
+
+def _unstack(f: GridFunction | VectorField, out: np.ndarray) -> GridFunction | VectorField:
+    """``out``, one result per member along its leading axis, as ``f``'s kind."""
+    if isinstance(f, VectorField):
+        return VectorField(tuple(_wrap(f.spec, o, "physical") for o in out))
+    return _wrap(f.spec, out[0], "physical")
 
 
 def sample(spec: GridSpec, field: Callable[[np.ndarray], np.ndarray]) -> GridFunction:

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridFunction, GridSpec, PreconditionError, _wrap
-from .maximal import _as_radii, _ball_max_values, _interval_max_values, _require_real_physical
+from .grid import GridFunction, GridSpec, PreconditionError, _require_real_physical, _wrap
+from .maximal import _as_radii, _ball_max_values, _interval_max_values
 
 __all__ = [
     "GrushinPoint",

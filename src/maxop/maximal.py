@@ -39,6 +39,7 @@ import numpy as np
 import scipy.fft as _fft
 
 from .grid import GridFunction, GridSpec, VectorField, _wrap, fft_workers
+from .grid import _require_real_physical, _stack, _unstack
 
 __all__ = ["RadiiSet", "default_radii", "hl_maximal", "weighted_maximal", "maximal_1d"]
 
@@ -284,25 +285,14 @@ def _convolve(spectra, sfft, mshape, shape) -> np.ndarray:
     return conv
 
 
-def _require_real_physical(f: GridFunction) -> None:
-    f.require("physical")
-    if not f.is_real:
-        raise ValueError("maximal operators act on real-valued grid functions")
-
-
 def _ball_max(f, radii, k: int):
     """Ball maximal function of a GridFunction, or of every member of a
     VectorField in one batched engine call; returns the same kind."""
-    members = f.members if isinstance(f, VectorField) else (f,)
-    for m in members:
-        _require_real_physical(m)
-    spec = members[0].spec
+    vals = _stack(f)
+    spec = f.spec
     rs = _as_radii(radii)
     _validate_radii_for_spec(rs, spec.h, 2.0 * spec.L * math.sqrt(spec.d))
-    out = _ball_max_values(np.stack([m.values for m in members]), spec.h, rs, k)
-    if isinstance(f, VectorField):
-        return VectorField(tuple(_wrap(spec, o, "physical") for o in out))
-    return _wrap(spec, out[0], "physical")
+    return _unstack(f, _ball_max_values(vals, spec.h, rs, k))
 
 
 def hl_maximal(f: GridFunction | VectorField, radii) -> GridFunction | VectorField:

@@ -11,6 +11,11 @@ radial derivatives, zonal kernel evaluations) is built from this single 1-D
 Gegenbauer-weight integral; no Bessel routines are used anywhere.  The same
 weight appears in the Funk-Hecke reduction of zonal sphere integrals, which
 is what the FFT-independent kernel oracle below exploits.
+
+The multiplier operators and the square function reduce one dilation sweep
+over a real GridFunction or VectorField: one rfftn of the stacked members,
+then per dilation whose multiplier does not vanish on the grid one profile
+evaluation on the half spectrum and one batched irfftn.
 """
 
 from __future__ import annotations
@@ -28,11 +33,11 @@ from .grid import (
     GridFunction,
     GridSpec,
     PreconditionError,
+    VectorField,
+    _stack,
+    _unstack,
     _wrap,
     fft_workers,
-    forward_transform,
-    frequency_radii,
-    inverse_transform,
     node_radii,
 )
 from .maximal import _as_radii
@@ -303,43 +308,61 @@ def tilde_piece(d: int, l: int) -> RadialProfile:
     return RadialProfile(fn=fn, support=support, sup_bound=_swept_bound(fn, support))
 
 
-def apply_multiplier(f: GridFunction, profile: RadialProfile, r: float) -> GridFunction:
-    """(fhat(.) profile(r |.|)) back-transformed; real output for real input."""
-    f.require("physical")
+def _rfft_radii(spec: GridSpec) -> np.ndarray:
+    """|xi| on the rfftn layout of ``spec``: FFT order on every axis, with
+    only the nonnegative half of the last one."""
+    k = np.fft.ifftshift(np.arange(spec.N) - spec.N // 2) * spec.freq_step
+    axes = [k] * (spec.d - 1) + [k[: spec.N // 2 + 1]]
+    r = sum(g**2 for g in np.meshgrid(*axes, indexing="ij", sparse=True))
+    return np.sqrt(r, out=r)
+
+
+def _dilation_sweep(vals: np.ndarray, spec: GridSpec, profile: RadialProfile, ts):
+    """Yield (i, (fhat profile(ts[i] |.|))^v) of the real members stacked along
+    the leading axis of ``vals`` for each dilation whose multiplier does not
+    vanish on the grid; the Plancherel transforms' shifts, phases and cell
+    volumes cancel in the round trip, so one rfftn serves every dilation."""
+    axes = tuple(range(1, vals.ndim))
+    fhat = _fft.rfftn(vals, axes=axes, workers=fft_workers())
+    rad = _rfft_radii(spec)
+    for i, t in enumerate(ts):
+        mult = profile(t * rad)
+        if np.any(mult):
+            yield i, _fft.irfftn(fhat * mult, s=spec.shape, axes=axes, workers=fft_workers())
+
+
+def apply_multiplier(f: GridFunction | VectorField, profile: RadialProfile, r: float):
+    """(fhat(.) profile(r |.|)) back-transformed, of a real GridFunction or
+    of each member of a VectorField; returns the same kind."""
     if not (r > 0):
         raise ValueError(f"dilation must be positive, got {r}")
-    fhat = forward_transform(f)
-    mult = profile(r * frequency_radii(f.spec))
-    out = inverse_transform(_wrap(f.spec, fhat.values * mult, "frequency"))
-    vals = out.values.real if f.is_real else out.values
-    return _wrap(f.spec, vals, "physical")
+    vals = _stack(f)
+    # a multiplier that vanishes on the grid yields no piece
+    _, out = next(_dilation_sweep(vals, f.spec, profile, (r,)), (0, np.zeros_like(vals)))
+    return _unstack(f, out)
 
 
-def maximal_multiplier(f: GridFunction, profile: RadialProfile, radii) -> GridFunction:
-    """Node-wise max over dilations r of |(fhat profile(r .))^v|."""
-    f.require("physical")
-    rs = _as_radii(radii)
-    fhat = forward_transform(f)
-    freq = frequency_radii(f.spec)
-    out = np.zeros(f.spec.shape)
-    for r in rs:
-        piece = inverse_transform(_wrap(f.spec, fhat.values * profile(r * freq), "frequency"))
-        np.maximum(out, np.abs(piece.values.real if f.is_real else piece.values), out=out)
-    return _wrap(f.spec, out, "physical")
+def maximal_multiplier(f: GridFunction | VectorField, profile: RadialProfile, radii):
+    """Node-wise max over dilations r of |(fhat profile(r .))^v|, of a real
+    GridFunction or of each member of a VectorField; returns the same kind."""
+    vals = _stack(f)
+    out = np.zeros_like(vals)
+    for _, piece in _dilation_sweep(vals, f.spec, profile, _as_radii(radii)):
+        np.maximum(out, np.abs(piece), out=out)
+    return _unstack(f, out)
 
 
-def spherical_maximal(f: GridFunction, radii) -> GridFunction:
+def spherical_maximal(f: GridFunction | VectorField, radii) -> GridFunction | VectorField:
     """Spherical means maximized over radii, realized through the surface
-    multiplier (requires d >= 2 and real input)."""
+    multiplier (requires d >= 2), like :func:`maximal_multiplier`."""
     if f.spec.d < 2:
         raise PreconditionError("spherical maximal operator needs d >= 2")
-    if not f.is_real:
-        raise ValueError("spherical maximal operator acts on real functions")
     return maximal_multiplier(f, surface_multiplier(f.spec.d), radii)
 
 
 def kernel(profile: RadialProfile, spec: GridSpec) -> GridFunction:
-    """Inverse transform of the profile sampled on the frequency grid.
+    """Inverse transform (its real part) of the profile sampled on the
+    frequency grid.
 
     Rejects profiles whose radial support exceeds the per-axis frequency
     extent N/(4L): such samples would alias.  The result equals the
@@ -354,69 +377,18 @@ def kernel(profile: RadialProfile, spec: GridSpec) -> GridFunction:
             "enlarge N or shrink L"
         )
     N, d = spec.N, spec.d
-    # the spectrum is real and even, so build the half-spectrum and use
-    # irfftn, provided the unpaired +-N/2 bins carry no weight
-    k_full = np.concatenate([np.arange(0, N // 2), np.arange(-(N // 2), 0)])
-    k_axes = [k_full] * (d - 1) + [np.arange(N // 2 + 1)]
-    rad2 = np.zeros(tuple(ax.size for ax in k_axes))
-    for ax_idx, ax in enumerate(k_axes):
-        sh = [1] * d
-        sh[ax_idx] = ax.size
-        rad2 = rad2 + (ax.astype(float).reshape(sh) * spec.freq_step) ** 2
-    vals = profile(np.sqrt(rad2))
-    edge_ok = True
-    for ax_idx, ax in enumerate(k_axes):
-        where = np.nonzero(np.abs(ax) == N // 2)[0]
-        if where.size:
-            sel: list = [slice(None)] * d
-            sel[ax_idx] = where
-            if np.any(vals[tuple(sel)] != 0.0):
-                edge_ok = False
-                break
-    if not edge_ok:
-        samples = profile(frequency_radii(spec))
-        out = inverse_transform(_wrap(spec, samples.astype(np.complex128), "frequency"))
-        return _wrap(spec, out.values.real, "physical")
-
-    g = vals.astype(np.complex128)
-    for ax_idx, ax in enumerate(k_axes):
-        phase = np.where(ax % 2 == 0, 1.0, -1.0) * np.exp(1j * np.pi * ax / N)
-        sh = [1] * d
-        sh[ax_idx] = ax.size
-        g *= phase.reshape(sh)
+    # The samples are real and even, so irfftn of the phased half-spectrum is
+    # the real part of the full inverse transform.  The unpaired N/2 bins can
+    # hold weight only on the axes (the support stays within the extent), and
+    # there the phase is imaginary, so they add nothing to that real part.
+    g = profile(_rfft_radii(spec)).astype(np.complex128)
+    k = np.fft.ifftshift(np.arange(N) - N // 2)
+    phase = np.where(k % 2 == 0, 1.0, -1.0) * np.exp(1j * np.pi * k / N)
+    for p in np.meshgrid(*([phase] * (d - 1) + [phase[: N // 2 + 1]]), indexing="ij", sparse=True):
+        g *= p
     out = _fft.irfftn(g, s=spec.shape, workers=fft_workers())
     out *= spec.size * spec.freq_step**d
     return _wrap(spec, out, "physical")
-
-
-def _zonal_inverse(
-    profile: RadialProfile, d: int, rho: np.ndarray, tol: float = 1e-10, m_tol: float = 1e-12
-) -> np.ndarray:
-    """Radial profile of the d-dim inverse transform of a compactly supported
-    radial function: area(S^(d-1)) * int profile(s) m(s rho) s^(d-1) ds.
-
-    Every m value is an adaptive quadrature of its own, so this is accurate
-    but expensive; bulk sweeps go through :class:`_CosineTransform` instead,
-    and the two paths cross-check each other in the test suite.
-    """
-    a, b = profile.support
-    if not math.isfinite(b):
-        raise ValueError("zonal inverse transform needs compact support")
-    rho = np.asarray(rho, dtype=float)
-    st = _surface(d)
-    rmax = float(np.max(rho)) if rho.size else 0.0
-
-    def with_rule(n: int) -> np.ndarray:
-        t, w = gegenbauer_rule(3, n)  # plain Legendre nodes for the radial leg
-        s = a + (b - a) * (t + 1.0) / 2.0
-        dens = profile(s) * s ** (d - 1) * (w * (b - a) / 2.0)
-        vals = st.value(np.outer(rho.reshape(-1), s), tol=m_tol)
-        return vals @ dens
-
-    out = refine_until_stationary(
-        with_rule, max_arg=(b - a) * max(rmax, 1.0), tol=tol, scale=1.0
-    )
-    return sphere_area(d) * out.reshape(rho.shape)
 
 
 class _CosineTransform:
@@ -425,9 +397,10 @@ class _CosineTransform:
     Folding the Gegenbauer representation of m into the radial transform
     turns the zonal inverse into area * c_d * int (1-t^2)^((d-3)/2) C(rho t) dt,
     so once C is tabulated every kernel value is a cheap weighted sum of
-    spline lookups.  The grid step is chosen so the cubic interpolation error
-    (fourth derivative ~ (2 pi b)^4 times the transform's amplitude) stays
-    below ``abs_tol``; the radial rule size is verified by doubling.
+    spline lookups (tested against ``maxop.checks._zonal_inverse``).  The grid
+    step keeps the cubic interpolation error (fourth derivative ~ (2 pi b)^4
+    times the transform's amplitude) below ``abs_tol``; the radial rule size
+    is verified by doubling.
     """
 
     def __init__(self, profile: RadialProfile, d: int, u_max: float, abs_tol: float):

@@ -179,15 +179,14 @@ class MCComparison(NamedTuple):
     stderr: float
 
 
-def _batch_stderr(samples: np.ndarray, n_batches: int = 16) -> float:
-    n = samples.size
-    if n < n_batches:
-        n_batches = max(1, n)
-    chunks = np.array_split(samples, n_batches)
-    means = np.array([c.mean() for c in chunks])
+def _batch_stderr(samples: np.ndarray, n_batches: int = 16) -> np.ndarray:
+    """Batch-means standard error of the mean over the leading axis of
+    ``samples``, from at most ``n_batches`` consecutive batches."""
+    chunks = np.array_split(samples, max(1, min(n_batches, samples.shape[0])))
+    means = np.stack([c.mean(axis=0) for c in chunks])
     if len(means) < 2:
-        return float("inf")
-    return float(means.std(ddof=1) / math.sqrt(len(means)))
+        return np.full(samples.shape[1:], np.inf)
+    return means.std(axis=0, ddof=1) / math.sqrt(len(means))
 
 
 def rotation_average_check(
@@ -217,7 +216,7 @@ def rotation_average_check(
         theta = _haar_matrix(rng, spec.d)
         sphere = _sphere_points(rng, n_sphere, split.d_prime)
         samples[i] = _point_weighted_average(absf, spec, x, theta, split, r, sphere, rho, rho_w)
-    return MCComparison(lhs=lhs, rhs=float(samples.mean()), stderr=_batch_stderr(samples))
+    return MCComparison(lhs=lhs, rhs=float(samples.mean()), stderr=float(_batch_stderr(samples)))
 
 
 def sphere_identity_check(
@@ -265,34 +264,17 @@ def lemma2_domination(
     per-node batch-means standard error.  The ball maximal function is
     dominated by the average up to MC error and interpolation slack."""
     f.require("physical")
-    children = np.random.SeedSequence(seed).spawn(n_mc)
-    acc = np.zeros(f.spec.shape)
-    batches: list[np.ndarray] = []
-    batch_acc = np.zeros(f.spec.shape)
-    per_batch = max(1, n_mc // 16)
-    in_batch = 0
-    for i, child in enumerate(children):
-        theta = RotationMatrix(f.spec.d, _haar_matrix(np.random.default_rng(child), f.spec.d))
-        vals = descent_maximal(
-            f, theta, split, radii, n_radial=n_radial, n_sphere=n_sphere, seed=int(child.generate_state(1)[0])
+    d = f.spec.d
+    runs = np.stack([
+        descent_maximal(
+            f, RotationMatrix(d, _haar_matrix(np.random.default_rng(child), d)), split, radii,
+            n_radial=n_radial, n_sphere=n_sphere, seed=int(child.generate_state(1)[0]),
         ).values
-        acc += vals
-        batch_acc += vals
-        in_batch += 1
-        if in_batch == per_batch:
-            batches.append(batch_acc / per_batch)
-            batch_acc = np.zeros(f.spec.shape)
-            in_batch = 0
-    if in_batch:
-        batches.append(batch_acc / in_batch)
-    avg = acc / n_mc
-    stack = np.stack(batches)
-    if stack.shape[0] >= 2:
-        se = stack.std(axis=0, ddof=1) / math.sqrt(stack.shape[0])
-    else:
-        se = np.full(f.spec.shape, np.inf)
+        for child in np.random.SeedSequence(seed).spawn(n_mc)
+    ])
     return LemmaTwoDomination(
-        average=_wrap(f.spec, avg, "physical"), stderr=_wrap(f.spec, se, "physical")
+        average=_wrap(f.spec, runs.mean(axis=0), "physical"),
+        stderr=_wrap(f.spec, _batch_stderr(runs), "physical"),
     )
 
 

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridFunction, GridSpec, VectorField, _wrap, forward_transform, frequency_radii, inverse_transform
-from .multiplier import RadialProfile
+from .grid import GridFunction, GridSpec, VectorField, _stack, _unstack
+from .multiplier import RadialProfile, _dilation_sweep
 from .norms import lp_norm, lq_pointwise
 
 __all__ = ["TGrid", "default_tgrid", "sharp_annulus", "square_function", "prop2_check"]
@@ -73,12 +73,11 @@ class TGrid:
 
 
 def _require_annulus(profile: RadialProfile) -> tuple[float, float]:
-    a, b = profile.support
-    if not (0.0 < a < b < math.inf):
+    if not profile.is_annulus:
         raise ValueError(
             f"profile must be supported in an annulus 0 < a < b < inf, got {profile.support}"
         )
-    return a, b
+    return profile.support
 
 
 def default_tgrid(profile: RadialProfile, spec: GridSpec, n: int = 128) -> TGrid:
@@ -96,20 +95,15 @@ def default_tgrid(profile: RadialProfile, spec: GridSpec, n: int = 128) -> TGrid
     return TGrid(ts=ts, weights=np.full(count, du))
 
 
-def square_function(f: GridFunction, profile: RadialProfile, tgrid: TGrid) -> GridFunction:
-    """g(x) = (sum_t |(fhat profile(t .))^v(x)|^2 w_t)^(1/2)."""
-    f.require("physical")
+def square_function(f: GridFunction | VectorField, profile: RadialProfile, tgrid: TGrid):
+    """g(x) = (sum_t |(fhat profile(t .))^v(x)|^2 w_t)^(1/2), of a real
+    GridFunction or of each member of a VectorField; returns the same kind."""
     _require_annulus(profile)
-    fhat = forward_transform(f)
-    freq = frequency_radii(f.spec)
-    acc = np.zeros(f.spec.shape)
-    for t, w in zip(tgrid.ts, tgrid.weights):
-        mult = profile(t * freq)
-        if not np.any(mult):
-            continue
-        piece = inverse_transform(_wrap(f.spec, fhat.values * mult, "frequency"))
-        acc += w * np.abs(piece.values) ** 2
-    return _wrap(f.spec, np.sqrt(acc), "physical")
+    vals = _stack(f)
+    acc = np.zeros_like(vals)
+    for i, piece in _dilation_sweep(vals, f.spec, profile, tgrid.ts):
+        acc += tgrid.weights[i] * piece**2
+    return _unstack(f, np.sqrt(acc))
 
 
 def prop2_check(F: VectorField, profile: RadialProfile, n_t: int = 128) -> tuple[float, float]:
@@ -124,7 +118,6 @@ def prop2_check(F: VectorField, profile: RadialProfile, n_t: int = 128) -> tuple
     if profile.sup_bound is None:
         raise ValueError("prop2_check needs a profile with a recorded sup_bound")
     tg = default_tgrid(profile, F.spec, n=n_t)
-    gs = VectorField(tuple(square_function(m, profile, tg) for m in F))
-    lhs = lp_norm(lq_pointwise(gs, 2.0), 2.0)
+    lhs = lp_norm(lq_pointwise(square_function(F, profile, tg), 2.0), 2.0)
     rhs = profile.sup_bound * math.sqrt(math.log(b / a)) * lp_norm(lq_pointwise(F, 2.0), 2.0)
     return lhs, rhs

@@ -2,9 +2,12 @@
 name; a rename of a traced function must fail here rather than in a traced
 benchmark run."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
+
+import maxop
 
 LAYERTRACE = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
 
@@ -25,3 +28,25 @@ def test_traced_functions_resolve():
         if not callable(getattr(importlib.import_module(home), name, None))
     ]
     assert not missing, f"traced functions not found: {missing}"
+
+
+def _imports_scipy_fft(path: Path) -> bool:
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import) and any(a.name == "scipy.fft" for a in node.names):
+            return True
+        if isinstance(node, ast.ImportFrom) and (
+            node.module == "scipy.fft" or (node.module == "scipy" and any(a.name == "fft" for a in node.names))
+        ):
+            return True
+    return False
+
+
+def test_fft_calling_modules_are_traced():
+    # the tracer counts a scipy.fft call only against a module it maps to a
+    # layer; an unmapped caller would silently drop its FFTs from the counts
+    lt = _layertrace()
+    package = Path(maxop.__file__).resolve().parent
+    callers = {f"maxop.{p.stem}" for p in package.glob("*.py") if _imports_scipy_fft(p)}
+    assert "maxop.multiplier" in callers
+    untracked = sorted(callers - set(lt.CALLER_LAYER))
+    assert not untracked, f"modules calling scipy.fft without a tracer layer: {untracked}"

@@ -16,8 +16,9 @@ from maxop.maximal import (
     maximal_1d,
     weighted_maximal,
 )
-from maxop.multiplier import spherical_maximal
+from maxop.multiplier import apply_multiplier, bump, maximal_multiplier, spherical_maximal
 from maxop.norms import lp_norm
+from maxop.squarefn import default_tgrid, square_function
 
 
 def test_default_radii_endpoints():
@@ -144,7 +145,15 @@ def test_vector_field_matches_per_member_calls(rng, N):
     spec = make_grid(2, 2.0, N)
     F = VectorField(tuple(GridFunction(spec, rng.standard_normal(spec.shape)) for _ in range(3)))
     radii = default_radii(spec, 12)
-    for op in (lambda f: hl_maximal(f, radii), lambda f: weighted_maximal(f, 2, radii)):
+    prof = bump(1)
+    tg = default_tgrid(prof, spec)
+    for op in (
+        lambda f: hl_maximal(f, radii),
+        lambda f: weighted_maximal(f, 2, radii),
+        lambda f: maximal_multiplier(f, prof, radii),
+        lambda f: apply_multiplier(f, prof, 0.7),
+        lambda f: square_function(f, prof, tg),
+    ):
         G = op(F)
         assert isinstance(G, VectorField) and len(G) == len(F)
         for g, f in zip(G, F):

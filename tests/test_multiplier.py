@@ -4,11 +4,20 @@ import numpy as np
 import pytest
 from scipy.special import j0
 
-from maxop.grid import GridFunction, make_grid, sample
+from maxop.checks import _zonal_inverse
+from maxop.grid import (
+    GridFunction,
+    VectorField,
+    _wrap,
+    forward_transform,
+    frequency_radii,
+    inverse_transform,
+    make_grid,
+    sample,
+)
 from maxop.maximal import RadiiSet, default_radii, hl_maximal
 from maxop.multiplier import (
     RadialProfile,
-    _zonal_inverse,
     apply_multiplier,
     bump,
     decay_constants,
@@ -22,6 +31,7 @@ from maxop.multiplier import (
     tilde_piece,
 )
 from maxop.quadrature import gegenbauer_rule, gegenbauer_weight_mass
+from maxop.squarefn import default_tgrid, square_function
 
 
 def test_surface_multiplier_normalization():
@@ -175,14 +185,71 @@ def test_kernel_guards_and_phi0_mass():
 @pytest.mark.parametrize("N", [32, 40, 48])  # non-dyadic sizes exercise the phases
 def test_kernel_matches_generic_inverse_transform(N):
     # the half-spectrum fast path agrees with the full inverse transform
-    from maxop.grid import frequency_radii, inverse_transform, _wrap
-
     spec = make_grid(2, N / 16.0, N)  # extent 4 holds the support of the piece
     prof = dyadic_piece(2, 1)
     fast = kernel(prof, spec)
     samples = prof(frequency_radii(spec)).astype(np.complex128)
-    slow = inverse_transform(_wrap(spec, samples, "frequency"))
-    np.testing.assert_allclose(fast.values, slow.values.real, atol=1e-12)
+    slow = inverse_transform(_wrap(spec, samples, "frequency")).values.real
+    assert np.abs(fast.values - slow).max() <= 1e-12 * np.abs(slow).max()
+
+
+@pytest.mark.parametrize("d,N,L", [(1, 40, 2.5), (2, 40, 2.5), (3, 24, 1.7)])
+def test_kernel_with_weight_at_the_extent_matches_generic_inverse_transform(d, N, L):
+    # a profile nonzero at s = freq_extent weighs the unpaired -N/2 bins,
+    # which make the generic inverse transform complex; kernel() is its real part
+    spec = make_grid(d, L, N)
+    ext = spec.freq_extent
+    prof = RadialProfile(fn=lambda s: np.where(s <= ext, np.cos(s), 0.0), support=(0.0, ext))
+    samples = prof(frequency_radii(spec)).astype(np.complex128)
+    slow = inverse_transform(_wrap(spec, samples, "frequency")).values
+    assert np.abs(slow.imag).max() > 1e-3  # the -N/2 bins break the symmetry
+    assert np.abs(kernel(prof, spec).values - slow.real).max() <= 1e-12 * np.abs(slow.real).max()
+
+
+def _plancherel_pieces(f, profile, ts):
+    # the reference route: forward transform, multiply, inverse transform
+    fhat = forward_transform(f).values
+    freq = frequency_radii(f.spec)
+    return [inverse_transform(_wrap(f.spec, fhat * profile(t * freq), "frequency")).values.real for t in ts]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("N", [32, 48])
+def test_fourier_operators_match_plancherel_reference(rng, d, N):
+    spec = make_grid(d, N / 16.0, N)
+    f = GridFunction(spec, rng.standard_normal(spec.shape))
+    prof = bump(1)
+    radii = RadiiSet((0.3, 0.7, 1.5, 40.0))  # the last multiplier vanishes on the grid
+    tg = default_tgrid(prof, spec, n=16)
+
+    def close(got, want):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    pieces = _plancherel_pieces(f, prof, radii)
+    assert not np.any(pieces[-1])
+    close(maximal_multiplier(f, prof, radii).values, np.max(np.abs(pieces), axis=0))
+    close(apply_multiplier(f, prof, 0.7).values, pieces[1])
+    sq = sum(w * p**2 for w, p in zip(tg.weights, _plancherel_pieces(f, prof, tg.ts)))
+    close(square_function(f, prof, tg).values, np.sqrt(sq))
+    assert np.all(apply_multiplier(f, prof, 40.0).values == 0.0)
+
+
+def test_fourier_operators_reject_complex_input(rng):
+    spec = make_grid(2, 2.0, 16)
+    f = GridFunction(spec, rng.standard_normal(spec.shape) + 1j)
+    F = VectorField((GridFunction(spec, np.ones(spec.shape)), f))
+    prof = bump(1)
+    radii = RadiiSet((0.5, 1.0))
+    tg = default_tgrid(prof, spec)
+    for g in (f, F):
+        with pytest.raises(ValueError):
+            apply_multiplier(g, prof, 0.5)
+        with pytest.raises(ValueError):
+            maximal_multiplier(g, prof, radii)
+        with pytest.raises(ValueError):
+            spherical_maximal(g, radii)
+        with pytest.raises(ValueError):
+            square_function(g, prof, tg)
 
 
 def test_kernel_dilation_rule():

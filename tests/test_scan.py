@@ -77,6 +77,16 @@ def test_rows_roundtrip_and_ratio_invariant(tmp_path):
     assert report_violations(rep) == []
 
 
+@pytest.mark.parametrize("operator", ["HL", "MK", "MK_iter"])
+def test_dominating_operators_flag_ratio_below_one(operator):
+    # each of these outputs dominates |f| pointwise, so a ratio below 1 is a fault
+    def row(ratio):
+        return ScanRow(operator, 2, 2.0, 2.0, "gaussian", 2, 1.0, ratio, ratio, 1.0)
+
+    assert report_violations(ScanReport((row(0.9),))) == [f"{operator} d=2 p=2.0 q=2.0: ratio 0.9 < 1"]
+    assert report_violations(ScanReport((row(1.0),))) == []
+
+
 def test_rows_sorted_and_deterministic():
     rep1 = run_scan(_small_cfg(d_range=(2, 1)))
     keys = [(r.operator, r.d, r.p, r.q) for r in rep1.rows]
