@@ -527,11 +527,9 @@ def _grushin_domination(spec: GridSpec) -> tuple[float, float]:
     rk = RadiiSet(tuple(np.geomspace(0.9 * min_node_gap(spec), 1.2, 8)))
     rx = RadiiSet(tuple(np.geomspace(spec.h, 2 * spec.L * math.sqrt(d), 16)))
     ru = RadiiSet(tuple(np.geomspace(spec.h, 2 * spec.L, 16)))
+    F = VectorField(tuple(sample(spec, bump_fn) for bump_fn in _DOMINATION_BUMPS))
     c_meas = c_norm = 0.0
-    for bump_fn in _DOMINATION_BUMPS:
-        f = sample(spec, bump_fn)
-        mk = grushin_maximal(f, rk)
-        it = iterated_maximal(f, rx, ru)
+    for mk, it in zip(grushin_maximal(F, rk), iterated_maximal(F, rx, ru)):
         ratio = np.where(it.values > 0, mk.values / np.maximum(it.values, 1e-300), np.inf)
         c_meas = max(c_meas, float(ratio.max()))
         c_norm = max(c_norm, lp_norm(mk, 2.0) / lp_norm(it, 2.0))

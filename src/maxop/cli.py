@@ -27,12 +27,13 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(USAGE_EXIT)
 
 
+# an empty flag value is an empty list, which ScanConfig rejects
 def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.split(","))
+    return tuple(int(v) for v in text.split(",")) if text else ()
 
 
 def _float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(","))
+    return tuple(float(v) for v in text.split(",")) if text else ()
 
 
 def _grid(text: str) -> tuple[float, int]:

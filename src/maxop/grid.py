@@ -200,18 +200,14 @@ class VectorField:
         return iter(self.members)
 
 
-def _require_real_physical(f: GridFunction) -> None:
-    f.require("physical")
-    if not f.is_real:
-        raise ValueError("maximal and multiplier operators act on real-valued grid functions")
-
-
 def _stack(f: GridFunction | VectorField) -> np.ndarray:
     """Values of a real physical-domain GridFunction, or of every member of a
     VectorField, stacked along a new leading axis."""
     members = f.members if isinstance(f, VectorField) else (f,)
     for m in members:
-        _require_real_physical(m)
+        m.require("physical")
+        if not m.is_real:
+            raise ValueError("maximal and multiplier operators act on real-valued grid functions")
     return np.stack([m.values for m in members])
 
 

@@ -14,6 +14,9 @@ smallest node spacing :func:`min_node_gap`.
 
 Grushin data are ordinary GridFunctions on ``GridSpec(d + 1, L, N)``: the
 first d axes are x and the last axis is u, all with the same spacing h.
+Both maximal operators take a GridFunction or a VectorField and return the
+same kind: the Koranyi one enumerates each node's ball once for all members,
+and the iterated one passes every member's u-slices to one x-ball call.
 
 Counting conventions mirror the Euclidean module: numerators sum |f| over
 in-box nodes, denominators count the ball on the infinite lattice extension,
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridFunction, GridSpec, PreconditionError, _require_real_physical, _wrap
+from .grid import GridFunction, GridSpec, PreconditionError, VectorField, _stack, _unstack
 from .maximal import _as_radii, _ball_max_values, _interval_max_values
 
 __all__ = [
@@ -150,21 +153,22 @@ def koranyi_ball_volume(g: GrushinPoint, r: float, spec: GridSpec) -> float:
     return float(np.count_nonzero(member)) * spec.cell_volume
 
 
-def grushin_maximal(f: GridFunction, radii) -> GridFunction:
-    """Max over radii of closed Koranyi-ball cell averages of |f|.
+def grushin_maximal(f: GridFunction | VectorField, radii) -> GridFunction | VectorField:
+    """Max over radii of closed Koranyi-ball cell averages of |f|, of a
+    GridFunction or of each member of a VectorField.
 
     Numerators use in-box nodes (zero extension); denominators count the
     ball on the infinite lattice.  Node enumeration is lexicographic, so the
-    small-grid values reproduce a naive loop bit-for-bit.
+    small-grid values reproduce a naive loop bit-for-bit.  Each node's ball
+    is enumerated once and serves every member.
     """
-    _require_real_physical(f)
+    vals = _stack(f)
+    flat = np.abs(vals).reshape(vals.shape[0], -1)
     spec = f.spec
     d = _x_dim(spec)
     rs = _as_radii(radii)
-    flat = np.abs(f.values).reshape(-1)
     axis = spec.axis_nodes()
-    out = np.zeros(spec.shape)
-    out_flat = out.reshape(-1)
+    out = np.zeros_like(flat)
     r_max = rs[-1]
     for node, multi in enumerate(np.ndindex(spec.shape)):
         x = axis[list(multi[:d])]
@@ -174,30 +178,32 @@ def grushin_maximal(f: GridFunction, radii) -> GridFunction:
         inside = _in_box(spec, idx)
         flat_idx = np.ravel_multi_index(tuple(idx[inside].T), spec.shape)
         dk_in = dk[inside]
-        best = 0.0
         for r in rs:
             count = int(np.count_nonzero(dk <= r))
             if count == 0:
                 continue
-            num = float(np.sum(flat[flat_idx[dk_in <= r]]))
-            best = max(best, num / count)
-        out_flat[node] = best
-    return _wrap(spec, out, "physical")
+            sel = flat_idx[dk_in <= r]
+            for m, best in zip(flat, out):
+                best[node] = max(best[node], float(np.sum(m[sel])) / count)
+    return _unstack(f, out.reshape((-1,) + spec.shape))
 
 
-def iterated_maximal(f: GridFunction, radii_x, radii_u) -> GridFunction:
+def iterated_maximal(f: GridFunction | VectorField, radii_x, radii_u) -> GridFunction | VectorField:
     """1-D maximal averages along u, then Euclidean ball averages in x per
-    u-slice.  This iterated operator dominates the Koranyi one up to a
-    constant, which is how its mapping bounds transfer."""
-    _require_real_physical(f)
+    u-slice, of a GridFunction or of each member of a VectorField.  This
+    iterated operator dominates the Koranyi one up to a constant, which is
+    how its mapping bounds transfer."""
+    vals = _stack(f)
     spec = f.spec
     d = _x_dim(spec)
     rs_x = _as_radii(radii_x)
     rs_u = _as_radii(radii_u)
-    stage1 = _interval_max_values(f.values, spec.h, rs_u, axis=d)
-    # the u-slices are the members of one batched x-ball call
-    out = _ball_max_values(np.moveaxis(stage1, -1, 0), spec.h, rs_x, 0)
-    return _wrap(spec, np.ascontiguousarray(np.moveaxis(out, 0, -1)), "physical")
+    x_shape = spec.shape[:d]
+    stage1 = _interval_max_values(vals, spec.h, rs_u, axis=d + 1)
+    # the u-slices of every member are the members of one batched x-ball call
+    slices = np.moveaxis(stage1, -1, 1).reshape((-1,) + x_shape)
+    out = _ball_max_values(slices, spec.h, rs_x, 0).reshape((len(vals), spec.N) + x_shape)
+    return _unstack(f, np.ascontiguousarray(np.moveaxis(out, 1, -1)))
 
 
 def cc_domination_note() -> str:

@@ -16,9 +16,10 @@ operator acting on a function supported in the cube.
 
 Stencil engine
 --------------
-:func:`hl_maximal` and :func:`weighted_maximal` take a GridFunction or a
-VectorField; all members go through one engine call with a leading member
-axis, and the Grushin iterated operator passes its u-slices the same way.
+:func:`hl_maximal`, :func:`weighted_maximal` and :func:`maximal_1d` take a
+GridFunction or a VectorField and return the same kind; all members go
+through one engine call with a leading member axis, and the Grushin iterated
+operator passes its u-slices the same way.
 Grids of at most 64 nodes per member take the quadratic per-node path, the
 bit-exact reference.  Larger grids take the FFT path: each distinct ball
 stencil is transformed once and applied to every member by zero-padded
@@ -38,8 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft as _fft
 
-from .grid import GridFunction, GridSpec, VectorField, _wrap, fft_workers
-from .grid import _require_real_physical, _stack, _unstack
+from .grid import GridFunction, GridSpec, VectorField, _stack, _unstack, fft_workers
 
 __all__ = ["RadiiSet", "default_radii", "hl_maximal", "weighted_maximal", "maximal_1d"]
 
@@ -335,11 +335,13 @@ def _interval_max_values(vals: np.ndarray, h: float, radii: tuple[float, ...], a
     return np.moveaxis(out, -1, axis)
 
 
-def maximal_1d(f: GridFunction, radii, axis: int = 0) -> GridFunction:
-    """1-D centered maximal averages along one axis, independently per fiber."""
-    _require_real_physical(f)
-    if not (0 <= axis < f.spec.d):
-        raise ValueError(f"axis {axis} out of range for d={f.spec.d}")
+def maximal_1d(f: GridFunction | VectorField, radii, axis: int = 0) -> GridFunction | VectorField:
+    """1-D centered maximal averages along one axis, independently per fiber,
+    of a GridFunction or of each member of a VectorField."""
+    vals = _stack(f)
+    spec = f.spec
+    if not (0 <= axis < spec.d):
+        raise ValueError(f"axis {axis} out of range for d={spec.d}")
     rs = _as_radii(radii)
-    _validate_radii_for_spec(rs, f.spec.h, 2.0 * f.spec.L * math.sqrt(f.spec.d))
-    return _wrap(f.spec, _interval_max_values(f.values, f.spec.h, rs, axis), "physical")
+    _validate_radii_for_spec(rs, spec.h, 2.0 * spec.L * math.sqrt(spec.d))
+    return _unstack(f, _interval_max_values(vals, spec.h, rs, axis + 1))

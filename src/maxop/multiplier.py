@@ -34,6 +34,7 @@ from .grid import (
     GridSpec,
     PreconditionError,
     VectorField,
+    _forward_phase,
     _stack,
     _unstack,
     _wrap,
@@ -101,11 +102,12 @@ _SPLINE_STEP = 5e-4
 class _SurfaceTransform:
     """Adaptive evaluator for the sphere transform m and its derivative.
 
-    Small batches are evaluated by the Gegenbauer quadrature directly (to
-    1e-10 stationarity or tighter on request).  Bulk grid sweeps reuse a
-    dense cubic-spline tabulation whose step keeps the interpolation error
-    near 1e-12, far below any grid-level tolerance; the table grows on
-    demand and is itself filled by the exact quadrature.
+    Bulk grid sweeps build a dense cubic-spline tabulation whose step keeps
+    the interpolation error near 1e-12, far below any grid-level tolerance;
+    the table grows on demand, is itself filled by the exact quadrature, and
+    serves every later batch it covers, whatever its size.  Other small
+    batches are evaluated by the Gegenbauer quadrature directly (to 1e-10
+    stationarity or tighter on request).
     """
 
     def __init__(self, d: int):
@@ -152,36 +154,26 @@ class _SurfaceTransform:
             edge *= 2.0
         return out.reshape(arr.shape)
 
-    def _from_table(self, arr: np.ndarray, deriv: bool) -> np.ndarray:
-        u_max = float(np.max(np.abs(arr)))
+    def _eval(self, s, deriv: bool, tol: float) -> np.ndarray:
+        arr = np.asarray(s, dtype=float)
+        u_max = float(np.max(np.abs(arr))) if arr.size else 0.0
         cached = self._tables.get(deriv)
         if cached is None or u_max > cached[0]:
+            # building a table costs ~1.5 u_max / step exact evaluations; only
+            # amortize it over batches much larger than that
+            if arr.size < max(_SPLINE_MIN_BATCH, 1.5 * u_max / _SPLINE_STEP / 8.0):
+                return self._bucketed(arr, deriv, tol)
             u_hi = max(16.0, 1.5 * u_max)
             grid = np.arange(0.0, u_hi + 2 * _SPLINE_STEP, _SPLINE_STEP)
-            vals = self._bucketed(grid, deriv=deriv, tol=1e-12)
-            cached = (u_hi, CubicSpline(grid, vals))
+            cached = (u_hi, CubicSpline(grid, self._bucketed(grid, deriv, tol=1e-12)))
             self._tables[deriv] = cached
         return cached[1](np.abs(arr))
 
-    def _table_pays_off(self, arr: np.ndarray) -> bool:
-        if arr.size < _SPLINE_MIN_BATCH:
-            return False
-        # building the table costs ~1.5 u_max / step exact evaluations; only
-        # amortize it over batches much larger than that
-        table_points = 1.5 * float(np.max(np.abs(arr))) / _SPLINE_STEP
-        return arr.size >= table_points / 8.0
-
     def value(self, s, tol: float = 1e-10) -> np.ndarray:
-        arr = np.asarray(s, dtype=float)
-        if self._table_pays_off(arr):
-            return self._from_table(arr, deriv=False)
-        return self._bucketed(arr, deriv=False, tol=tol)
+        return self._eval(s, deriv=False, tol=tol)
 
     def deriv(self, s, tol: float = 1e-10) -> np.ndarray:
-        arr = np.asarray(s, dtype=float)
-        if self._table_pays_off(arr):
-            return self._from_table(arr, deriv=True)
-        return self._bucketed(arr, deriv=True, tol=tol)
+        return self._eval(s, deriv=True, tol=tol)
 
 
 @lru_cache(maxsize=16)
@@ -382,8 +374,8 @@ def kernel(profile: RadialProfile, spec: GridSpec) -> GridFunction:
     # hold weight only on the axes (the support stays within the extent), and
     # there the phase is imaginary, so they add nothing to that real part.
     g = profile(_rfft_radii(spec)).astype(np.complex128)
-    k = np.fft.ifftshift(np.arange(N) - N // 2)
-    phase = np.where(k % 2 == 0, 1.0, -1.0) * np.exp(1j * np.pi * k / N)
+    # the inverse transform's cell-centre phase, in FFT order
+    phase = np.fft.ifftshift(np.conj(_forward_phase(N)))
     for p in np.meshgrid(*([phase] * (d - 1) + [phase[: N // 2 + 1]]), indexing="ij", sparse=True):
         g *= p
     out = _fft.irfftn(g, s=spec.shape, workers=fft_workers())

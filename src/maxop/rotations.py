@@ -2,12 +2,14 @@
 d'-planes, and Monte-Carlo checks of the rotation-average identities.
 
 The descent operator averages |f| over a d'-dimensional ball embedded by a
-rotation, against the weight |y'|^(d-d').  The radial leg uses a Gauss-Jacobi
-rule matched to the weight rho^(k+d'-1), which stays accurate when the weight
-piles all mass near the outer radius (large k); the angular leg is seeded
-Monte Carlo on S^(d'-1).  Off-grid evaluation is multilinear interpolation
-with zero extension, so every check carries an O(h) interpolation allowance
-on top of its Monte-Carlo error bars.
+rotation, against the weight |y'|^(d-d').  Like the other operators it takes
+a GridFunction or a VectorField and returns the same kind; each sample
+offset is computed once and shifts every member.  The radial leg uses a
+Gauss-Jacobi rule matched to the weight rho^(k+d'-1), which stays accurate
+when the weight piles all mass near the outer radius (large k); the angular
+leg is seeded Monte Carlo on S^(d'-1).  Off-grid evaluation is multilinear
+interpolation with zero extension, so every check carries an O(h)
+interpolation allowance on top of its Monte-Carlo error bars.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy import ndimage
 
-from .grid import GridFunction, GridSpec, PreconditionError, _wrap
+from .grid import GridFunction, GridSpec, PreconditionError, VectorField, _stack, _unstack, _wrap
 from .maximal import _as_radii, _cumulative_weights, _strict_bound
 from .quadrature import radial_power_rule
 
@@ -100,18 +102,17 @@ def _index_coords(spec: GridSpec, points: np.ndarray) -> np.ndarray:
 
 
 def descent_maximal(
-    f: GridFunction,
+    f: GridFunction | VectorField,
     rotation: RotationMatrix,
     split: DescentSplit,
     radii,
     n_radial: int = 16,
     n_sphere: int = 64,
     seed: int = 0,
-) -> GridFunction:
-    """Weighted averages of |f| over rotated d'-balls, maximized over radii."""
-    f.require("physical")
-    if not f.is_real:
-        raise ValueError("descent operator acts on real functions")
+) -> GridFunction | VectorField:
+    """Weighted averages of |f| over rotated d'-balls, maximized over radii,
+    of a GridFunction or of each member of a VectorField."""
+    absf = np.abs(_stack(f))
     spec = f.spec
     if split.d != spec.d or rotation.d != spec.d:
         raise ValueError("rotation/split dimension does not match the grid")
@@ -121,20 +122,22 @@ def descent_maximal(
     rho, rho_w = radial_power_rule(n_radial, split.k + split.d_prime)
     # unit offsets theta (sigma_j, 0) in R^d
     units = sphere @ rotation.matrix[:, : split.d_prime].T
-    absf = np.abs(f.values)
-    out = np.zeros(spec.shape)
+    out = np.zeros_like(absf)
     for r in rs:
-        avg = np.zeros(spec.shape)
+        avg = np.zeros_like(absf)
         for i in range(n_radial):
             radius = r * rho[i]
             coeff = rho_w[i] / n_sphere
             for j in range(n_sphere):
                 shift_idx = -radius * units[j] / spec.h
-                avg += coeff * ndimage.shift(
-                    absf, shift_idx, order=1, mode="constant", cval=0.0, prefilter=False
-                )
+                # one shift per member: on the stacked array the order-1
+                # spline would weigh 2^(d+1) corners per node instead of 2^d
+                for a, acc in zip(absf, avg):
+                    acc += coeff * ndimage.shift(
+                        a, shift_idx, order=1, mode="constant", cval=0.0, prefilter=False
+                    )
         np.maximum(out, avg, out=out)
-    return _wrap(spec, out, "physical")
+    return _unstack(f, out)
 
 
 def _point_weighted_average(

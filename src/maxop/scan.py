@@ -96,6 +96,10 @@ class ScanConfig:
         object.__setattr__(self, "d_range", tuple(int(v) for v in self.d_range))
         object.__setattr__(self, "p_list", tuple(float(v) for v in self.p_list))
         object.__setattr__(self, "q_list", tuple(float(v) for v in self.q_list))
+        for name in ("d_range", "p_list", "q_list"):
+            vals = getattr(self, name)
+            if not vals or len(set(vals)) < len(vals):
+                raise ValueError(f"{name} must be nonempty without repeats, got {vals}")
         if self.grid is not None:
             L, N = float(self.grid[0]), self.grid[1]
             if not (0.0 < L < math.inf and _is_int(N) and N >= 4 and N % 2 == 0):
@@ -156,10 +160,10 @@ class ScanReport:
         object.__setattr__(self, "rows", ordered)
 
 
-def _decay_slope_extra(spec: GridSpec, member: GridFunction) -> str:
+def _decay_slope_extra(member: GridFunction) -> str:
     """log-log slope of the leading member over the first-axis ray, fitted on
     the radii window [2, 4] (clipped to the grid)."""
-    vals = member.values
+    spec, vals = member.spec, member.values
     center = (spec.N // 2,) * (spec.d - 1)
     ray = vals[(slice(None),) + center] if spec.d > 1 else vals
     x1 = spec.axis_nodes()
@@ -171,56 +175,52 @@ def _decay_slope_extra(spec: GridSpec, member: GridFunction) -> str:
     return f"slope={float(slope)!r}"
 
 
-# Each apply function maps (config, grid, input members, pq key) to the output
-# members and the row's extra field.
+# Each apply function maps (config, input field, pq key) to the output field
+# and the row's extra field.
 
 
-def _apply_hl(cfg: ScanConfig, spec: GridSpec, F: VectorField, key) -> tuple[list, str]:
-    radii = default_radii(spec, cfg.radii_K)
-    return hl_maximal(F, radii).members, ""
+def _apply_hl(cfg: ScanConfig, F: VectorField, key) -> tuple[VectorField, str]:
+    return hl_maximal(F, default_radii(F.spec, cfg.radii_K)), ""
 
 
-def _apply_hl_weighted(cfg: ScanConfig, spec: GridSpec, F: VectorField, key) -> tuple[list, str]:
-    radii = default_radii(spec, cfg.radii_K)
-    return weighted_maximal(F, cfg.k, radii).members, ""
+def _apply_hl_weighted(cfg: ScanConfig, F: VectorField, key) -> tuple[VectorField, str]:
+    return weighted_maximal(F, cfg.k, default_radii(F.spec, cfg.radii_K)), ""
 
 
-def _apply_sph(cfg: ScanConfig, spec: GridSpec, F: VectorField, key) -> tuple[list, str]:
-    radii = default_radii(spec, cfg.radii_K)
-    out = spherical_maximal(F, radii).members
-    extra = _decay_slope_extra(spec, out[0]) if cfg.family == "remark_bump" else ""
-    return out, extra
+def _apply_sph(cfg: ScanConfig, F: VectorField, key) -> tuple[VectorField, str]:
+    G = spherical_maximal(F, default_radii(F.spec, cfg.radii_K))
+    return G, _decay_slope_extra(G.members[0]) if cfg.family == "remark_bump" else ""
 
 
-def _apply_mult_l(cfg: ScanConfig, spec: GridSpec, F: VectorField, key) -> tuple[list, str]:
-    radii = default_radii(spec, cfg.radii_K)
-    piece = dyadic_piece(spec.d, cfg.l)
-    return maximal_multiplier(F, piece, radii).members, ""
+def _apply_mult_l(cfg: ScanConfig, F: VectorField, key) -> tuple[VectorField, str]:
+    piece = dyadic_piece(F.spec.d, cfg.l)
+    return maximal_multiplier(F, piece, default_radii(F.spec, cfg.radii_K)), ""
 
 
-def _apply_sqfn(cfg: ScanConfig, spec: GridSpec, F: VectorField, key) -> tuple[list, str]:
-    piece = dyadic_piece(spec.d, cfg.l)
-    tg = default_tgrid(piece, spec)
-    return square_function(F, piece, tg).members, ""
+def _apply_sqfn(cfg: ScanConfig, F: VectorField, key) -> tuple[VectorField, str]:
+    piece = dyadic_piece(F.spec.d, cfg.l)
+    return square_function(F, piece, default_tgrid(piece, F.spec)), ""
 
 
-def _apply_descent(cfg: ScanConfig, spec: GridSpec, F: VectorField, d_prime) -> tuple[list, str]:
+def _apply_descent(cfg: ScanConfig, F: VectorField, d_prime) -> tuple[VectorField, str]:
+    spec = F.spec
     split = DescentSplit(spec.d, d_prime)
     theta = haar_rotation(spec.d, cfg.seed)
     rs = RadiiSet(tuple(np.geomspace(spec.h, spec.L / 2.0, min(cfg.radii_K, 8))))
-    return [descent_maximal(m, theta, split, rs, seed=cfg.seed) for m in F], f"d_prime={d_prime}"
+    return descent_maximal(F, theta, split, rs, seed=cfg.seed), f"d_prime={d_prime}"
 
 
-def _apply_mk(cfg: ScanConfig, spec: GridSpec, F: VectorField, key) -> tuple[list, str]:
-    rk = RadiiSet(tuple(np.geomspace(0.9 * min_node_gap(spec), 1.2, min(cfg.radii_K, 8))))
-    return [grushin_maximal(m, rk) for m in F], f"cc_note={cc_domination_note()}"
+def _apply_mk(cfg: ScanConfig, F: VectorField, key) -> tuple[VectorField, str]:
+    rk = RadiiSet(tuple(np.geomspace(0.9 * min_node_gap(F.spec), 1.2, min(cfg.radii_K, 8))))
+    return grushin_maximal(F, rk), f"cc_note={cc_domination_note()}"
 
 
-def _apply_mk_iter(cfg: ScanConfig, spec: GridSpec, F: VectorField, key) -> tuple[list, str]:
+def _apply_mk_iter(cfg: ScanConfig, F: VectorField, key) -> tuple[VectorField, str]:
+    spec = F.spec
     d = spec.d - 1
     rx = RadiiSet(tuple(np.geomspace(spec.h, 2.0 * spec.L * math.sqrt(d), cfg.radii_K)))
     ru = RadiiSet(tuple(np.geomspace(spec.h, 2.0 * spec.L, cfg.radii_K)))
-    return [iterated_maximal(m, rx, ru) for m in F], f"cc_note={cc_domination_note()}"
+    return iterated_maximal(F, rx, ru), f"cc_note={cc_domination_note()}"
 
 
 def _no_pq_key(p: float, q: float) -> None:
@@ -231,7 +231,7 @@ def _no_pq_key(p: float, q: float) -> None:
 class Operator:
     """A scan operator and the grid its data live on."""
 
-    apply: Callable[[ScanConfig, GridSpec, VectorField, Hashable], tuple[list, str]]
+    apply: Callable[[ScanConfig, VectorField, Hashable], tuple[VectorField, str]]
     default_grid: Callable[[int], tuple[float, int]] = default_grid
     # Grushin operators: a row's d counts the x-axes, and the data carry one
     # more axis, u, so they live on GridSpec(d + 1, L, N)
@@ -253,11 +253,11 @@ OPERATORS: dict[str, Operator] = {
 }
 
 
-def _field(cfg: ScanConfig, op: Operator, d: int) -> tuple[GridSpec, VectorField]:
+def _field(cfg: ScanConfig, op: Operator, d: int) -> VectorField:
     L, N = cfg.grid if cfg.grid is not None else op.default_grid(d)
     spec = GridSpec(d + 1 if op.u_axis else d, L, N)
     vals = family_values(cfg.family, node_coordinates(spec), cfg.n_members, cfg.seed, L)
-    return spec, VectorField(tuple(_wrap(spec, v, "physical") for v in vals))
+    return VectorField(tuple(_wrap(spec, v, "physical") for v in vals))
 
 
 def run_scan(cfg: ScanConfig) -> ScanReport:
@@ -278,11 +278,11 @@ def run_scan(cfg: ScanConfig) -> ScanReport:
                 try:
                     key = op.pq_key(p, q)
                     if key not in cache:
-                        spec, F = _field(cfg, op, d)
-                        outs, extra = op.apply(cfg, spec, F, key)
+                        F = _field(cfg, op, d)
+                        G, extra = op.apply(cfg, F, key)
                         op_ms = (time.perf_counter() - t0) * 1000.0
                         t0 = time.perf_counter()
-                        cache[key] = (F, VectorField(tuple(outs)), extra, op_ms)
+                        cache[key] = (F, G, extra, op_ms)
                     F, G, extra, op_ms = cache[key]
                     inn = mixed_norm(F, p, q)
                     out = mixed_norm(G, p, q)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxop.grid import GridFunction, make_grid, sample
+from maxop.grid import GridFunction, VectorField, make_grid, sample
 from maxop.grushin import (
     GrushinPoint,
     cc_domination_note,
@@ -161,8 +161,8 @@ def test_norm_domination_companion_catches_weakened_iterated(monkeypatch):
     assert c_norm <= 1.0
     genuine = checks.iterated_maximal
 
-    def weakened(f, radii_x, radii_u):
-        return GridFunction(f.spec, 0.5 * genuine(f, radii_x, radii_u).values)
+    def weakened(F, radii_x, radii_u):
+        return VectorField(tuple(GridFunction(g.spec, 0.5 * g.values) for g in genuine(F, radii_x, radii_u)))
 
     monkeypatch.setattr(checks, "iterated_maximal", weakened)
     weak_meas, weak_norm = checks._grushin_domination(spec)

@@ -5,6 +5,7 @@ import pytest
 
 from maxop.checks import _oracle_hl
 from maxop.grid import GridFunction, VectorField, make_grid, sample
+from maxop.grushin import grushin_maximal, iterated_maximal, min_node_gap
 from maxop.maximal import (
     _EXACT_PATH_MAX_NODES,
     RadiiSet,
@@ -18,6 +19,7 @@ from maxop.maximal import (
 )
 from maxop.multiplier import apply_multiplier, bump, maximal_multiplier, spherical_maximal
 from maxop.norms import lp_norm
+from maxop.rotations import DescentSplit, descent_maximal, haar_rotation
 from maxop.squarefn import default_tgrid, square_function
 
 
@@ -159,6 +161,48 @@ def test_vector_field_matches_per_member_calls(rng, N):
         for g, f in zip(G, F):
             want = op(f).values
             assert np.abs(g.values - want).max() <= 1e-14 * np.abs(want).max()
+
+
+# the lattice operators outside the stencil engine, each on a small grid of
+# its own; iterated-fft has u-slices above the exact-path size
+_LATTICE_OPERATORS = {
+    "descent": (
+        make_grid(3, 2.0, 8),
+        lambda f: descent_maximal(
+            f, haar_rotation(3, 1), DescentSplit(3, 3), (0.3, 0.7), n_radial=4, n_sphere=8, seed=2
+        ),
+    ),
+    "koranyi": (
+        make_grid(2, 2.0, 8),
+        lambda f: grushin_maximal(f, (0.9 * min_node_gap(f.spec), 0.5, 0.9)),
+    ),
+    "iterated-exact": (make_grid(2, 2.0, 8), lambda f: iterated_maximal(f, (0.5, 1.0, 2.0), (0.5, 1.5))),
+    "iterated-fft": (
+        make_grid(3, 3.0, 10),
+        lambda f: iterated_maximal(f, np.geomspace(0.6, 8.0, 12), np.geomspace(0.6, 6.0, 12)),
+    ),
+    "interval": (make_grid(2, 2.0, 8), lambda f: maximal_1d(f, (0.5, 1.0, 2.0), axis=1)),
+}
+
+
+@pytest.mark.parametrize("name", list(_LATTICE_OPERATORS))
+def test_lattice_operators_take_vector_fields_bit_exactly(rng, name):
+    spec, op = _LATTICE_OPERATORS[name]
+    F = VectorField(tuple(GridFunction(spec, rng.standard_normal(spec.shape)) for _ in range(3)))
+    G = op(F)
+    assert isinstance(G, VectorField) and len(G) == len(F)
+    for g, f in zip(G, F):
+        assert np.array_equal(g.values, op(f).values)
+    assert isinstance(op(F.members[0]), GridFunction)
+
+
+@pytest.mark.parametrize("name", list(_LATTICE_OPERATORS))
+def test_lattice_operators_reject_complex_input(rng, name):
+    spec, op = _LATTICE_OPERATORS[name]
+    f = GridFunction(spec, rng.standard_normal(spec.shape) + 1j)
+    for g in (f, VectorField((GridFunction(spec, np.ones(spec.shape)), f))):
+        with pytest.raises(ValueError, match="real-valued"):
+            op(g)
 
 
 def test_weighted_k0_is_hl(rng):

@@ -18,6 +18,7 @@ from maxop.grid import (
 from maxop.maximal import RadiiSet, default_radii, hl_maximal
 from maxop.multiplier import (
     RadialProfile,
+    _SurfaceTransform,
     apply_multiplier,
     bump,
     decay_constants,
@@ -47,6 +48,15 @@ def test_surface_multiplier_closed_forms():
     np.testing.assert_allclose(m2(s), j0(2 * np.pi * s), atol=1e-10)
     with pytest.raises(ValueError):
         surface_multiplier(1)
+
+
+def test_surface_table_serves_every_batch_it_covers():
+    # values must not depend on how a caller batches: a small batch that an
+    # existing table covers reads that table instead of the quadrature
+    st = _SurfaceTransform(3)
+    s = np.linspace(0.0, 12.0, 20000)
+    for evaluate in (st.value, st.deriv):
+        assert np.array_equal(evaluate(s)[:5], evaluate(s[:5]))
 
 
 def test_surface_multiplier_decay_envelope():

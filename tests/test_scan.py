@@ -46,6 +46,11 @@ def test_config_validation():
     for bad in (dict(d_range=(1.5,)), dict(n_members=2.5), dict(grid=(2.0, 8.5)), dict(radii_K=4.5)):
         with pytest.raises(ValueError):
             ScanConfig(**bad)
+    # an empty list gives no rows, and a repeated entry repeats its rows
+    for name, repeated in (("d_range", [2, 2.0]), ("p_list", [2, 2.0]), ("q_list", [1.5, 1.5])):
+        for bad in ([], repeated):
+            with pytest.raises(ValueError, match=name):
+                ScanConfig(**{name: bad})
 
 
 def test_config_json_roundtrip(tmp_path):
@@ -115,9 +120,9 @@ def test_only_declared_preconditions_become_error_rows(monkeypatch):
 
 
 def test_wall_ms_carries_the_shared_operator_time(monkeypatch):
-    def sleepy(cfg, spec, F, key):
+    def sleepy(cfg, F, key):
         time.sleep(0.05)
-        return list(F), ""
+        return F, ""
 
     monkeypatch.setitem(scan.OPERATORS, "HL", Operator(sleepy))
     rep = run_scan(_small_cfg(d_range=(1, 2), p_list=(2.0, 3.0), q_list=(1.5, 2.0)))
@@ -212,6 +217,12 @@ def test_cli_scan_and_exit_codes(tmp_path, capsys):
         (["--radii_K", "1"], None),
         (["--k", "-1"], None),
         (["--seed", "-1"], None),
+        (["--d_range", ""], None),
+        (["--p_list", ""], None),
+        (["--q_list", ""], None),
+        (["--d_range", "1,1"], None),
+        (["--p_list", "2,2"], None),
+        (["--q_list", "2,2"], None),
     ],
 )
 def test_cli_rejects_bad_config_up_front(tmp_path, monkeypatch, capsys, flags, env):
