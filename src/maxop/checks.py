@@ -207,9 +207,11 @@ def _zonal_inverse(
     """Radial profile of the d-dim inverse transform of a compactly supported
     radial function: area(S^(d-1)) * int profile(s) m(s rho) s^(d-1) ds.
 
-    Every m value is an adaptive quadrature of its own, so this is accurate
-    but expensive; bulk sweeps go through ``maxop.multiplier._CosineTransform``
-    instead, and the two paths cross-check each other in the test suite.
+    Every m value is a direct Gegenbauer quadrature to ``m_tol`` stationarity
+    (``_SurfaceTransform._bucketed``), never a read of the spline table the
+    production path fills, so this is accurate but expensive; bulk sweeps go
+    through ``maxop.multiplier._CosineTransform`` instead, and the two paths
+    cross-check each other in the test suite.
     """
     a, b = profile.support
     if not math.isfinite(b):
@@ -222,12 +224,10 @@ def _zonal_inverse(
         t, w = gegenbauer_rule(3, n)  # plain Legendre nodes for the radial leg
         s = a + (b - a) * (t + 1.0) / 2.0
         dens = profile(s) * s ** (d - 1) * (w * (b - a) / 2.0)
-        vals = st.value(np.outer(rho.reshape(-1), s), tol=m_tol)
+        vals = st._bucketed(np.outer(rho.reshape(-1), s), deriv=False, tol=m_tol)
         return vals @ dens
 
-    out = refine_until_stationary(
-        with_rule, max_arg=(b - a) * max(rmax, 1.0), tol=tol, scale=1.0
-    )
+    out = refine_until_stationary(with_rule, max_arg=(b - a) * max(rmax, 1.0), tol=tol)
     return sphere_area(d) * out.reshape(rho.shape)
 
 

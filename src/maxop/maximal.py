@@ -131,37 +131,31 @@ def _ball_max_values(vals: np.ndarray, h: float, radii: tuple[float, ...], k: in
     tmax = _strict_bound(radii[-1], h)
     denom = _cumulative_weights(d, tmax, k, h)
     if a[0].size <= _EXACT_PATH_MAX_NODES:
-        return np.stack([_ball_max_exact(m, h, radii, k, denom) for m in a])
+        return _ball_max_exact(a, h, radii, k, denom)
     return _ball_max_fft(a, h, radii, k, denom)
 
 
 def _ball_max_exact(a, h, radii, k, denom):
-    # quadratic-cost reference path for one member; numerators are per-node
-    # sums over the masked flat array in linear index order
-    shape = a.shape
-    d = a.ndim
-    idx = np.indices(shape).reshape(d, -1)
-    d2 = np.zeros((a.size, a.size), dtype=np.int64)
-    for ax in range(d):
-        diff = idx[ax][:, None] - idx[ax][None, :]
-        d2 += diff * diff
-    flat = a.reshape(-1)
-    out = np.zeros(a.size)
+    # quadratic-cost reference path; numerators are per-node sums over each
+    # member's masked flat array in linear index order
+    shape = a.shape[1:]
+    idx = np.indices(shape).reshape(len(shape), -1)
+    d2 = sum((i[:, None] - i[None, :]) ** 2 for i in idx)
+    w2 = (d2.astype(float) * (h * h)) ** (k / 2.0) if k else None
+    flat = a.reshape(a.shape[0], -1)
+    out = np.zeros(flat.shape)
     for r in radii:
         t = _strict_bound(r, h)
         den = denom[t]
         if den <= 0:
             continue
-        if k == 0:
-            for i in range(a.size):
-                sel = flat[d2[i] <= t]
-                out[i] = max(out[i], float(np.sum(sel)) / den)
-        else:
-            w2 = (d2.astype(float) * (h * h)) ** (k / 2.0)
-            for i in range(a.size):
-                mask = d2[i] <= t
-                out[i] = max(out[i], float(np.sum(flat[mask] * w2[i][mask])) / den)
-    return out.reshape(shape)
+        for i, row in enumerate(d2):
+            mask = row <= t
+            w = w2[i][mask] if k else None
+            for m, vals in enumerate(flat):
+                num = np.sum(vals[mask]) if k == 0 else np.sum(vals[mask] * w)
+                out[m, i] = max(out[m, i], float(num) / den)
+    return out.reshape(a.shape)
 
 
 def _ball_max_fft(a, h, radii, k, denom):

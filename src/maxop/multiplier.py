@@ -99,15 +99,28 @@ _SPLINE_MIN_BATCH = 4097
 _SPLINE_STEP = 5e-4
 
 
+def _trig_sum(trig, u: np.ndarray, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """trig(2 pi u x^T) @ w, over blocks of u of at most _CHUNK matrix entries."""
+    out = np.empty(u.size)
+    step = max(1, _CHUNK // x.size)
+    for i in range(0, u.size, step):
+        out[i : i + step] = trig(2.0 * np.pi * np.outer(u[i : i + step], x)) @ w
+    return out
+
+
 class _SurfaceTransform:
     """Adaptive evaluator for the sphere transform m and its derivative.
 
-    Bulk grid sweeps build a dense cubic-spline tabulation whose step keeps
-    the interpolation error near 1e-12, far below any grid-level tolerance;
-    the table grows on demand, is itself filled by the exact quadrature, and
-    serves every later batch it covers, whatever its size.  Other small
-    batches are evaluated by the Gegenbauer quadrature directly (to 1e-10
-    stationarity or tighter on request).
+    Bulk grid sweeps read a dense cubic-spline tabulation on the knots
+    k * _SPLINE_STEP, whose step keeps the interpolation error near 1e-12,
+    far below any grid-level tolerance.  The knot values are filled by the
+    exact quadrature to 1e-12 stationarity and kept per kind: a batch that
+    reaches past the table extends it to 1.5 times the batch's largest
+    argument, filling only the new knots and refitting the spline, and the
+    table serves every later batch it covers, whatever its size.  Other small
+    batches are evaluated by the Gegenbauer quadrature directly, to 1e-10
+    stationarity (:meth:`_bucketed`, which the oracles call at their own
+    tolerance).
     """
 
     def __init__(self, d: int):
@@ -115,21 +128,14 @@ class _SurfaceTransform:
             raise PreconditionError(f"surface multiplier needs d >= 2, got {d}")
         self.d = d
         self.mass = gegenbauer_weight_mass(d)
-        self._tables: dict[bool, tuple[float, object]] = {}
+        # deriv -> (extent, knot values, spline)
+        self._tables: dict[bool, tuple[float, np.ndarray, CubicSpline]] = {}
 
     def _quad(self, args: np.ndarray, n: int, deriv: bool) -> np.ndarray:
         t, w = gegenbauer_rule(self.d, n)
-        out = np.empty(args.size)
-        step = max(1, _CHUNK // n)
-        for i in range(0, args.size, step):
-            blk = 2.0 * np.pi * np.outer(args[i : i + step], t)
-            if deriv:
-                out[i : i + step] = np.sin(blk) @ (t * w)
-            else:
-                out[i : i + step] = np.cos(blk) @ w
         if deriv:
-            out *= -2.0 * np.pi
-        return out / self.mass
+            return _trig_sum(np.sin, args, t, t * w) * (-2.0 * np.pi) / self.mass
+        return _trig_sum(np.cos, args, t, w) / self.mass
 
     def _bucketed(self, s, deriv: bool, tol: float) -> np.ndarray:
         arr = np.asarray(s, dtype=float)
@@ -144,36 +150,35 @@ class _SurfaceTransform:
             if hi > lo:
                 args = sorted_args[lo:hi]
                 vals = refine_until_stationary(
-                    lambda n: self._quad(args, n, deriv),
-                    max_arg=float(args[-1]),
-                    tol=tol,
-                    scale=1.0,
+                    lambda n: self._quad(args, n, deriv), max_arg=float(args[-1]), tol=tol
                 )
                 out[order[lo:hi]] = vals
                 lo = hi
             edge *= 2.0
         return out.reshape(arr.shape)
 
-    def _eval(self, s, deriv: bool, tol: float) -> np.ndarray:
+    def _eval(self, s, deriv: bool) -> np.ndarray:
         arr = np.asarray(s, dtype=float)
         u_max = float(np.max(np.abs(arr))) if arr.size else 0.0
-        cached = self._tables.get(deriv)
-        if cached is None or u_max > cached[0]:
-            # building a table costs ~1.5 u_max / step exact evaluations; only
+        table = self._tables.get(deriv)
+        if table is None or u_max > table[0]:
+            # filling a table costs ~1.5 u_max / step exact evaluations; only
             # amortize it over batches much larger than that
             if arr.size < max(_SPLINE_MIN_BATCH, 1.5 * u_max / _SPLINE_STEP / 8.0):
-                return self._bucketed(arr, deriv, tol)
+                return self._bucketed(arr, deriv, tol=1e-10)
             u_hi = max(16.0, 1.5 * u_max)
-            grid = np.arange(0.0, u_hi + 2 * _SPLINE_STEP, _SPLINE_STEP)
-            cached = (u_hi, CubicSpline(grid, self._bucketed(grid, deriv, tol=1e-12)))
-            self._tables[deriv] = cached
-        return cached[1](np.abs(arr))
+            knots = np.arange(0.0, u_hi + 2 * _SPLINE_STEP, _SPLINE_STEP)
+            vals = np.empty(0) if table is None else table[1]
+            vals = np.concatenate([vals, self._bucketed(knots[vals.size :], deriv, tol=1e-12)])
+            table = (u_hi, vals, CubicSpline(knots, vals))
+            self._tables[deriv] = table
+        return table[2](np.abs(arr))
 
-    def value(self, s, tol: float = 1e-10) -> np.ndarray:
-        return self._eval(s, deriv=False, tol=tol)
+    def value(self, s) -> np.ndarray:
+        return self._eval(s, deriv=False)
 
-    def deriv(self, s, tol: float = 1e-10) -> np.ndarray:
-        return self._eval(s, deriv=True, tol=tol)
+    def deriv(self, s) -> np.ndarray:
+        return self._eval(s, deriv=True)
 
 
 @lru_cache(maxsize=16)
@@ -253,9 +258,9 @@ def _bump_deriv(l: int) -> Callable[[np.ndarray], np.ndarray]:
     )
 
 
-def _swept_bound(fn, support: tuple[float, float], npts: int = 8192) -> float:
+def _swept_bound(fn, support: tuple[float, float]) -> float:
     a, b = support
-    return float(np.max(np.abs(fn(np.linspace(a, b, npts))))) * (1.0 + 1e-4)
+    return float(np.max(np.abs(fn(np.linspace(a, b, 8192))))) * (1.0 + 1e-4)
 
 
 def dyadic_piece(d: int, l: int) -> RadialProfile:
@@ -414,8 +419,7 @@ class _CosineTransform:
         grid = np.arange(0.0, u_max + 4 * du, du)
         probe = grid[:: max(1, grid.size // 64)]
         for _ in range(5):
-            check = np.abs(np.cos(2 * np.pi * np.outer(probe, s1)) @ d1
-                           - np.cos(2 * np.pi * np.outer(probe, s2)) @ d2).max()
+            check = np.abs(_trig_sum(np.cos, probe, s1, d1) - _trig_sum(np.cos, probe, s2, d2)).max()
             if check <= abs_tol:
                 break
             n_s *= 2
@@ -423,12 +427,8 @@ class _CosineTransform:
             s2, d2 = dens_for(2 * n_s)
         else:
             raise RuntimeError(f"radial rule did not verify to {abs_tol}")
-        vals = np.empty(grid.size)
-        step = max(1, _CHUNK // s2.size)
-        for i in range(0, grid.size, step):
-            vals[i : i + step] = np.cos(2 * np.pi * np.outer(grid[i : i + step], s2)) @ d2
         self.u_max = float(grid[-1])
-        self.spline = CubicSpline(grid, vals)
+        self.spline = CubicSpline(grid, _trig_sum(np.cos, grid, s2, d2))
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         return self.spline(np.abs(u))
@@ -445,7 +445,7 @@ def _zonal_from_table(table: _CosineTransform, d: int, rho: np.ndarray, tol: flo
         return (table(flat[:, None] * t[None, :]) @ w) / mass
 
     rmax = float(np.max(np.abs(flat))) if flat.size else 0.0
-    out = refine_until_stationary(with_rule, max_arg=table.osc_rate * max(rmax, 1.0), tol=tol, scale=1.0)
+    out = refine_until_stationary(with_rule, max_arg=table.osc_rate * max(rmax, 1.0), tol=tol)
     return sphere_area(d) * out.reshape(rho.shape)
 
 
@@ -475,7 +475,7 @@ def funk_hecke_kernel(l: int, d: int, x_norm, tol: float = 1e-9):
         vals = _zonal_from_table(table, d, chord, tol=tol * 0.1)
         return (vals @ w) / mass
 
-    out = refine_until_stationary(with_rule, max_arg=2.0 ** (l + 2), tol=tol, scale=1.0)
+    out = refine_until_stationary(with_rule, max_arg=2.0 ** (l + 2), tol=tol)
     if np.asarray(x_norm).ndim == 0:
         return float(out[0])
     return out
@@ -488,7 +488,7 @@ class DecayRow(NamedTuple):
     c3: float  # sup of |kernel| (1+|x|)^(d+1) / 2^l over the window |x| <= 8
 
 
-def decay_constants(d: int, l_max: int, sweep_points: int = 8192) -> list[DecayRow]:
+def decay_constants(d: int, l_max: int) -> list[DecayRow]:
     """Normalized decay constants per dyadic index l = 1..l_max.
 
     Boundedness of the three columns across l is the quantitative content of
@@ -504,7 +504,7 @@ def decay_constants(d: int, l_max: int, sweep_points: int = 8192) -> list[DecayR
     rows = []
     for l in range(1, l_max + 1):
         a, bb = _bump_support(l)
-        s = np.linspace(a, bb, sweep_points)
+        s = np.linspace(a, bb, 8192)
         piece = dyadic_piece(d, l)
         tilde = tilde_piece(d, l)
         c1 = float(np.max(np.abs(piece(s)))) * 2.0 ** (l * (d - 1) / 2.0)

@@ -63,11 +63,11 @@ def radial_power_rule(n: int, kappa: int) -> tuple[np.ndarray, np.ndarray]:
     return rho, weights
 
 
-def adaptive_levels(max_arg: float, n0: int = 64) -> list[int]:
+def adaptive_levels(max_arg: float) -> list[int]:
     """Doubling ladder of rule sizes seeded by the oscillation count of
     cos(2 pi s t) over [-1, 1] at the largest argument s."""
-    n = n0
-    seed = int(4 * max_arg) + n0
+    n = 64
+    seed = int(4 * max_arg) + 64
     while n < seed:
         n *= 2
     levels = []
@@ -80,24 +80,15 @@ def adaptive_levels(max_arg: float, n0: int = 64) -> list[int]:
 
 
 def refine_until_stationary(
-    eval_with_rule: Callable[[int], np.ndarray],
-    max_arg: float,
-    tol: float = 1e-10,
-    n0: int = 64,
-    scale: float | None = None,
+    eval_with_rule: Callable[[int], np.ndarray], max_arg: float, tol: float = 1e-10
 ) -> np.ndarray:
-    """Evaluate on a doubling ladder of rule sizes until values move < tol.
-
-    Stationarity is judged against ``tol * scale``; when ``scale`` is None it
-    defaults to max(1, max |value|), i.e. a mixed absolute/relative test.
-    Pass ``scale=1.0`` for a strict absolute tolerance.
-    """
-    levels = adaptive_levels(max_arg, n0)
+    """Evaluate on a doubling ladder of rule sizes until values move by at
+    most ``tol`` in absolute terms; return the first such level's values."""
+    levels = adaptive_levels(max_arg)
     prev = eval_with_rule(levels[0])
     for n in levels[1:]:
         cur = eval_with_rule(n)
-        ref = scale if scale is not None else max(1.0, float(np.max(np.abs(cur))))
-        if np.max(np.abs(cur - prev)) <= tol * ref:
+        if np.max(np.abs(cur - prev)) <= tol:
             return cur
         prev = cur
     raise RuntimeError(f"quadrature did not reach {tol} stationarity (max_arg={max_arg})")

@@ -182,10 +182,10 @@ class MCComparison(NamedTuple):
     stderr: float
 
 
-def _batch_stderr(samples: np.ndarray, n_batches: int = 16) -> np.ndarray:
+def _batch_stderr(samples: np.ndarray) -> np.ndarray:
     """Batch-means standard error of the mean over the leading axis of
-    ``samples``, from at most ``n_batches`` consecutive batches."""
-    chunks = np.array_split(samples, max(1, min(n_batches, samples.shape[0])))
+    ``samples``, from at most 16 consecutive batches."""
+    chunks = np.array_split(samples, max(1, min(16, samples.shape[0])))
     means = np.stack([c.mean(axis=0) for c in chunks])
     if len(means) < 2:
         return np.full(samples.shape[1:], np.inf)

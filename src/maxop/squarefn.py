@@ -106,7 +106,7 @@ def square_function(f: GridFunction | VectorField, profile: RadialProfile, tgrid
     return _unstack(f, np.sqrt(acc))
 
 
-def prop2_check(F: VectorField, profile: RadialProfile, n_t: int = 128) -> tuple[float, float]:
+def prop2_check(F: VectorField, profile: RadialProfile) -> tuple[float, float]:
     """L^2 aggregate of member square functions vs the annulus bound.
 
     Returns (lhs, rhs) with lhs the L^2 norm of the l^2 aggregation of
@@ -117,7 +117,7 @@ def prop2_check(F: VectorField, profile: RadialProfile, n_t: int = 128) -> tuple
     a, b = _require_annulus(profile)
     if profile.sup_bound is None:
         raise ValueError("prop2_check needs a profile with a recorded sup_bound")
-    tg = default_tgrid(profile, F.spec, n=n_t)
+    tg = default_tgrid(profile, F.spec)
     lhs = lp_norm(lq_pointwise(square_function(F, profile, tg), 2.0), 2.0)
     rhs = profile.sup_bound * math.sqrt(math.log(b / a)) * lp_norm(lq_pointwise(F, 2.0), 2.0)
     return lhs, rhs

@@ -118,7 +118,7 @@ def test_iterated_matches_per_slice_exact_reference(rng):
     stage1 = _interval_max_values(f.values, grid.h, ru.radii, axis=2)
     denom = _cumulative_weights(2, _strict_bound(rx.radii[-1], grid.h), 0, grid.h)
     want = np.stack(
-        [_ball_max_exact(stage1[..., iu], grid.h, rx.radii, 0, denom) for iu in range(grid.N)], axis=-1
+        [_ball_max_exact(stage1[None, ..., iu], grid.h, rx.radii, 0, denom)[0] for iu in range(grid.N)], axis=-1
     )
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 

@@ -108,8 +108,8 @@ def test_fft_path_matches_exact_path(rng, d, N, k):
     got = weighted_maximal(GridFunction(spec, vals), k, radii).values
     tmax = _strict_bound(radii.radii[-1], spec.h)
     want = _ball_max_exact(
-        np.abs(vals), spec.h, radii.radii, k, _cumulative_weights(d, tmax, k, spec.h)
-    )
+        np.abs(vals)[None], spec.h, radii.radii, k, _cumulative_weights(d, tmax, k, spec.h)
+    )[0]
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
@@ -124,7 +124,7 @@ def test_covering_radius_reaches_the_far_corner(k):
     got = weighted_maximal(GridFunction(spec, vals), k, radii).values
     tmax = _strict_bound(radii.radii[-1], spec.h)
     denom = _cumulative_weights(2, tmax, k, spec.h)
-    want = _ball_max_exact(vals, spec.h, radii.radii, k, denom)
+    want = _ball_max_exact(vals[None], spec.h, radii.radii, k, denom)[0]
     assert want[-1, -1] > 0
     assert got[-1, -1] == pytest.approx(want[-1, -1], rel=1e-12)
     assert np.abs(got - want).max() <= 1e-12 * want.max()

@@ -19,6 +19,7 @@ from maxop.maximal import RadiiSet, default_radii, hl_maximal
 from maxop.multiplier import (
     RadialProfile,
     _SurfaceTransform,
+    _surface,
     apply_multiplier,
     bump,
     decay_constants,
@@ -31,7 +32,7 @@ from maxop.multiplier import (
     surface_multiplier,
     tilde_piece,
 )
-from maxop.quadrature import gegenbauer_rule, gegenbauer_weight_mass
+from maxop.quadrature import adaptive_levels, gegenbauer_rule, gegenbauer_weight_mass
 from maxop.squarefn import default_tgrid, square_function
 
 
@@ -58,6 +59,38 @@ def test_surface_table_serves_every_batch_it_covers():
     for evaluate in (st.value, st.deriv):
         assert np.array_equal(evaluate(s)[:5], evaluate(s[:5]))
 
+
+
+def test_surface_table_fills_each_knot_once():
+    # a batch that reaches past the table fills only the knots beyond it
+    st, filled = _SurfaceTransform(4), []
+    bucketed = st._bucketed
+
+    def counting(s, deriv, tol):
+        filled.append(np.size(s))
+        return bucketed(s, deriv, tol)
+
+    st._bucketed = counting
+    batches = [np.linspace(0.0, u, 36864) for u in (1.0, 16.36, 25.59)]
+    grown = [st.value(s) for s in batches]
+    assert len(filled) == 3
+    assert sum(filled) == st._tables[False][-1].x.size
+    once = _SurfaceTransform(4)
+    once.value(batches[-1])
+    for s, vals in zip(batches, grown):
+        np.testing.assert_allclose(vals, once.value(s), rtol=0, atol=1e-13)
+
+
+def test_zonal_inverse_does_not_read_the_surface_table():
+    # the oracle evaluates m by direct quadrature even on batches large
+    # enough for the production path to build a spline table
+    _surface.cache_clear()
+    prof = bump(1)
+    rho = np.linspace(0.1, 2.3, 40)
+    a, b = prof.support
+    assert rho.size * adaptive_levels((b - a) * rho.max())[0] >= 4097
+    _zonal_inverse(prof, 3, rho)
+    assert _surface(3)._tables == {}
 
 def test_surface_multiplier_decay_envelope():
     # |m(s)| s^((d-1)/2) stays bounded (the classical oscillatory decay)
