@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy import ndimage
 
 from .families import compact_bump_values
 from .grid import GridFunction, GridSpec, VectorField, _wrap, make_grid, sample
@@ -42,9 +43,11 @@ from .multiplier import (
     sphere_area,
 )
 from .norms import lp_norm, lq_pointwise, mixed_norm
-from .quadrature import gegenbauer_rule, gegenbauer_weight_mass, refine_until_stationary
+from .quadrature import gegenbauer_rule, gegenbauer_weight_mass, radial_power_rule, refine_until_stationary
 from .rotations import (
     DescentSplit,
+    RotationMatrix,
+    _sphere_points,
     descent_maximal,
     haar_rotation,
     lemma2_domination,
@@ -198,6 +201,41 @@ def _oracle_grushin(f: GridFunction, radii) -> np.ndarray:
             if count:
                 best = max(best, num / count)
         out[multi] = best
+    return out
+
+
+def _oracle_descent(
+    f: GridFunction,
+    rotation: RotationMatrix,
+    split: DescentSplit,
+    radii,
+    n_radial: int = 16,
+    n_sphere: int = 64,
+    seed: int = 0,
+) -> np.ndarray:
+    """Per-offset descent operator: the production sample draws, one
+    ``ndimage.shift`` of |f| per sample offset accumulated in quadrature
+    order, maximized over radii."""
+    spec = f.spec
+    absf = np.abs(f.values)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    sphere = _sphere_points(rng, n_sphere, split.d_prime)
+    rho, rho_w = radial_power_rule(n_radial, split.k + split.d_prime)
+    units = sphere @ rotation.matrix[:, : split.d_prime].T
+    out = np.zeros_like(absf)
+    for r in radii:
+        shifts = [-r * rho[i] * units[j] / spec.h for i in range(n_radial) for j in range(n_sphere)]
+        coeff = [rho_w[i] / n_sphere for i in range(n_radial) for _ in range(n_sphere)]
+        np.maximum(out, _oracle_shift_sum(absf, shifts, coeff), out=out)
+    return out
+
+
+def _oracle_shift_sum(values: np.ndarray, shifts, coeff) -> np.ndarray:
+    """sum_o coeff[o] * values shifted by shifts[o]: order-1 interpolation
+    that reads 0 beyond the outermost nodes (``mode="constant"``)."""
+    out = np.zeros(values.shape)
+    for s, c in zip(shifts, coeff):
+        out += c * ndimage.shift(values, s, order=1, mode="constant", cval=0.0, prefilter=False)
     return out
 
 

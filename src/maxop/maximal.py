@@ -28,7 +28,9 @@ stencil is even in every axis, so its spectrum is computed from its
 nonnegative-offset part.  The center-only radius is taken exactly.  The
 first radius whose ball holds every in-grid offset ends the sweep: for
 k = 0 its numerator is each member's mass, and every larger radius has the
-same numerator over a denominator no smaller.
+same numerator over a denominator no smaller.  Sparse real stencils applied
+to masked members (the descent operator's corner stencils) go through the
+same member spectra, padded shapes, batching and crop.
 """
 
 from __future__ import annotations
@@ -265,18 +267,75 @@ def _even_spectrum(half: np.ndarray, mshape: tuple[int, ...]) -> np.ndarray:
 
 def _convolve(spectra, sfft, mshape, shape) -> np.ndarray:
     """Inverse transforms of every member spectrum times ``sfft``, cropped to
-    the grid; each axis is cropped as soon as it is transformed."""
+    the grid."""
     n, c = spectra.shape[0], _chunk(mshape)
-    d = len(shape)
     conv = np.empty((n,) + tuple(shape))
     for lo in range(0, n, c):
-        y = spectra[lo : lo + c] * sfft
-        for ax in range(1, d):
-            y = _fft.ifftn(y, axes=(ax,), overwrite_x=True, workers=fft_workers())
-            y = y[(slice(None),) * ax + (slice(0, shape[ax - 1]),)]
-        y = _fft.irfftn(y, s=mshape[-1:], axes=(d,), workers=fft_workers())
-        conv[lo : lo + c] = y[..., : shape[-1]]
+        conv[lo : lo + c] = _inverse(spectra[lo : lo + c] * sfft, mshape, shape)
     return conv
+
+
+def _inverse(y, mshape, shape) -> np.ndarray:
+    """Inverse transforms of the spectra ``y`` (one per member, on the layout
+    of the member spectra, overwritten), cropped to the grid; each axis is
+    cropped as soon as it is transformed."""
+    d = len(shape)
+    for ax in range(1, d):
+        y = _fft.ifftn(y, axes=(ax,), overwrite_x=True, workers=fft_workers())
+        y = y[(slice(None),) * ax + (slice(0, shape[ax - 1]),)]
+    y = _fft.irfftn(y, s=mshape[-1:], axes=(d,), workers=fft_workers())
+    return y[..., : shape[-1]]
+
+
+def _stencil_sums(a: np.ndarray, masks, stencils) -> np.ndarray:
+    """Zero-padded convolutions of masked members with sparse real stencils:
+    ``out[i] = sum_j stencils[i][j] * (a masked by masks[j])``.
+
+    ``a`` holds the members along its leading axis, ``(n, *grid)``.  Each
+    ``masks[j]`` is a tuple of per-axis weights whose outer product
+    multiplies every member.  Each ``stencils[i][j]`` is a pair of integer
+    offsets ``(T, d)`` and weights ``(T,)``, applied as
+    ``(K * g)(x) = sum_t weights[t] g(x - offsets[t])`` with g zero off the
+    grid; taps that cannot reach the grid are dropped.  One padded shape
+    serves every stencil.  Members go in batches that keep one spectrum per
+    output beside the masked members' spectra, each masked member is
+    transformed once per batch, and each output costs one stencil spectrum
+    per mask and one inverse transform.  Returns ``(len(stencils), n, *grid)``.
+    """
+    shape = a.shape[1:]
+    reach = np.zeros(len(shape), dtype=np.int64)
+    kept = []
+    for row in stencils:
+        kept.append([])
+        for off, w in row:
+            inside = np.all(np.abs(off) < shape, axis=1)
+            off, w = off[inside], w[inside]
+            if w.size:
+                reach = np.maximum(reach, np.abs(off).max(axis=0))
+            kept[-1].append((off, w))
+    mshape = tuple(_fft.next_fast_len(int(m + R)) for m, R in zip(shape, reach))
+    n, c = a.shape[0], max(1, _chunk(mshape) // (len(kept) + 1))
+    out = np.empty((len(kept),) + a.shape)
+    for lo in range(0, n, c):
+        part = a[lo : lo + c]
+        acc = np.zeros((len(kept), len(part)) + mshape[:-1] + (mshape[-1] // 2 + 1,), dtype=complex)
+        for j, mask in enumerate(masks):
+            spectra = _member_spectra(part * math.prod(np.ix_(*mask)), mshape)
+            for i, row in enumerate(kept):
+                off, w = row[j]
+                if w.size:
+                    acc[i] += spectra * _sparse_spectrum(off, w, mshape)
+        for i in range(len(kept)):
+            out[i, lo : lo + c] = _inverse(acc[i], mshape, shape)
+    return out
+
+
+def _sparse_spectrum(off: np.ndarray, w: np.ndarray, mshape: tuple[int, ...]) -> np.ndarray:
+    """Spectrum, on the layout of the member spectra, of the stencil with
+    taps ``w`` at integer offsets ``off`` (negative offsets wrap around)."""
+    flat = np.ravel_multi_index(tuple(off.T), mshape, mode="wrap")
+    dense = np.bincount(flat, weights=w, minlength=math.prod(mshape)).reshape(mshape)
+    return _member_spectra(dense[None], mshape)[0]
 
 
 def _ball_max(f, radii, k: int):

@@ -3,18 +3,28 @@ d'-planes, and Monte-Carlo checks of the rotation-average identities.
 
 The descent operator averages |f| over a d'-dimensional ball embedded by a
 rotation, against the weight |y'|^(d-d').  Like the other operators it takes
-a GridFunction or a VectorField and returns the same kind; each sample
-offset is computed once and shifts every member.  The radial leg uses a
-Gauss-Jacobi rule matched to the weight rho^(k+d'-1), which stays accurate
-when the weight piles all mass near the outer radius (large k); the angular
-leg is seeded Monte Carlo on S^(d'-1).  Off-grid evaluation is multilinear
-interpolation with zero extension, so every check carries an O(h)
-interpolation allowance on top of its Monte-Carlo error bars.
+a GridFunction or a VectorField and returns the same kind.  The radial leg
+uses a Gauss-Jacobi rule matched to the weight rho^(k+d'-1), which stays
+accurate when the weight piles all mass near the outer radius (large k); the
+angular leg is seeded Monte Carlo on S^(d'-1).
+
+Off-grid evaluation is multilinear interpolation between nodes, and a
+sample that leaves [x_0, x_{N-1}] on any axis reads 0: the order-1
+``mode="constant"`` rule of ``scipy.ndimage``, which both the descent
+operator and the rotation-average check (``map_coordinates``) follow.  Every
+check carries an O(h) interpolation allowance on top of its Monte-Carlo
+error bars.  At one radius every sample offset has the same fractional part
+at every node, so the descent average is a sum of 2^d sparse lattice
+stencils, one per corner of the interpolation cell, each applied to |f| with
+the boundary nodes that corner may not read zeroed; all members and radii
+go through one call of the shared FFT stencil engine.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -22,7 +32,7 @@ import numpy as np
 from scipy import ndimage
 
 from .grid import GridFunction, GridSpec, PreconditionError, VectorField, _stack, _unstack, _wrap
-from .maximal import _as_radii, _cumulative_weights, _strict_bound
+from .maximal import _as_radii, _cumulative_weights, _stencil_sums, _strict_bound
 from .quadrature import radial_power_rule
 
 __all__ = [
@@ -112,6 +122,9 @@ def descent_maximal(
 ) -> GridFunction | VectorField:
     """Weighted averages of |f| over rotated d'-balls, maximized over radii,
     of a GridFunction or of each member of a VectorField."""
+    for name, n in (("n_radial", n_radial), ("n_sphere", n_sphere)):
+        if not (isinstance(n, numbers.Integral) and n >= 1):
+            raise ValueError(f"{name} must be an integer >= 1, got {n!r}")
     absf = np.abs(_stack(f))
     spec = f.spec
     if split.d != spec.d or rotation.d != spec.d:
@@ -122,22 +135,62 @@ def descent_maximal(
     rho, rho_w = radial_power_rule(n_radial, split.k + split.d_prime)
     # unit offsets theta (sigma_j, 0) in R^d
     units = sphere @ rotation.matrix[:, : split.d_prime].T
-    out = np.zeros_like(absf)
-    for r in rs:
-        avg = np.zeros_like(absf)
-        for i in range(n_radial):
-            radius = r * rho[i]
-            coeff = rho_w[i] / n_sphere
-            for j in range(n_sphere):
-                shift_idx = -radius * units[j] / spec.h
-                # one shift per member: on the stacked array the order-1
-                # spline would weigh 2^(d+1) corners per node instead of 2^d
-                for a, acc in zip(absf, avg):
-                    acc += coeff * ndimage.shift(
-                        a, shift_idx, order=1, mode="constant", cval=0.0, prefilter=False
-                    )
-        np.maximum(out, avg, out=out)
-    return _unstack(f, out)
+    # sample (i, j) reads |f| at x - r rho_i theta sigma_j: a shift by
+    # r rho_i theta sigma_j / h cells, with weight rho_w_i / n_sphere
+    shifts = [(-(r * rho)[:, None, None] * units[None] / spec.h).reshape(-1, spec.d) for r in rs]
+    sums = _shift_sums(absf, shifts, np.repeat(rho_w / n_sphere, n_sphere))
+    return _unstack(f, np.maximum(sums.max(axis=0), 0.0))
+
+
+def _shift_sums(a: np.ndarray, shifts: list[np.ndarray], coeff: np.ndarray) -> np.ndarray:
+    """``sum_o coeff[o] * shift(a, shifts[g][o])`` for every group g of
+    shifts, per member along the leading axis of ``a``, where ``shift`` is
+    ``ndimage.shift(order=1, mode="constant", cval=0)``.
+
+    Write one shift per axis as k + t with integer k and t in [0, 1).  A
+    node then reads (1 - t) a(i - k) + t a(i - k - 1) on each axis with
+    t > 0, and 0 unless both of those nodes lie on the grid: the first is
+    never node 0 and the second never node N - 1.  So the sum is, over the
+    2^d corners c, a sparse stencil with taps at k + c applied to a copy of
+    ``a`` with those boundary nodes zeroed.  An axis with t = 0 has a single
+    tap that may read both boundary nodes.
+    """
+    d = a.ndim - 1
+    groups = [_corner_taps(s, coeff) for s in shifts]
+    keys = sorted(set().union(*groups))
+    empty = (np.zeros((0, d), dtype=np.int64), np.zeros(0))
+    stencils = [[taps.get(key, empty) for key in keys] for taps in groups]
+    return _stencil_sums(a, [_corner_mask(key, a.shape[1:]) for key in keys], stencils)
+
+
+def _corner_taps(s: np.ndarray, coeff: np.ndarray) -> dict[tuple, tuple[np.ndarray, np.ndarray]]:
+    """The shifts ``s`` (one per row, weighted by ``coeff``) as sparse
+    stencils keyed by their input mask, one state per axis: 0 zeroes node
+    0, 1 zeroes node N - 1 and 2 (t = 0) zeroes nothing."""
+    k = np.floor(s)
+    t = s - k
+    k = k.astype(np.int64)
+    exact = t == 0
+    taps = {}
+    for corner in itertools.product((0, 1), repeat=s.shape[1]):
+        c = np.array(corner)
+        live = ~np.any(exact & (c == 1), axis=1)
+        w = coeff * np.prod(np.where(c == 1, t, 1.0 - t), axis=1)
+        states = np.where(exact, 2, c)
+        # a live tap's key fixes its corner (c = 0 on the axes with t = 0)
+        for key in np.unique(states[live], axis=0):
+            sel = live & np.all(states == key, axis=1)
+            taps[tuple(key.tolist())] = (k[sel] + c, w[sel])
+    return taps
+
+
+def _corner_mask(key: tuple, shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Per-axis input weights of the mask ``key`` (see :func:`_corner_taps`)."""
+    mask = tuple(np.ones(m) for m in shape)
+    for weights, state in zip(mask, key):
+        if state < 2:
+            weights[0 if state == 0 else -1] = 0.0
+    return mask
 
 
 def _point_weighted_average(

@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from maxop.grid import GridFunction, make_grid, sample
+from maxop import maximal
+from maxop.checks import _oracle_descent, _oracle_shift_sum
+from maxop.grid import GridFunction, VectorField, make_grid, sample
 from maxop.maximal import RadiiSet, hl_maximal
 from maxop.rotations import (
     DescentSplit,
     RotationMatrix,
+    _shift_sums,
     descent_maximal,
     dimension_split,
     haar_rotation,
@@ -15,6 +18,7 @@ from maxop.rotations import (
     rotation_average_check,
     sphere_identity_check,
 )
+from maxop.scan import OPERATORS, ScanConfig, _field
 
 
 def test_rotation_matrix_validation(rng):
@@ -78,6 +82,68 @@ def test_descent_rotation_invariance_on_radial_input():
     ax = spec.axis_nodes()
     interior = np.abs(np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), -1)).max(-1) <= 1.2
     assert np.max(np.abs(a.values - b.values)[interior]) <= 0.05
+
+
+def test_descent_matches_shift_oracle_on_the_benchmark_config():
+    # the DESCENT scan of the lattice benchmark: 16^3 on [-4, 4]^3, one
+    # random_bumps member, the scan's 8 radii, rotation and seed
+    cfg = ScanConfig(operator="DESCENT", d_range=(3,), grid=(4.0, 16), n_members=1,
+                     family="random_bumps", seed=1)
+    F = _field(cfg, OPERATORS["DESCENT"], 3)
+    d_prime = dimension_split(2.0, 2.0)
+    G, _ = OPERATORS["DESCENT"].apply(cfg, F, d_prime)
+    spec = F.spec
+    radii = np.geomspace(spec.h, spec.L / 2.0, 8)
+    want = _oracle_descent(F.members[0], haar_rotation(3, 1), DescentSplit(3, d_prime), radii, seed=1)
+    assert np.abs(G.members[0].values - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_descent_matches_shift_oracle_at_d4_with_two_members(rng):
+    spec = make_grid(4, 2.0, 8)
+    F = VectorField(tuple(GridFunction(spec, rng.standard_normal(spec.shape)) for _ in range(2)))
+    args = (haar_rotation(4, 3), DescentSplit(4, 3), (spec.h, 0.6, 1.1))
+    G = descent_maximal(F, *args, n_radial=6, n_sphere=16, seed=4)
+    for g, f in zip(G, F):
+        want = _oracle_descent(f, *args, n_radial=6, n_sphere=16, seed=4)
+        assert np.abs(g.values - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_descent_member_batches_do_not_change_values(rng, monkeypatch):
+    spec = make_grid(3, 2.0, 8)
+    F = VectorField(tuple(GridFunction(spec, rng.standard_normal(spec.shape)) for _ in range(3)))
+    args = (haar_rotation(3, 2), DescentSplit(3, 3), (0.3, 0.6, 0.9))
+    whole = descent_maximal(F, *args, n_radial=4, n_sphere=8)
+    monkeypatch.setattr(maximal, "_BATCH_BYTES", 1)  # one member per batch
+    for g, w in zip(descent_maximal(F, *args, n_radial=4, n_sphere=8), whole):
+        assert np.array_equal(g.values, w.values)
+
+
+def test_shift_sums_match_ndimage_at_the_edges(rng):
+    a = rng.uniform(0.5, 1.5, (6, 7, 5))
+    cases = {
+        "half cell": (0.5, -0.5, 0.5),  # node 0 of axis 0 samples -1/2: reads 0
+        "integer axis": (2.0, 0.3, -0.4),
+        "negative integer axis": (0.7, -3.0, 0.25),
+        "identity": (0.0, 0.0, 0.0),
+        "past the grid": (7.5, 0.2, 0.1),
+        "past the grid, integer": (-6.0, 0.0, 1.5),
+    }
+    got = _shift_sums(a[None], [np.array([s]) for s in cases.values()], np.ones(1))[:, 0]
+    for g, (name, s) in zip(got, cases.items()):
+        want = _oracle_shift_sum(a, [s], [1.0])
+        assert np.abs(g - want).max() <= 1e-12 * a.max(), name
+    half, identity, past, past_int = got[0], got[3], got[4], got[5]
+    assert np.abs(half[0]).max() <= 1e-14 and np.abs(half[1:, :-1, 1:]).min() > 0.4
+    assert np.abs(identity - a).max() <= 1e-14
+    assert np.abs(past).max() <= 1e-14 and np.abs(past_int).max() <= 1e-14
+
+
+@pytest.mark.parametrize("n_radial,n_sphere", [(16, 0), (0, 64), (16, -2), (16, 2.5), (4.0, 64)])
+def test_descent_rejects_bad_sample_counts(n_radial, n_sphere):
+    spec = make_grid(3, 2.0, 8)
+    f = GridFunction(spec, np.ones(spec.shape))
+    with pytest.raises(ValueError, match="n_radial|n_sphere"):
+        descent_maximal(f, haar_rotation(3, 1), DescentSplit(3, 3), (0.5,), n_radial=n_radial, n_sphere=n_sphere)
 
 
 def test_rotation_average_constant_exact():
