@@ -16,6 +16,7 @@ support of f well inside the cube.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
@@ -66,12 +67,15 @@ class GridSpec:
     N: int
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.d}")
-        if not (self.L > 0):
-            raise ValueError(f"half-width L must be positive, got {self.L}")
-        if self.N < 4 or self.N % 2 != 0:
+        # integral floats such as 16.0 are accepted and stored as int
+        if not (float(self.d).is_integer() and self.d >= 1):
+            raise ValueError(f"dimension must be an integer >= 1, got {self.d}")
+        if not (0.0 < float(self.L) < math.inf):
+            raise ValueError(f"half-width L must be finite and positive, got {self.L}")
+        if not (float(self.N).is_integer() and self.N >= 4 and self.N % 2 == 0):
             raise ValueError(f"N must be an even integer >= 4, got {self.N}")
+        for name, cast in (("d", int), ("L", float), ("N", int)):
+            object.__setattr__(self, name, cast(getattr(self, name)))
 
     @property
     def h(self) -> float:
@@ -109,7 +113,7 @@ class GridSpec:
 
 def make_grid(d: int, L: float, N: int) -> GridSpec:
     """Validate and build a GridSpec (h = 2L/N)."""
-    return GridSpec(d=int(d), L=float(L), N=int(N))
+    return GridSpec(d=d, L=L, N=N)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:

@@ -28,9 +28,9 @@ stencil is even in every axis, so its spectrum is computed from its
 nonnegative-offset part.  The center-only radius is taken exactly.  The
 first radius whose ball holds every in-grid offset ends the sweep: for
 k = 0 its numerator is each member's mass, and every larger radius has the
-same numerator over a denominator no smaller.  Sparse real stencils applied
-to masked members (the descent operator's corner stencils) go through the
-same member spectra, padded shapes, batching and crop.
+same numerator over a denominator no smaller.  The descent operator
+(:mod:`maxop.rotations`) applies its corner stencils with the same FFT
+helpers: padded shapes, member spectra, batching and cropped inverses.
 """
 
 from __future__ import annotations
@@ -62,6 +62,8 @@ class RadiiSet:
         radii = tuple(float(r) for r in self.radii)
         if not radii:
             raise ValueError("RadiiSet must be nonempty")
+        if not all(math.isfinite(r) for r in radii):
+            raise ValueError(f"radii must be finite, got {radii}")
         if radii[0] <= 0 or any(b <= a for a, b in zip(radii, radii[1:])):
             raise ValueError("radii must be positive and strictly increasing")
         object.__setattr__(self, "radii", radii)
@@ -193,7 +195,7 @@ def _ball_max_fft(a, h, radii, k, denom):
                 # taken exactly so that Mf >= |f| holds without rounding
                 conv = a
             else:
-                shp = tuple(_fft.next_fast_len(m + R) for m, R in zip(shape, reach))
+                shp = _padded_shape(shape, reach)
                 if shp != mshape:
                     mshape, spectra = shp, None  # drop the old spectra first
                     spectra = _member_spectra(a, mshape)
@@ -228,6 +230,12 @@ def _stencil(n2: np.ndarray, t: int, k: int, h: float) -> np.ndarray:
     if k == 0:
         return n2 <= t
     return np.where(n2 <= t, (n2 * (h * h)) ** (k / 2.0), 0.0)
+
+
+def _padded_shape(shape: tuple[int, ...], reach) -> tuple[int, ...]:
+    """Fast FFT lengths that hold a zero-padded convolution of the grid with
+    a stencil of per-axis reach ``reach``, free of wrap-around."""
+    return tuple(_fft.next_fast_len(int(m + R)) for m, R in zip(shape, reach))
 
 
 def _chunk(mshape: tuple[int, ...]) -> int:
@@ -285,57 +293,6 @@ def _inverse(y, mshape, shape) -> np.ndarray:
         y = y[(slice(None),) * ax + (slice(0, shape[ax - 1]),)]
     y = _fft.irfftn(y, s=mshape[-1:], axes=(d,), workers=fft_workers())
     return y[..., : shape[-1]]
-
-
-def _stencil_sums(a: np.ndarray, masks, stencils) -> np.ndarray:
-    """Zero-padded convolutions of masked members with sparse real stencils:
-    ``out[i] = sum_j stencils[i][j] * (a masked by masks[j])``.
-
-    ``a`` holds the members along its leading axis, ``(n, *grid)``.  Each
-    ``masks[j]`` is a tuple of per-axis weights whose outer product
-    multiplies every member.  Each ``stencils[i][j]`` is a pair of integer
-    offsets ``(T, d)`` and weights ``(T,)``, applied as
-    ``(K * g)(x) = sum_t weights[t] g(x - offsets[t])`` with g zero off the
-    grid; taps that cannot reach the grid are dropped.  One padded shape
-    serves every stencil.  Members go in batches that keep one spectrum per
-    output beside the masked members' spectra, each masked member is
-    transformed once per batch, and each output costs one stencil spectrum
-    per mask and one inverse transform.  Returns ``(len(stencils), n, *grid)``.
-    """
-    shape = a.shape[1:]
-    reach = np.zeros(len(shape), dtype=np.int64)
-    kept = []
-    for row in stencils:
-        kept.append([])
-        for off, w in row:
-            inside = np.all(np.abs(off) < shape, axis=1)
-            off, w = off[inside], w[inside]
-            if w.size:
-                reach = np.maximum(reach, np.abs(off).max(axis=0))
-            kept[-1].append((off, w))
-    mshape = tuple(_fft.next_fast_len(int(m + R)) for m, R in zip(shape, reach))
-    n, c = a.shape[0], max(1, _chunk(mshape) // (len(kept) + 1))
-    out = np.empty((len(kept),) + a.shape)
-    for lo in range(0, n, c):
-        part = a[lo : lo + c]
-        acc = np.zeros((len(kept), len(part)) + mshape[:-1] + (mshape[-1] // 2 + 1,), dtype=complex)
-        for j, mask in enumerate(masks):
-            spectra = _member_spectra(part * math.prod(np.ix_(*mask)), mshape)
-            for i, row in enumerate(kept):
-                off, w = row[j]
-                if w.size:
-                    acc[i] += spectra * _sparse_spectrum(off, w, mshape)
-        for i in range(len(kept)):
-            out[i, lo : lo + c] = _inverse(acc[i], mshape, shape)
-    return out
-
-
-def _sparse_spectrum(off: np.ndarray, w: np.ndarray, mshape: tuple[int, ...]) -> np.ndarray:
-    """Spectrum, on the layout of the member spectra, of the stencil with
-    taps ``w`` at integer offsets ``off`` (negative offsets wrap around)."""
-    flat = np.ravel_multi_index(tuple(off.T), mshape, mode="wrap")
-    dense = np.bincount(flat, weights=w, minlength=math.prod(mshape)).reshape(mshape)
-    return _member_spectra(dense[None], mshape)[0]
 
 
 def _ball_max(f, radii, k: int):

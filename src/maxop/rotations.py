@@ -16,12 +16,15 @@ check carries an O(h) interpolation allowance on top of its Monte-Carlo
 error bars.  At one radius every sample offset has the same fractional part
 at every node, so the descent average is a sum of 2^d sparse lattice
 stencils, one per corner of the interpolation cell, each applied to |f| with
-the boundary nodes that corner may not read zeroed; all members and radii
-go through one call of the shared FFT stencil engine.
+the boundary nodes that corner may not read zeroed.  :func:`_shift_max`
+owns that rule and applies the stencils with the FFT helpers of
+:mod:`maxop.maximal`, whose ball engine also gives the rotation-average
+check its ball average.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
@@ -32,7 +35,8 @@ import numpy as np
 from scipy import ndimage
 
 from .grid import GridFunction, GridSpec, PreconditionError, VectorField, _stack, _unstack, _wrap
-from .maximal import _as_radii, _cumulative_weights, _stencil_sums, _strict_bound
+from .maximal import _as_radii, _ball_max_values, _chunk, _inverse, _member_spectra
+from .maximal import _padded_shape, _strict_bound
 from .quadrature import radial_power_rule
 
 __all__ = [
@@ -138,59 +142,61 @@ def descent_maximal(
     # sample (i, j) reads |f| at x - r rho_i theta sigma_j: a shift by
     # r rho_i theta sigma_j / h cells, with weight rho_w_i / n_sphere
     shifts = [(-(r * rho)[:, None, None] * units[None] / spec.h).reshape(-1, spec.d) for r in rs]
-    sums = _shift_sums(absf, shifts, np.repeat(rho_w / n_sphere, n_sphere))
-    return _unstack(f, np.maximum(sums.max(axis=0), 0.0))
+    best = _shift_max(absf, shifts, np.repeat(rho_w / n_sphere, n_sphere))
+    return _unstack(f, np.maximum(best, 0.0))
 
 
-def _shift_sums(a: np.ndarray, shifts: list[np.ndarray], coeff: np.ndarray) -> np.ndarray:
-    """``sum_o coeff[o] * shift(a, shifts[g][o])`` for every group g of
-    shifts, per member along the leading axis of ``a``, where ``shift`` is
-    ``ndimage.shift(order=1, mode="constant", cval=0)``.
+def _shift_max(a: np.ndarray, shifts: list[np.ndarray], coeff: np.ndarray) -> np.ndarray:
+    """``max_g sum_o coeff[o] * shift(a, shifts[g][o])`` over the groups g of
+    shifts (one per radius), per member along the leading axis of ``a``,
+    where ``shift`` is ``ndimage.shift(order=1, mode="constant", cval=0)``.
 
     Write one shift per axis as k + t with integer k and t in [0, 1).  A
     node then reads (1 - t) a(i - k) + t a(i - k - 1) on each axis with
     t > 0, and 0 unless both of those nodes lie on the grid: the first is
-    never node 0 and the second never node N - 1.  So the sum is, over the
-    2^d corners c, a sparse stencil with taps at k + c applied to a copy of
-    ``a`` with those boundary nodes zeroed.  An axis with t = 0 has a single
-    tap that may read both boundary nodes.
+    never node 0 and the second never node N - 1.  So a group's sum is, over
+    the 2^d corners c, a sparse stencil with taps at k + c applied to a copy
+    of ``a`` with those boundary nodes zeroed.  An axis with t = 0 has a
+    single tap that may read both boundary nodes.  Members go in batches
+    that keep one spectrum per group beside the masked members' spectra.
     """
-    d = a.ndim - 1
-    groups = [_corner_taps(s, coeff) for s in shifts]
-    keys = sorted(set().union(*groups))
-    empty = (np.zeros((0, d), dtype=np.int64), np.zeros(0))
-    stencils = [[taps.get(key, empty) for key in keys] for taps in groups]
-    return _stencil_sums(a, [_corner_mask(key, a.shape[1:]) for key in keys], stencils)
-
-
-def _corner_taps(s: np.ndarray, coeff: np.ndarray) -> dict[tuple, tuple[np.ndarray, np.ndarray]]:
-    """The shifts ``s`` (one per row, weighted by ``coeff``) as sparse
-    stencils keyed by their input mask, one state per axis: 0 zeroes node
-    0, 1 zeroes node N - 1 and 2 (t = 0) zeroes nothing."""
-    k = np.floor(s)
-    t = s - k
-    k = k.astype(np.int64)
-    exact = t == 0
-    taps = {}
-    for corner in itertools.product((0, 1), repeat=s.shape[1]):
-        c = np.array(corner)
-        live = ~np.any(exact & (c == 1), axis=1)
-        w = coeff * np.prod(np.where(c == 1, t, 1.0 - t), axis=1)
-        states = np.where(exact, 2, c)
-        # a live tap's key fixes its corner (c = 0 on the axes with t = 0)
-        for key in np.unique(states[live], axis=0):
-            sel = live & np.all(states == key, axis=1)
-            taps[tuple(key.tolist())] = (k[sel] + c, w[sel])
-    return taps
-
-
-def _corner_mask(key: tuple, shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """Per-axis input weights of the mask ``key`` (see :func:`_corner_taps`)."""
-    mask = tuple(np.ones(m) for m in shape)
-    for weights, state in zip(mask, key):
-        if state < 2:
-            weights[0 if state == 0 else -1] = 0.0
-    return mask
+    shape = a.shape[1:]
+    reach = np.zeros(len(shape), dtype=np.int64)
+    # per axis, mask state 0 zeroes node 0, 1 zeroes node N - 1, 2 nothing
+    taps = {}  # mask state -> [(group, offsets, weights)]
+    for g, s in enumerate(shifts):
+        t = s - np.floor(s)
+        k = np.floor(s).astype(np.int64)
+        exact = t == 0
+        for corner in itertools.product((0, 1), repeat=len(shape)):
+            c = np.array(corner)
+            off = k + c
+            # drop the taps of weight 0 (c = 1 where t = 0) and those off the grid
+            live = ~np.any(exact & (c == 1), axis=1) & np.all(np.abs(off) < shape, axis=1)
+            w = coeff * np.prod(np.where(c == 1, t, 1.0 - t), axis=1)
+            states = np.where(exact, 2, c)
+            for key in np.unique(states[live], axis=0):
+                sel = live & np.all(states == key, axis=1)
+                taps.setdefault(tuple(key.tolist()), []).append((g, off[sel], w[sel]))
+            reach = np.maximum(reach, np.abs(off[live]).max(axis=0, initial=0))
+    mshape = _padded_shape(shape, reach)
+    n, step = a.shape[0], max(1, _chunk(mshape) // (len(shifts) + 1))
+    out = np.empty(a.shape)
+    for lo in range(0, n, step):
+        part = a[lo : lo + step]
+        acc = np.zeros((len(shifts), len(part)) + mshape[:-1] + (mshape[-1] // 2 + 1,), dtype=complex)
+        for key in sorted(taps):
+            masked = part.copy()
+            for ax, state in enumerate(key):
+                if state < 2:
+                    masked[(slice(None),) * (ax + 1) + (0 if state == 0 else -1,)] = 0.0
+            spectra = _member_spectra(masked, mshape)
+            for g, off, w in taps[key]:
+                flat = np.ravel_multi_index(tuple(off.T), mshape, mode="wrap")
+                dense = np.bincount(flat, weights=w, minlength=math.prod(mshape)).reshape(mshape)
+                acc[g] += spectra * _member_spectra(dense[None], mshape)[0]
+        out[lo : lo + step] = functools.reduce(np.maximum, (_inverse(y, mshape, shape) for y in acc))
+    return out
 
 
 def _point_weighted_average(
@@ -214,19 +220,12 @@ def _point_weighted_average(
 
 
 def _ball_average_at_node(f: GridFunction, index: tuple[int, ...], r: float) -> float:
-    """Lattice ball average of |f| at one node; the stencil must stay in-cube."""
+    """Lattice ball average of |f| at one node; the ball must stay in-cube."""
     spec = f.spec
-    t = _strict_bound(r, spec.h)
-    reach = math.isqrt(t)
-    for ax, i in enumerate(index):
-        if i - reach < 0 or i + reach >= spec.N:
-            raise ValueError(f"ball of radius {r} at node {index} leaves the cube")
-    offs = np.indices((2 * reach + 1,) * spec.d).reshape(spec.d, -1) - reach
-    inside = np.sum(offs * offs, axis=0) <= t
-    sel = offs[:, inside]
-    flat = np.abs(f.values)[tuple(np.asarray(index)[:, None] + sel)]
-    count = _cumulative_weights(spec.d, t, 0, spec.h)[t]
-    return float(np.sum(flat)) / float(count)
+    reach = math.isqrt(_strict_bound(r, spec.h))
+    if any(i - reach < 0 or i + reach >= spec.N for i in index):
+        raise ValueError(f"ball of radius {r} at node {index} leaves the cube")
+    return float(_ball_max_values(f.values[None], spec.h, (r,), 0)[(0,) + index])
 
 
 class MCComparison(NamedTuple):

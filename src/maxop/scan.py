@@ -101,10 +101,9 @@ class ScanConfig:
             if not vals or len(set(vals)) < len(vals):
                 raise ValueError(f"{name} must be nonempty without repeats, got {vals}")
         if self.grid is not None:
-            L, N = float(self.grid[0]), self.grid[1]
-            if not (0.0 < L < math.inf and _is_int(N) and N >= 4 and N % 2 == 0):
-                raise ValueError(f"grid needs a finite L > 0 and an even integer N >= 4, got {self.grid}")
-            object.__setattr__(self, "grid", (L, int(N)))
+            L, N = self.grid
+            spec = GridSpec(1, L, N)
+            object.__setattr__(self, "grid", (spec.L, spec.N))
         if not all(p > 1.0 for p in self.p_list):
             raise ValueError(f"exponents p must be > 1 (or inf), got {self.p_list}")
         if not all(1.0 < q < math.inf for q in self.q_list):

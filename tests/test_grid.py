@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,10 +19,16 @@ from maxop.grid import (
 def test_make_grid_spacing():
     assert make_grid(1, 1.0, 4).h == 0.5
     assert make_grid(3, 4.0, 64).h == 0.125
+    spec = make_grid(2.0, 1, 16.0)  # integral floats are stored as int
+    assert spec == make_grid(2, 1.0, 16) and type(spec.d) is int and type(spec.N) is int
 
 
 @pytest.mark.parametrize(
-    "d,L,N", [(2, 1.0, 5), (2, 1.0, 2), (1, 0.0, 8), (1, -1.0, 8), (0, 1.0, 8)]
+    "d,L,N",
+    [
+        (2, 1.0, 5), (2, 1.0, 2), (1, 0.0, 8), (1, -1.0, 8), (0, 1.0, 8),
+        (2, math.inf, 8), (2, math.nan, 8), (2.7, 1.0, 10), (2, 1.0, 10.5), (math.inf, 1.0, 8),
+    ],
 )
 def test_make_grid_rejects(d, L, N):
     with pytest.raises(ValueError):

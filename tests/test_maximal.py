@@ -41,6 +41,9 @@ def test_radii_set_validation():
         RadiiSet((1.0, 1.0))
     with pytest.raises(ValueError):
         RadiiSet((-1.0, 2.0))
+    for bad in ((0.5, math.nan), (0.5, math.inf), (math.nan,)):
+        with pytest.raises(ValueError, match="finite"):
+            RadiiSet(bad)
 
 
 def test_strict_bound_center_only_at_h():

@@ -10,7 +10,7 @@ from maxop.maximal import RadiiSet, hl_maximal
 from maxop.rotations import (
     DescentSplit,
     RotationMatrix,
-    _shift_sums,
+    _shift_max,
     descent_maximal,
     dimension_split,
     haar_rotation,
@@ -128,7 +128,7 @@ def test_shift_sums_match_ndimage_at_the_edges(rng):
         "past the grid": (7.5, 0.2, 0.1),
         "past the grid, integer": (-6.0, 0.0, 1.5),
     }
-    got = _shift_sums(a[None], [np.array([s]) for s in cases.values()], np.ones(1))[:, 0]
+    got = [_shift_max(a[None], [np.array([s])], np.ones(1))[0] for s in cases.values()]
     for g, (name, s) in zip(got, cases.items()):
         want = _oracle_shift_sum(a, [s], [1.0])
         assert np.abs(g - want).max() <= 1e-12 * a.max(), name
@@ -159,6 +159,20 @@ def test_rotation_average_radial(rng):
     f = sample(spec, lambda p: np.exp(-np.sum(p**2, -1)))
     res = rotation_average_check(f, DescentSplit(3, 3), r=0.8, x_index=(8, 8, 8), n_mc=256, seed=3)
     assert abs(res.lhs - res.rhs) <= 3 * res.stderr + 2 * spec.h
+
+
+def test_rotation_average_ball_may_touch_the_boundary(rng):
+    # r = 0.7 on h = 1/3 holds |delta|^2 <= 4: reach 2, which from node 2
+    # reaches node 0 and from node 9 reaches node N - 1 = 11
+    spec = make_grid(3, 2.0, 12)
+    f = GridFunction(spec, rng.standard_normal(spec.shape))
+    index = (2, 6, 9)
+    box = np.stack(np.meshgrid(*[np.arange(-2, 3)] * 3, indexing="ij"), -1).reshape(-1, 3)
+    ball = box[np.sum(box**2, axis=1) <= 4]
+    assert len(ball) == 33
+    want = np.abs(f.values[tuple((np.array(index) + ball).T)]).mean()
+    res = rotation_average_check(f, DescentSplit(3, 3), r=0.7, x_index=index, n_mc=4, seed=1)
+    assert abs(res.lhs - want) <= 1e-14 * want
 
 
 def test_rotation_average_stencil_guard():
