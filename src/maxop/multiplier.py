@@ -108,6 +108,54 @@ def _trig_sum(trig, u: np.ndarray, x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
+def _trig_progression(trig, u0: float, du: float, n: int, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """trig(2 pi u x^T) @ w on the progression u_k = u0 + k du, k < n.
+
+    Splitting k = a B + b with B ~ sqrt(n), the angle addition
+    trig(alpha + beta) = trig(alpha) cos(beta) + trig'(alpha) sin(beta), with
+    trig' = -sin for cos and cos for sin, turns the n |x| cos/sin calls of
+    :func:`_trig_sum` into about 2 (n / B + B) |x|: one anchor table alpha at
+    u0 + a B du and one offset table beta at b du, contracted against the
+    weights by two matrix products.  Tables stay within _CHUNK entries.
+    """
+    B = max(1, min(math.isqrt(n - 1) + 1, _CHUNK // x.size))
+    n_anchor = -(-n // B)
+    beta = (2.0 * np.pi * du) * np.outer(np.arange(B), x)
+    cos_b, sin_b = np.cos(beta), np.sin(beta)
+    out = np.empty(n_anchor * B)
+    rows = max(1, _CHUNK // x.size)
+    for i in range(0, n_anchor, rows):
+        alpha = (2.0 * np.pi) * np.outer(u0 + du * B * np.arange(i, min(i + rows, n_anchor)), x)
+        cos_a, sin_a = np.cos(alpha) * w, np.sin(alpha) * w
+        if trig is np.cos:
+            block = cos_a @ cos_b.T - sin_a @ sin_b.T
+        else:
+            block = sin_a @ cos_b.T + cos_a @ sin_b.T
+        out[i * B : i * B + block.size] = block.reshape(-1)
+    return out[:n]
+
+
+def _magnitudes(s) -> np.ndarray:
+    # a NaN never sorts below an octave edge, so it would keep the buckets open
+    arr = np.abs(np.asarray(s, dtype=float))
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("sphere transform arguments must be finite")
+    return arr
+
+
+def _octaves(sorted_args: np.ndarray):
+    """(lo, hi) slices of finite nonnegative sorted arguments, one per octave
+    (16 * 2^(j-1), 16 * 2^j], the first reaching down to 0."""
+    lo = 0
+    edge = 16.0
+    while lo < sorted_args.size:
+        hi = int(np.searchsorted(sorted_args, edge, side="right"))
+        if hi > lo:
+            yield lo, hi
+            lo = hi
+        edge *= 2.0
+
+
 class _SurfaceTransform:
     """Adaptive evaluator for the sphere transform m and its derivative.
 
@@ -117,10 +165,12 @@ class _SurfaceTransform:
     exact quadrature to 1e-12 stationarity and kept per kind: a batch that
     reaches past the table extends it to 1.5 times the batch's largest
     argument, filling only the new knots and refitting the spline, and the
-    table serves every later batch it covers, whatever its size.  Other small
-    batches are evaluated by the Gegenbauer quadrature directly, to 1e-10
-    stationarity (:meth:`_bucketed`, which the oracles call at their own
-    tolerance).
+    table serves every later batch it covers, whatever its size.  Each octave
+    of new knots is an arithmetic progression, so its quadrature sums run
+    through :func:`_trig_progression` (angle addition from ~sqrt(n) anchors)
+    instead of one cos or sin per knot and node.  Other small batches are
+    evaluated by the Gegenbauer quadrature directly, to 1e-10 stationarity
+    (:meth:`_bucketed`, which the oracles call at their own tolerance).
     """
 
     def __init__(self, d: int):
@@ -131,48 +181,62 @@ class _SurfaceTransform:
         # deriv -> (extent, knot values, spline)
         self._tables: dict[bool, tuple[float, np.ndarray, CubicSpline]] = {}
 
-    def _quad(self, args: np.ndarray, n: int, deriv: bool) -> np.ndarray:
+    def _rule(self, n: int, deriv: bool):
+        """(trig, nodes, weights) with m = trig(2 pi s t) @ weights at rule size n
+        (m' for ``deriv``)."""
         t, w = gegenbauer_rule(self.d, n)
         if deriv:
-            return _trig_sum(np.sin, args, t, t * w) * (-2.0 * np.pi) / self.mass
-        return _trig_sum(np.cos, args, t, w) / self.mass
+            return np.sin, t, t * w * (-2.0 * np.pi / self.mass)
+        return np.cos, t, w / self.mass
 
     def _bucketed(self, s, deriv: bool, tol: float) -> np.ndarray:
-        arr = np.asarray(s, dtype=float)
-        flat = np.abs(arr).reshape(-1)
+        arr = _magnitudes(s)
+        flat = arr.reshape(-1)
         out = np.empty(flat.size)
         order = np.argsort(flat)
         sorted_args = flat[order]
-        lo = 0
-        edge = 16.0
-        while lo < flat.size:
-            hi = int(np.searchsorted(sorted_args, edge, side="right"))
-            if hi > lo:
-                args = sorted_args[lo:hi]
-                vals = refine_until_stationary(
-                    lambda n: self._quad(args, n, deriv), max_arg=float(args[-1]), tol=tol
-                )
-                out[order[lo:hi]] = vals
-                lo = hi
-            edge *= 2.0
+        for lo, hi in _octaves(sorted_args):
+            args = sorted_args[lo:hi]
+
+            def at_rule(n: int) -> np.ndarray:
+                trig, t, w = self._rule(n, deriv)
+                return _trig_sum(trig, args, t, w)
+
+            out[order[lo:hi]] = refine_until_stationary(at_rule, max_arg=float(args[-1]), tol=tol)
         return out.reshape(arr.shape)
 
+    def _fill(self, knots: np.ndarray, deriv: bool) -> np.ndarray:
+        """Values on consecutive knots (spaced _SPLINE_STEP), to 1e-12 stationarity."""
+        out = np.empty(knots.size)
+        for lo, hi in _octaves(knots):
+
+            def at_rule(n: int) -> np.ndarray:
+                trig, t, w = self._rule(n, deriv)
+                return _trig_progression(trig, knots[lo], _SPLINE_STEP, hi - lo, t, w)
+
+            out[lo:hi] = refine_until_stationary(at_rule, max_arg=float(knots[hi - 1]), tol=1e-12)
+        return out
+
     def _eval(self, s, deriv: bool) -> np.ndarray:
-        arr = np.asarray(s, dtype=float)
-        u_max = float(np.max(np.abs(arr))) if arr.size else 0.0
+        arr = _magnitudes(s)
+        u_max = float(np.max(arr)) if arr.size else 0.0
         table = self._tables.get(deriv)
         if table is None or u_max > table[0]:
-            # filling a table costs ~1.5 u_max / step exact evaluations; only
-            # amortize it over batches much larger than that
+            # a fill covers ~1.5 u_max / step knots; angle addition sums an
+            # octave of n of them with ~4 sqrt(n) cos/sin calls per rule node
+            # (a direct batch takes one per point and node) plus two matrix
+            # products of n x rule size.  The threshold (an eighth of the
+            # table's knots) is kept: moving it changes which batches read
+            # the table.
             if arr.size < max(_SPLINE_MIN_BATCH, 1.5 * u_max / _SPLINE_STEP / 8.0):
                 return self._bucketed(arr, deriv, tol=1e-10)
             u_hi = max(16.0, 1.5 * u_max)
             knots = np.arange(0.0, u_hi + 2 * _SPLINE_STEP, _SPLINE_STEP)
             vals = np.empty(0) if table is None else table[1]
-            vals = np.concatenate([vals, self._bucketed(knots[vals.size :], deriv, tol=1e-12)])
+            vals = np.concatenate([vals, self._fill(knots[vals.size :], deriv)])
             table = (u_hi, vals, CubicSpline(knots, vals))
             self._tables[deriv] = table
-        return table[2](np.abs(arr))
+        return table[2](arr)
 
     def value(self, s) -> np.ndarray:
         return self._eval(s, deriv=False)
@@ -397,7 +461,9 @@ class _CosineTransform:
     spline lookups (tested against ``maxop.checks._zonal_inverse``).  The grid
     step keeps the cubic interpolation error (fourth derivative ~ (2 pi b)^4
     times the transform's amplitude) below ``abs_tol``; the radial rule size
-    is verified by doubling.
+    is verified by doubling on a probe of every stride-th grid point.  Grid
+    and probe are arithmetic progressions, so both are summed by
+    :func:`_trig_progression`.
     """
 
     def __init__(self, profile: RadialProfile, d: int, u_max: float, abs_tol: float):
@@ -417,9 +483,12 @@ class _CosineTransform:
         amp = float(np.sum(np.abs(d2)))
         du = (abs_tol / (0.014 * max(amp, 1e-300))) ** 0.25 / (2.0 * math.pi * b)
         grid = np.arange(0.0, u_max + 4 * du, du)
-        probe = grid[:: max(1, grid.size // 64)]
+        # the probe is every stride-th grid point
+        stride = max(1, grid.size // 64)
+        probe = (0.0, stride * du, -(-grid.size // stride))
         for _ in range(5):
-            check = np.abs(_trig_sum(np.cos, probe, s1, d1) - _trig_sum(np.cos, probe, s2, d2)).max()
+            coarse = _trig_progression(np.cos, *probe, s1, d1)
+            check = np.abs(coarse - _trig_progression(np.cos, *probe, s2, d2)).max()
             if check <= abs_tol:
                 break
             n_s *= 2
@@ -428,7 +497,7 @@ class _CosineTransform:
         else:
             raise RuntimeError(f"radial rule did not verify to {abs_tol}")
         self.u_max = float(grid[-1])
-        self.spline = CubicSpline(grid, _trig_sum(np.cos, grid, s2, d2))
+        self.spline = CubicSpline(grid, _trig_progression(np.cos, 0.0, du, grid.size, s2, d2))
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         return self.spline(np.abs(u))
@@ -462,10 +531,12 @@ def funk_hecke_kernel(l: int, d: int, x_norm, tol: float = 1e-9):
     if d < 3:
         raise ValueError("funk_hecke_kernel needs d >= 3 (Gegenbauer weight exponent)")
     x = np.atleast_1d(np.asarray(x_norm, dtype=float))
-    if np.any(x < 0):
-        raise ValueError("x_norm must be nonnegative")
-    phi = bump(l)
+    if not np.all(np.isfinite(x) & (x >= 0)):
+        raise ValueError("x_norm must be finite and nonnegative")
     mass = gegenbauer_weight_mass(d)
+    if x.size == 0:
+        return np.empty(x.shape)
+    phi = bump(l)
     rho_max = float(np.max(x)) + 1.0
     table = _CosineTransform(phi, d, rho_max + 0.1, abs_tol=tol * 0.05)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import j0
 
+from maxop import multiplier
 from maxop.checks import _zonal_inverse
 from maxop.grid import (
     GridFunction,
@@ -20,6 +21,8 @@ from maxop.multiplier import (
     RadialProfile,
     _SurfaceTransform,
     _surface,
+    _trig_progression,
+    _trig_sum,
     apply_multiplier,
     bump,
     decay_constants,
@@ -64,13 +67,13 @@ def test_surface_table_serves_every_batch_it_covers():
 def test_surface_table_fills_each_knot_once():
     # a batch that reaches past the table fills only the knots beyond it
     st, filled = _SurfaceTransform(4), []
-    bucketed = st._bucketed
+    fill = st._fill
 
-    def counting(s, deriv, tol):
-        filled.append(np.size(s))
-        return bucketed(s, deriv, tol)
+    def counting(knots, deriv):
+        filled.append(np.size(knots))
+        return fill(knots, deriv)
 
-    st._bucketed = counting
+    st._fill = counting
     batches = [np.linspace(0.0, u, 36864) for u in (1.0, 16.36, 25.59)]
     grown = [st.value(s) for s in batches]
     assert len(filled) == 3
@@ -81,9 +84,14 @@ def test_surface_table_fills_each_knot_once():
         np.testing.assert_allclose(vals, once.value(s), rtol=0, atol=1e-13)
 
 
-def test_zonal_inverse_does_not_read_the_surface_table():
+def test_zonal_inverse_does_not_read_the_surface_table(monkeypatch):
     # the oracle evaluates m by direct quadrature even on batches large
-    # enough for the production path to build a spline table
+    # enough for the production path to build a spline table, and never
+    # through the angle-addition kernel the table fills use
+    def progression(*args):
+        raise AssertionError("the oracle summed a progression")
+
+    monkeypatch.setattr(multiplier, "_trig_progression", progression)
     _surface.cache_clear()
     prof = bump(1)
     rho = np.linspace(0.1, 2.3, 40)
@@ -91,6 +99,61 @@ def test_zonal_inverse_does_not_read_the_surface_table():
     assert rho.size * adaptive_levels((b - a) * rho.max())[0] >= 4097
     _zonal_inverse(prof, 3, rho)
     assert _surface(3)._tables == {}
+
+
+@pytest.mark.parametrize("trig", [np.cos, np.sin])
+@pytest.mark.parametrize("n", [1, 2, 97, 100, 111])  # 111 = 11 * 10 + 1 with B = 11
+@pytest.mark.parametrize("n_x", [128, 1024])
+def test_trig_progression_matches_the_dense_product(trig, n, n_x):
+    rng = np.random.default_rng(n * n_x)
+    x = rng.uniform(-1.0, 1.0, n_x)
+    w = rng.standard_normal(n_x)
+    u0, du = 17.3, 0.0371
+    dense = _trig_sum(trig, u0 + du * np.arange(n), x, w)
+    got = _trig_progression(trig, u0, du, n, x, w)
+    assert got.shape == (n,)
+    np.testing.assert_allclose(got, dense, rtol=0, atol=1e-13 * np.sum(np.abs(w)))
+
+
+def test_trig_progression_keeps_its_tables_within_the_chunk(monkeypatch):
+    # 1024 entries leave 8 rows of 128 nodes: B drops from 11 to 8 and the
+    # 14 anchors run in two blocks
+    monkeypatch.setattr(multiplier, "_CHUNK", 1024)
+    rng = np.random.default_rng(5)
+    x = rng.uniform(-1.0, 1.0, 128)
+    w = rng.standard_normal(128)
+    for trig in (np.cos, np.sin):
+        dense = _trig_sum(trig, 3.1 + 0.25 * np.arange(111), x, w)
+        got = _trig_progression(trig, 3.1, 0.25, 111, x, w)
+        np.testing.assert_allclose(got, dense, rtol=0, atol=1e-13 * np.sum(np.abs(w)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_surface_multiplier_rejects_non_finite_arguments(bad):
+    st = _SurfaceTransform(3)
+    for batch in (np.array([bad, 1.0]), np.append(np.linspace(0.0, 2.0, 5000), bad)):
+        for evaluate in (st.value, st.deriv):
+            with pytest.raises(ValueError, match="finite"):
+                evaluate(batch)
+    st.value(np.linspace(0.0, 2.0, 5000))  # a table that covers the batch
+    with pytest.raises(ValueError, match="finite"):
+        st.value(np.array([bad, 1.0]))
+
+
+def test_non_integral_sphere_dimensions_are_rejected():
+    for call in (
+        lambda: surface_multiplier(3.5),
+        lambda: dyadic_piece(3.5, 1),
+        lambda: funk_hecke_kernel(1, 3.5, 0.5),
+        lambda: decay_constants(3.5, 2),
+        lambda: gegenbauer_rule(3.5, 16),
+    ):
+        with pytest.raises(ValueError, match="integer"):
+            call()
+    # integral floats are the same dimension
+    np.testing.assert_array_equal(gegenbauer_rule(4.0, 16)[0], gegenbauer_rule(4, 16)[0])
+    assert surface_multiplier(3.0)(0.25) == surface_multiplier(3)(0.25)
+
 
 def test_surface_multiplier_decay_envelope():
     # |m(s)| s^((d-1)/2) stays bounded (the classical oscillatory decay)
@@ -328,6 +391,14 @@ def test_funk_hecke_against_zonal_route():
     assert isinstance(funk_hecke_kernel(1, 3, 0.7), float)
     with pytest.raises(ValueError):
         funk_hecke_kernel(1, 2, 0.5)
+
+
+def test_funk_hecke_validates_x_norm():
+    empty = funk_hecke_kernel(1, 3, [])
+    assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+    for bad in ([np.nan], [np.inf], [0.5, -0.1], -1.0):
+        with pytest.raises(ValueError, match="x_norm"):
+            funk_hecke_kernel(1, 3, bad)
 
 
 def test_funk_hecke_at_origin_is_bump_kernel_on_sphere():
