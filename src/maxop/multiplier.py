@@ -15,7 +15,8 @@ is what the FFT-independent kernel oracle below exploits.
 The multiplier operators and the square function reduce one dilation sweep
 over a real GridFunction or VectorField: one rfftn of the stacked members,
 then per dilation whose multiplier does not vanish on the grid one profile
-evaluation on the half spectrum and one batched irfftn.
+evaluation per lattice shell (the distinct values of |xi|, far fewer than the
+half-spectrum nodes), a gather onto the half spectrum and one batched irfftn.
 """
 
 from __future__ import annotations
@@ -227,7 +228,8 @@ class _SurfaceTransform:
             # (a direct batch takes one per point and node) plus two matrix
             # products of n x rule size.  The threshold (an eighth of the
             # table's knots) is kept: moving it changes which batches read
-            # the table.
+            # the table.  Dilation sweeps pass one point per lattice shell,
+            # so they read the table only where it already covers them.
             if arr.size < max(_SPLINE_MIN_BATCH, 1.5 * u_max / _SPLINE_STEP / 8.0):
                 return self._bucketed(arr, deriv, tol=1e-10)
             u_hi = max(16.0, 1.5 * u_max)
@@ -369,27 +371,36 @@ def tilde_piece(d: int, l: int) -> RadialProfile:
     return RadialProfile(fn=fn, support=support, sup_bound=_swept_bound(fn, support))
 
 
-def _rfft_radii(spec: GridSpec) -> np.ndarray:
-    """|xi| on the rfftn layout of ``spec``: FFT order on every axis, with
-    only the nonnegative half of the last one."""
-    k = np.fft.ifftshift(np.arange(spec.N) - spec.N // 2) * spec.freq_step
+def _rfft_shells(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(radii, index): the distinct |xi| on the rfftn layout of ``spec`` (FFT
+    order on every axis, only the nonnegative half of the last one) in
+    ascending order, and each node's rank among them (int32), so
+    ``radii[index]`` is |xi| node by node.  A table of the integer |k|^2 that
+    occur (at most d (N/2)^2 + 1) ranks them without sorting the nodes."""
+    k = np.fft.ifftshift(np.arange(spec.N, dtype=np.int32) - spec.N // 2)
     axes = [k] * (spec.d - 1) + [k[: spec.N // 2 + 1]]
-    r = sum(g**2 for g in np.meshgrid(*axes, indexing="ij", sparse=True))
-    return np.sqrt(r, out=r)
+    level = sum(g**2 for g in np.meshgrid(*axes, indexing="ij", sparse=True))
+    occurs = np.zeros(spec.d * (spec.N // 2) ** 2 + 1, dtype=bool)
+    occurs[level] = True
+    rank = np.cumsum(occurs, dtype=np.int32) - 1
+    radii = np.sqrt(np.flatnonzero(occurs) * spec.freq_step**2)
+    return radii, rank[level]
 
 
 def _dilation_sweep(vals: np.ndarray, spec: GridSpec, profile: RadialProfile, ts):
     """Yield (i, (fhat profile(ts[i] |.|))^v) of the real members stacked along
     the leading axis of ``vals`` for each dilation whose multiplier does not
     vanish on the grid; the Plancherel transforms' shifts, phases and cell
-    volumes cancel in the round trip, so one rfftn serves every dilation."""
+    volumes cancel in the round trip, so one rfftn serves every dilation.
+    The profile is evaluated once per lattice shell and gathered onto the
+    half spectrum."""
     axes = tuple(range(1, vals.ndim))
     fhat = _fft.rfftn(vals, axes=axes, workers=fft_workers())
-    rad = _rfft_radii(spec)
+    radii, index = _rfft_shells(spec)
     for i, t in enumerate(ts):
-        mult = profile(t * rad)
+        mult = profile(t * radii)
         if np.any(mult):
-            yield i, _fft.irfftn(fhat * mult, s=spec.shape, axes=axes, workers=fft_workers())
+            yield i, _fft.irfftn(fhat * mult[index], s=spec.shape, axes=axes, workers=fft_workers())
 
 
 def apply_multiplier(f: GridFunction | VectorField, profile: RadialProfile, r: float):
@@ -423,7 +434,8 @@ def spherical_maximal(f: GridFunction | VectorField, radii) -> GridFunction | Ve
 
 def kernel(profile: RadialProfile, spec: GridSpec) -> GridFunction:
     """Inverse transform (its real part) of the profile sampled on the
-    frequency grid.
+    frequency grid: one evaluation per lattice shell, gathered onto the
+    half spectrum.
 
     Rejects profiles whose radial support exceeds the per-axis frequency
     extent N/(4L): such samples would alias.  The result equals the
@@ -442,7 +454,8 @@ def kernel(profile: RadialProfile, spec: GridSpec) -> GridFunction:
     # the real part of the full inverse transform.  The unpaired N/2 bins can
     # hold weight only on the axes (the support stays within the extent), and
     # there the phase is imaginary, so they add nothing to that real part.
-    g = profile(_rfft_radii(spec)).astype(np.complex128)
+    radii, index = _rfft_shells(spec)
+    g = profile(radii).astype(np.complex128)[index]
     # the inverse transform's cell-centre phase, in FFT order
     phase = np.fft.ifftshift(np.conj(_forward_phase(N)))
     for p in np.meshgrid(*([phase] * (d - 1) + [phase[: N // 2 + 1]]), indexing="ij", sparse=True):
@@ -525,17 +538,19 @@ def funk_hecke_kernel(l: int, d: int, x_norm, tol: float = 1e-9):
     surface measure; the sphere integral of that zonal function reduces to a
     Gegenbauer-weight average over the chord radii sqrt(|x|^2 + 1 - 2|x| t),
     and the bump kernel itself comes from the 1-D radial transform.  Nothing
-    on this path touches the FFT route it cross-checks.
+    on this path touches the FFT route it cross-checks.  ``x_norm`` of any
+    shape is evaluated element-wise; a scalar gives a float.
     """
     l = _check_dyadic(l)
     if d < 3:
         raise ValueError("funk_hecke_kernel needs d >= 3 (Gegenbauer weight exponent)")
-    x = np.atleast_1d(np.asarray(x_norm, dtype=float))
+    arr = np.asarray(x_norm, dtype=float)
+    x = arr.reshape(-1)
     if not np.all(np.isfinite(x) & (x >= 0)):
         raise ValueError("x_norm must be finite and nonnegative")
     mass = gegenbauer_weight_mass(d)
     if x.size == 0:
-        return np.empty(x.shape)
+        return np.empty(arr.shape)
     phi = bump(l)
     rho_max = float(np.max(x)) + 1.0
     table = _CosineTransform(phi, d, rho_max + 0.1, abs_tol=tol * 0.05)
@@ -547,9 +562,9 @@ def funk_hecke_kernel(l: int, d: int, x_norm, tol: float = 1e-9):
         return (vals @ w) / mass
 
     out = refine_until_stationary(with_rule, max_arg=2.0 ** (l + 2), tol=tol)
-    if np.asarray(x_norm).ndim == 0:
+    if arr.ndim == 0:
         return float(out[0])
-    return out
+    return out.reshape(arr.shape)
 
 
 class DecayRow(NamedTuple):

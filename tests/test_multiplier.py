@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from maxop.maximal import RadiiSet, default_radii, hl_maximal
 from maxop.multiplier import (
     RadialProfile,
     _SurfaceTransform,
+    _rfft_shells,
     _surface,
     _trig_progression,
     _trig_sum,
@@ -312,11 +314,69 @@ def test_kernel_with_weight_at_the_extent_matches_generic_inverse_transform(d, N
     assert np.abs(kernel(prof, spec).values - slow.real).max() <= 1e-12 * np.abs(slow.real).max()
 
 
+def _node_radii_rfft(spec):
+    # |xi| node by node on the rfftn layout: the oracle for the shell radii
+    k = np.fft.ifftshift(np.arange(spec.N) - spec.N // 2) * spec.freq_step
+    axes = [k] * (spec.d - 1) + [k[: spec.N // 2 + 1]]
+    return np.sqrt(sum(g**2 for g in np.meshgrid(*axes, indexing="ij", sparse=True)))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("N", [8, 9, 16, 17])
+@pytest.mark.parametrize("L", [4.0, 3.0])
+def test_rfft_shells_rebuild_the_node_radii(d, N, L):
+    # GridSpec takes even N only; the layout itself is defined for odd N too
+    spec = SimpleNamespace(d=d, N=N, freq_step=1.0 / (2.0 * L))
+    radii, index = _rfft_shells(spec)
+    want = _node_radii_rfft(spec)
+    assert index.dtype == np.int32 and index.shape == (N,) * (d - 1) + (N // 2 + 1,)
+    if L == 4.0:
+        # freq_step = 1/8: every square and sum is exact on both routes
+        assert np.array_equal(radii[index], want)
+    else:
+        # the node route rounds each of its d squares and their sum
+        np.testing.assert_array_max_ulp(radii[index], want, maxulp=2)
+    assert np.all(np.diff(radii) > 0)
+    # every shell holds a node, so a multiplier vanishing on the shells
+    # vanishes on the grid
+    assert np.bincount(index.reshape(-1)).min() > 0
+
+
 def _plancherel_pieces(f, profile, ts):
     # the reference route: forward transform, multiply, inverse transform
     fhat = forward_transform(f).values
     freq = frequency_radii(f.spec)
     return [inverse_transform(_wrap(f.spec, fhat * profile(t * freq), "frequency")).values.real for t in ts]
+
+
+def test_fourier_operators_evaluate_profiles_per_shell(rng):
+    # the per-node Plancherel route is the oracle; a fresh sphere transform
+    # makes the shell batches take direct quadrature while the node batches
+    # build and read the spline table
+    _surface.cache_clear()
+    spec = make_grid(3, 3.0, 64)
+    f = GridFunction(spec, rng.standard_normal(spec.shape))
+    prof = dyadic_piece(3, 1)
+    sizes = []
+
+    def fn(s):
+        sizes.append(np.size(s))
+        return prof.fn(s)
+
+    counted = RadialProfile(fn=fn, support=prof.support, sup_bound=prof.sup_bound)
+
+    def close(got, want):
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    radii = RadiiSet((0.4, 0.9, 1.7, 3.1))
+    close(maximal_multiplier(f, counted, radii).values, np.max(np.abs(_plancherel_pieces(f, prof, radii)), axis=0))
+    tg = default_tgrid(prof, spec, n=16)
+    sq = sum(w * p**2 for w, p in zip(tg.weights, _plancherel_pieces(f, prof, tg.ts)))
+    close(square_function(f, counted, tg).values, np.sqrt(sq))
+    samples = prof(frequency_radii(spec)).astype(np.complex128)
+    close(kernel(counted, spec).values, inverse_transform(_wrap(spec, samples, "frequency")).values.real)
+    # one point per shell at most; a per-node evaluation passes 135,168
+    assert 0 < max(sizes) <= _rfft_shells(spec)[0].size
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -399,6 +459,14 @@ def test_funk_hecke_validates_x_norm():
     for bad in ([np.nan], [np.inf], [0.5, -0.1], -1.0):
         with pytest.raises(ValueError, match="x_norm"):
             funk_hecke_kernel(1, 3, bad)
+
+
+def test_funk_hecke_evaluates_any_shape_element_wise():
+    xs = np.array([[0.5, 1.0], [0.0, 2.0]])
+    grid = funk_hecke_kernel(1, 3, xs, tol=1e-10)
+    assert grid.shape == (2, 2)
+    np.testing.assert_allclose(grid.reshape(-1), funk_hecke_kernel(1, 3, xs.reshape(-1), tol=1e-10), rtol=0, atol=1e-12)
+    assert funk_hecke_kernel(1, 3, np.empty((0, 3))).shape == (0, 3)
 
 
 def test_funk_hecke_at_origin_is_bump_kernel_on_sphere():
