@@ -246,10 +246,10 @@ def _zonal_inverse(
     radial function: area(S^(d-1)) * int profile(s) m(s rho) s^(d-1) ds.
 
     Every m value is a direct Gegenbauer quadrature to ``m_tol`` stationarity
-    (``_SurfaceTransform._bucketed``), never a read of the spline table the
-    production path fills, so this is accurate but expensive; bulk sweeps go
-    through ``maxop.multiplier._CosineTransform`` instead, and the two paths
-    cross-check each other in the test suite.
+    (``_SurfaceTransform._bucketed``), point by point and never through the
+    angle-addition sums of the production sweeps, so this is accurate but
+    expensive; bulk sweeps go through ``maxop.multiplier._CosineTransform``
+    instead, and the two paths cross-check each other in the test suite.
     """
     a, b = profile.support
     if not math.isfinite(b):

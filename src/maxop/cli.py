@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from .grid import fft_workers
-from .multiplier import decay_constants, decay_table_csv
+from .multiplier import _check_decay_range, decay_constants, decay_table_csv
 from .scan import OPERATORS, ScanConfig, emit_csv, emit_plotdata, report_violations, run_scan
 
 __all__ = ["main"]
@@ -137,6 +137,8 @@ def main(argv=None) -> int:
     try:
         fft_workers()  # a malformed MAXOP_THREADS is a usage error, caught before any work
         jobs = _scan_jobs(args)
+        if args.command == "decay":
+            _check_decay_range(args.d, args.l_max)
     except (ValueError, OSError) as exc:  # OSError: an unreadable --config file
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return USAGE_EXIT

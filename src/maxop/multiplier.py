@@ -96,10 +96,6 @@ class RadialProfile:
         return 0.0 < a < b < math.inf
 
 
-_SPLINE_MIN_BATCH = 4097
-_SPLINE_STEP = 5e-4
-
-
 def _trig_sum(trig, u: np.ndarray, x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """trig(2 pi u x^T) @ w, over blocks of u of at most _CHUNK matrix entries."""
     out = np.empty(u.size)
@@ -136,14 +132,6 @@ def _trig_progression(trig, u0: float, du: float, n: int, x: np.ndarray, w: np.n
     return out[:n]
 
 
-def _magnitudes(s) -> np.ndarray:
-    # a NaN never sorts below an octave edge, so it would keep the buckets open
-    arr = np.abs(np.asarray(s, dtype=float))
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("sphere transform arguments must be finite")
-    return arr
-
-
 def _octaves(sorted_args: np.ndarray):
     """(lo, hi) slices of finite nonnegative sorted arguments, one per octave
     (16 * 2^(j-1), 16 * 2^j], the first reaching down to 0."""
@@ -160,18 +148,13 @@ def _octaves(sorted_args: np.ndarray):
 class _SurfaceTransform:
     """Adaptive evaluator for the sphere transform m and its derivative.
 
-    Bulk grid sweeps read a dense cubic-spline tabulation on the knots
-    k * _SPLINE_STEP, whose step keeps the interpolation error near 1e-12,
-    far below any grid-level tolerance.  The knot values are filled by the
-    exact quadrature to 1e-12 stationarity and kept per kind: a batch that
-    reaches past the table extends it to 1.5 times the batch's largest
-    argument, filling only the new knots and refitting the spline, and the
-    table serves every later batch it covers, whatever its size.  Each octave
-    of new knots is an arithmetic progression, so its quadrature sums run
-    through :func:`_trig_progression` (angle addition from ~sqrt(n) anchors)
-    instead of one cos or sin per knot and node.  Other small batches are
-    evaluated by the Gegenbauer quadrature directly, to 1e-10 stationarity
+    Every argument is evaluated by the Gegenbauer quadrature, octave by
+    octave on a doubling ladder of rule sizes, to 1e-10 stationarity
     (:meth:`_bucketed`, which the oracles call at their own tolerance).
+    Callers whose arguments are an evenly spaced sweep pass it as such to
+    :meth:`_progression`, which sums each octave by :func:`_trig_progression`
+    (angle addition from ~sqrt(n) anchors) instead of one cos or sin per
+    point and node.
     """
 
     def __init__(self, d: int):
@@ -179,72 +162,54 @@ class _SurfaceTransform:
             raise PreconditionError(f"surface multiplier needs d >= 2, got {d}")
         self.d = d
         self.mass = gegenbauer_weight_mass(d)
-        # deriv -> (extent, knot values, spline)
-        self._tables: dict[bool, tuple[float, np.ndarray, CubicSpline]] = {}
 
     def _rule(self, n: int, deriv: bool):
         """(trig, nodes, weights) with m = trig(2 pi s t) @ weights at rule size n
         (m' for ``deriv``)."""
         t, w = gegenbauer_rule(self.d, n)
+        # the rules are symmetric and both integrands even in t: sum the
+        # positive nodes only, at twice their weight
+        t, w = t[t > 0], 2.0 * w[t > 0]
         if deriv:
             return np.sin, t, t * w * (-2.0 * np.pi / self.mass)
         return np.cos, t, w / self.mass
 
-    def _bucketed(self, s, deriv: bool, tol: float) -> np.ndarray:
-        arr = _magnitudes(s)
-        flat = arr.reshape(-1)
-        out = np.empty(flat.size)
-        order = np.argsort(flat)
-        sorted_args = flat[order]
-        for lo, hi in _octaves(sorted_args):
-            args = sorted_args[lo:hi]
+    def _sums(self, args: np.ndarray, deriv: bool, tol: float, du: float | None = None) -> np.ndarray:
+        """m (m' for ``deriv``) on sorted nonnegative ``args``, octave by
+        octave; an octave of a progression with step ``du`` is summed by
+        angle addition."""
+        out = np.empty(args.size)
+        for lo, hi in _octaves(args):
 
             def at_rule(n: int) -> np.ndarray:
                 trig, t, w = self._rule(n, deriv)
-                return _trig_sum(trig, args, t, w)
+                if du is None:
+                    return _trig_sum(trig, args[lo:hi], t, w)
+                return _trig_progression(trig, args[lo], du, hi - lo, t, w)
 
-            out[order[lo:hi]] = refine_until_stationary(at_rule, max_arg=float(args[-1]), tol=tol)
-        return out.reshape(arr.shape)
-
-    def _fill(self, knots: np.ndarray, deriv: bool) -> np.ndarray:
-        """Values on consecutive knots (spaced _SPLINE_STEP), to 1e-12 stationarity."""
-        out = np.empty(knots.size)
-        for lo, hi in _octaves(knots):
-
-            def at_rule(n: int) -> np.ndarray:
-                trig, t, w = self._rule(n, deriv)
-                return _trig_progression(trig, knots[lo], _SPLINE_STEP, hi - lo, t, w)
-
-            out[lo:hi] = refine_until_stationary(at_rule, max_arg=float(knots[hi - 1]), tol=1e-12)
+            out[lo:hi] = refine_until_stationary(at_rule, max_arg=float(args[hi - 1]), tol=tol)
         return out
 
-    def _eval(self, s, deriv: bool) -> np.ndarray:
-        arr = _magnitudes(s)
-        u_max = float(np.max(arr)) if arr.size else 0.0
-        table = self._tables.get(deriv)
-        if table is None or u_max > table[0]:
-            # a fill covers ~1.5 u_max / step knots; angle addition sums an
-            # octave of n of them with ~4 sqrt(n) cos/sin calls per rule node
-            # (a direct batch takes one per point and node) plus two matrix
-            # products of n x rule size.  The threshold (an eighth of the
-            # table's knots) is kept: moving it changes which batches read
-            # the table.  Dilation sweeps pass one point per lattice shell,
-            # so they read the table only where it already covers them.
-            if arr.size < max(_SPLINE_MIN_BATCH, 1.5 * u_max / _SPLINE_STEP / 8.0):
-                return self._bucketed(arr, deriv, tol=1e-10)
-            u_hi = max(16.0, 1.5 * u_max)
-            knots = np.arange(0.0, u_hi + 2 * _SPLINE_STEP, _SPLINE_STEP)
-            vals = np.empty(0) if table is None else table[1]
-            vals = np.concatenate([vals, self._fill(knots[vals.size :], deriv)])
-            table = (u_hi, vals, CubicSpline(knots, vals))
-            self._tables[deriv] = table
-        return table[2](arr)
+    def _bucketed(self, s, deriv: bool, tol: float) -> np.ndarray:
+        arr = np.abs(np.asarray(s, dtype=float))
+        # a NaN never sorts below an octave edge, so it would keep the buckets open
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("sphere transform arguments must be finite")
+        order = np.argsort(arr, axis=None)
+        out = np.empty(arr.size)
+        out[order] = self._sums(arr.reshape(-1)[order], deriv, tol)
+        return out.reshape(arr.shape)
+
+    def _progression(self, a: float, b: float, n: int, deriv: bool) -> np.ndarray:
+        """m (m' for ``deriv``) on ``np.linspace(a, b, n)``, 0 <= a <= b, to
+        1e-10 stationarity like :meth:`value`."""
+        return self._sums(np.linspace(a, b, n), deriv, 1e-10, du=(b - a) / max(n - 1, 1))
 
     def value(self, s) -> np.ndarray:
-        return self._eval(s, deriv=False)
+        return self._bucketed(s, deriv=False, tol=1e-10)
 
     def deriv(self, s) -> np.ndarray:
-        return self._eval(s, deriv=True)
+        return self._bucketed(s, deriv=True, tol=1e-10)
 
 
 @lru_cache(maxsize=16)
@@ -324,9 +289,24 @@ def _bump_deriv(l: int) -> Callable[[np.ndarray], np.ndarray]:
     )
 
 
-def _swept_bound(fn, support: tuple[float, float]) -> float:
-    a, b = support
-    return float(np.max(np.abs(fn(np.linspace(a, b, 8192))))) * (1.0 + 1e-4)
+_SWEEP_POINTS = 8192
+
+
+@lru_cache(maxsize=64)
+def _swept_m(d: int, l: int, deriv: bool) -> np.ndarray:
+    """m (m' for ``deriv``) on the evenly spaced sweep of bump l's support;
+    cached, so the pieces' sup_bound and the decay constants read one sweep."""
+    vals = _surface(d)._progression(*_bump_support(l), _SWEEP_POINTS, deriv)
+    vals.setflags(write=False)
+    return vals
+
+
+def _swept_sup(d: int, l: int, tilde: bool) -> float:
+    """max |piece| (|tilde piece| for ``tilde``) over the sweep."""
+    s = np.linspace(*_bump_support(l), _SWEEP_POINTS)
+    cut, m = bump(l).fn(s), _swept_m(d, l, False)
+    vals = s * (_bump_deriv(l)(s) * m + cut * _swept_m(d, l, True)) if tilde else cut * m
+    return float(np.max(np.abs(vals)))
 
 
 def dyadic_piece(d: int, l: int) -> RadialProfile:
@@ -345,8 +325,8 @@ def dyadic_piece(d: int, l: int) -> RadialProfile:
             out[mask] = cut[mask] * st.value(s[mask])
         return out
 
-    support = _bump_support(l)
-    return RadialProfile(fn=fn, support=support, sup_bound=_swept_bound(fn, support))
+    sup = _swept_sup(d, l, tilde=False) * (1.0 + 1e-4)
+    return RadialProfile(fn=fn, support=_bump_support(l), sup_bound=sup)
 
 
 def tilde_piece(d: int, l: int) -> RadialProfile:
@@ -367,8 +347,8 @@ def tilde_piece(d: int, l: int) -> RadialProfile:
             out[mask] = sm * (dcut[mask] * st.value(sm) + cut[mask] * st.deriv(sm))
         return out
 
-    support = _bump_support(l)
-    return RadialProfile(fn=fn, support=support, sup_bound=_swept_bound(fn, support))
+    sup = _swept_sup(d, l, tilde=True) * (1.0 + 1e-4)
+    return RadialProfile(fn=fn, support=_bump_support(l), sup_bound=sup)
 
 
 def _rfft_shells(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -574,28 +554,28 @@ class DecayRow(NamedTuple):
     c3: float  # sup of |kernel| (1+|x|)^(d+1) / 2^l over the window |x| <= 8
 
 
+def _check_decay_range(d, l_max) -> None:
+    for name, value, least in (("d", d, 3), ("l_max", l_max, 2)):
+        if not (float(value).is_integer() and value >= least):
+            raise ValueError(f"decay constants need an integer {name} >= {least}, got {value}")
+
+
 def decay_constants(d: int, l_max: int) -> list[DecayRow]:
     """Normalized decay constants per dyadic index l = 1..l_max.
 
     Boundedness of the three columns across l is the quantitative content of
     the sup-norm and kernel-decay estimates.  Kernel sups are taken over the
     window |x| <= 8, where the decay envelope is fully visible; profile sups
-    are dense sweeps over the supporting annulus.
+    are the dense sweeps over the supporting annulus that also set the
+    pieces' sup_bound.
     """
-    if d < 3:
-        raise ValueError("decay_constants needs d >= 3")
-    if l_max < 2:
-        raise ValueError("l_max must be >= 2")
+    _check_decay_range(d, l_max)
     xs = np.linspace(0.0, 8.0, 161)
     rows = []
-    for l in range(1, l_max + 1):
-        a, bb = _bump_support(l)
-        s = np.linspace(a, bb, 8192)
-        piece = dyadic_piece(d, l)
-        tilde = tilde_piece(d, l)
-        c1 = float(np.max(np.abs(piece(s)))) * 2.0 ** (l * (d - 1) / 2.0)
-        c2 = float(np.max(np.abs(tilde(s)))) * 2.0 ** (l * (d - 3) / 2.0)
-        table = _CosineTransform(piece, d, 8.0, abs_tol=1e-6 * 2.0**l)
+    for l in range(1, int(l_max) + 1):
+        c1 = _swept_sup(d, l, tilde=False) * 2.0 ** (l * (d - 1) / 2.0)
+        c2 = _swept_sup(d, l, tilde=True) * 2.0 ** (l * (d - 3) / 2.0)
+        table = _CosineTransform(dyadic_piece(d, l), d, 8.0, abs_tol=1e-6 * 2.0**l)
         kern = _zonal_from_table(table, d, xs, tol=1e-8)
         c3 = float(np.max(np.abs(kern) * (1.0 + xs) ** (d + 1))) / 2.0**l
         rows.append(DecayRow(l=l, c1=c1, c2=c2, c3=c3))

@@ -22,7 +22,6 @@ from maxop.multiplier import (
     RadialProfile,
     _SurfaceTransform,
     _rfft_shells,
-    _surface,
     _trig_progression,
     _trig_sum,
     apply_multiplier,
@@ -37,7 +36,7 @@ from maxop.multiplier import (
     surface_multiplier,
     tilde_piece,
 )
-from maxop.quadrature import adaptive_levels, gegenbauer_rule, gegenbauer_weight_mass
+from maxop.quadrature import gegenbauer_rule, gegenbauer_weight_mass
 from maxop.squarefn import default_tgrid, square_function
 
 
@@ -56,51 +55,46 @@ def test_surface_multiplier_closed_forms():
         surface_multiplier(1)
 
 
-def test_surface_table_serves_every_batch_it_covers():
-    # values must not depend on how a caller batches: a small batch that an
-    # existing table covers reads that table instead of the quadrature
-    st = _SurfaceTransform(3)
-    s = np.linspace(0.0, 12.0, 20000)
-    for evaluate in (st.value, st.deriv):
-        assert np.array_equal(evaluate(s)[:5], evaluate(s[:5]))
-
-
-
-def test_surface_table_fills_each_knot_once():
-    # a batch that reaches past the table fills only the knots beyond it
-    st, filled = _SurfaceTransform(4), []
-    fill = st._fill
-
-    def counting(knots, deriv):
-        filled.append(np.size(knots))
-        return fill(knots, deriv)
-
-    st._fill = counting
-    batches = [np.linspace(0.0, u, 36864) for u in (1.0, 16.36, 25.59)]
-    grown = [st.value(s) for s in batches]
-    assert len(filled) == 3
-    assert sum(filled) == st._tables[False][-1].x.size
-    once = _SurfaceTransform(4)
-    once.value(batches[-1])
-    for s, vals in zip(batches, grown):
-        np.testing.assert_allclose(vals, once.value(s), rtol=0, atol=1e-13)
-
-
-def test_zonal_inverse_does_not_read_the_surface_table(monkeypatch):
-    # the oracle evaluates m by direct quadrature even on batches large
-    # enough for the production path to build a spline table, and never
-    # through the angle-addition kernel the table fills use
+def test_zonal_inverse_does_not_sum_progressions(monkeypatch):
+    # the oracle evaluates m by direct quadrature point by point, never
+    # through the angle-addition kernel of the production sweeps
     def progression(*args):
         raise AssertionError("the oracle summed a progression")
 
     monkeypatch.setattr(multiplier, "_trig_progression", progression)
-    _surface.cache_clear()
-    prof = bump(1)
-    rho = np.linspace(0.1, 2.3, 40)
-    a, b = prof.support
-    assert rho.size * adaptive_levels((b - a) * rho.max())[0] >= 4097
-    _zonal_inverse(prof, 3, rho)
-    assert _surface(3)._tables == {}
+    _zonal_inverse(bump(1), 3, np.linspace(0.1, 2.3, 40))
+
+
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("deriv", [False, True])
+def test_surface_progression_matches_the_direct_quadrature(d, deriv):
+    # three octaves of an evenly spaced sweep, summed by angle addition
+    st = _SurfaceTransform(d)
+    a, b, n = 0.3, 40.0, 3001
+    got = st._progression(a, b, n, deriv)
+    want = st._bucketed(np.linspace(a, b, n), deriv, tol=1e-10)
+    np.testing.assert_allclose(got, want, rtol=0, atol=2e-10)
+    if d == 3:
+        s = np.linspace(a, b, n)
+        x = 2 * np.pi * s
+        closed = (np.cos(x) / s - np.sin(x) / (2 * np.pi * s**2)) if deriv else np.sin(x) / x
+        np.testing.assert_allclose(got, closed, rtol=0, atol=1e-10)
+
+
+def test_decay_constants_sweep_each_piece_once(monkeypatch):
+    # c1, c2 and the pieces' sup_bound read the same m and m' samples
+    calls = []
+    progression = _SurfaceTransform._progression
+
+    def counting(self, a, b, n, deriv):
+        calls.append((self.d, a, b, n, deriv))
+        return progression(self, a, b, n, deriv)
+
+    monkeypatch.setattr(_SurfaceTransform, "_progression", counting)
+    multiplier._swept_m.cache_clear()
+    decay_constants(3, 3)
+    want = [(3, *multiplier._bump_support(l), 8192, deriv) for l in (1, 2, 3) for deriv in (False, True)]
+    assert sorted(calls) == sorted(want)
 
 
 @pytest.mark.parametrize("trig", [np.cos, np.sin])
@@ -137,9 +131,6 @@ def test_surface_multiplier_rejects_non_finite_arguments(bad):
         for evaluate in (st.value, st.deriv):
             with pytest.raises(ValueError, match="finite"):
                 evaluate(batch)
-    st.value(np.linspace(0.0, 2.0, 5000))  # a table that covers the batch
-    with pytest.raises(ValueError, match="finite"):
-        st.value(np.array([bad, 1.0]))
 
 
 def test_non_integral_sphere_dimensions_are_rejected():
@@ -350,10 +341,8 @@ def _plancherel_pieces(f, profile, ts):
 
 
 def test_fourier_operators_evaluate_profiles_per_shell(rng):
-    # the per-node Plancherel route is the oracle; a fresh sphere transform
-    # makes the shell batches take direct quadrature while the node batches
-    # build and read the spline table
-    _surface.cache_clear()
+    # the per-node Plancherel route is the oracle; both routes evaluate m by
+    # the same direct quadrature, on shell batches and on node batches
     spec = make_grid(3, 3.0, 64)
     f = GridFunction(spec, rng.standard_normal(spec.shape))
     prof = dyadic_piece(3, 1)
@@ -491,6 +480,8 @@ def test_decay_constants_small():
         decay_constants(2, 6)
     with pytest.raises(ValueError):
         decay_constants(3, 1)
+    with pytest.raises(ValueError, match="integer"):
+        decay_constants(3, 2.5)
 
 
 def test_ptw_partial_sums_dominate():

@@ -5,6 +5,11 @@ Labels and error messages must match exactly.  Norms and ratios may move in
 the last bits between machines (BLAS and libm builds differ), so they are
 compared to 1e-12 relative.  The d = 5 rows of the dimension scans take
 about two minutes and are left out.
+
+The decay tables are recomputed for l <= 4 (the rows l = 5, 6 take about
+half a minute more) and compared to 1e-10 relative: their profile sups come
+from quadrature run to 1e-10 stationarity, and regrouping its sums moves
+them by a few 1e-12.
 """
 
 import csv
@@ -16,12 +21,14 @@ from dataclasses import replace
 
 import pytest
 
+from maxop.multiplier import decay_constants
 from maxop.scan import csv_text, run_scan
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 EXACT = ("operator", "d", "p", "q", "family", "n_members", "extra")
 NUMERIC = ("input_norm", "output_norm", "ratio")
 MAX_D = 4
+DECAY_L_MAX = 4
 
 
 def _script_configs(name):
@@ -55,3 +62,15 @@ def test_committed_output_reproduces(cfg, filename):
                 assert math.isnan(a), (key, g)
             else:
                 assert abs(a - b) <= 1e-12 * abs(b), (key, g[key], w[key], g)
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_committed_decay_table_reproduces(d):
+    with open(ROOT / "outputs" / f"decay_d{d}.csv", newline="") as fh:
+        want = list(csv.DictReader(fh))[:DECAY_L_MAX]
+    got = decay_constants(d, DECAY_L_MAX)
+    assert [r.l for r in got] == [int(w["l"]) for w in want]
+    for g, w in zip(got, want):
+        for key in ("c1", "c2", "c3"):
+            a, b = getattr(g, key), float(w[key])
+            assert abs(a - b) <= 1e-10 * abs(b), (d, g.l, key, a, b)

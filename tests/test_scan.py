@@ -237,6 +237,15 @@ def test_cli_rejects_bad_config_up_front(tmp_path, monkeypatch, capsys, flags, e
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [["--d", "2"], ["--l_max", "1"]])
+def test_cli_rejects_bad_decay_range_up_front(tmp_path, capsys, flags):
+    out = tmp_path / "decay.csv"
+    rc = main(["decay", "--out", str(out)] + flags)
+    assert rc == 1
+    assert not out.exists()
+    assert "maxop: error:" in capsys.readouterr().err
+
+
 def test_cli_decay(tmp_path):
     out = tmp_path / "decay.csv"
     rc = main(["decay", "--d", "3", "--l_max", "2", "--out", str(out)])
