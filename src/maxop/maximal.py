@@ -77,9 +77,9 @@ class RadiiSet:
 
 def default_radii(spec: GridSpec, K: int = 32) -> RadiiSet:
     """K log-spaced radii from h to the cube diameter 2L*sqrt(d)."""
-    if K < 2:
-        raise ValueError(f"need at least 2 radii, got K={K}")
-    return RadiiSet(tuple(np.geomspace(spec.h, 2.0 * spec.L * math.sqrt(spec.d), K)))
+    if not (float(K).is_integer() and K >= 2):
+        raise ValueError(f"number of radii K must be an integer >= 2, got {K}")
+    return RadiiSet(tuple(np.geomspace(spec.h, 2.0 * spec.L * math.sqrt(spec.d), int(K))))
 
 
 def _as_radii(radii) -> tuple[float, ...]:
@@ -320,7 +320,7 @@ def weighted_maximal(f: GridFunction | VectorField, k: int, radii) -> GridFuncti
     :func:`hl_maximal` it acts on a GridFunction or on each member of a
     VectorField.
     """
-    if k < 0 or int(k) != k:
+    if not (float(k).is_integer() and k >= 0):
         raise ValueError(f"weight exponent must be a nonnegative integer, got {k}")
     return _ball_max(f, radii, int(k))
 

@@ -17,6 +17,8 @@ over a real GridFunction or VectorField: one rfftn of the stacked members,
 then per dilation whose multiplier does not vanish on the grid one profile
 evaluation per lattice shell (the distinct values of |xi|, far fewer than the
 half-spectrum nodes), a gather onto the half spectrum and one batched irfftn.
+A kernel is one real DCT-III of the profile's shells on the nonnegative
+frequency octant, mirrored onto the negative half of every axis.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .grid import (
     GridSpec,
     PreconditionError,
     VectorField,
-    _forward_phase,
     _stack,
     _unstack,
     _wrap,
@@ -263,7 +264,7 @@ def _bump_support(l: int) -> tuple[float, float]:
 
 
 def _check_dyadic(l: int) -> int:
-    if int(l) != l or l < 0:
+    if not (float(l).is_integer() and l >= 0):
         raise ValueError(f"dyadic index must be a nonnegative integer, got {l}")
     return int(l)
 
@@ -351,14 +352,12 @@ def tilde_piece(d: int, l: int) -> RadialProfile:
     return RadialProfile(fn=fn, support=_bump_support(l), sup_bound=sup)
 
 
-def _rfft_shells(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(radii, index): the distinct |xi| on the rfftn layout of ``spec`` (FFT
-    order on every axis, only the nonnegative half of the last one) in
+def _shells(spec: GridSpec, axes: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """(radii, index): the distinct |xi| on the product of the integer
+    frequencies ``axes`` (one array per axis, each within [-N/2, N/2]) in
     ascending order, and each node's rank among them (int32), so
     ``radii[index]`` is |xi| node by node.  A table of the integer |k|^2 that
     occur (at most d (N/2)^2 + 1) ranks them without sorting the nodes."""
-    k = np.fft.ifftshift(np.arange(spec.N, dtype=np.int32) - spec.N // 2)
-    axes = [k] * (spec.d - 1) + [k[: spec.N // 2 + 1]]
     level = sum(g**2 for g in np.meshgrid(*axes, indexing="ij", sparse=True))
     occurs = np.zeros(spec.d * (spec.N // 2) ** 2 + 1, dtype=bool)
     occurs[level] = True
@@ -376,7 +375,9 @@ def _dilation_sweep(vals: np.ndarray, spec: GridSpec, profile: RadialProfile, ts
     half spectrum."""
     axes = tuple(range(1, vals.ndim))
     fhat = _fft.rfftn(vals, axes=axes, workers=fft_workers())
-    radii, index = _rfft_shells(spec)
+    # the rfftn layout: FFT order on every axis, the nonnegative half of the last
+    k = np.fft.ifftshift(np.arange(spec.N, dtype=np.int32) - spec.N // 2)
+    radii, index = _shells(spec, [k] * (spec.d - 1) + [k[: spec.N // 2 + 1]])
     for i, t in enumerate(ts):
         mult = profile(t * radii)
         if np.any(mult):
@@ -414,8 +415,11 @@ def spherical_maximal(f: GridFunction | VectorField, radii) -> GridFunction | Ve
 
 def kernel(profile: RadialProfile, spec: GridSpec) -> GridFunction:
     """Inverse transform (its real part) of the profile sampled on the
-    frequency grid: one evaluation per lattice shell, gathered onto the
-    half spectrum.
+    frequency grid, from one evaluation per shell of the nonnegative
+    frequency octant.  The samples are even in every axis and the nodes sit
+    at (n + 1/2) h, so per axis that real part, g_0 + 2 sum_{k >= 1} g_k
+    cos(pi k (2n + 1) / N) for n, k < N/2, is scipy's unnormalized DCT-III of
+    length N/2, mirrored onto x < 0.
 
     Rejects profiles whose radial support exceeds the per-axis frequency
     extent N/(4L): such samples would alias.  The result equals the
@@ -430,19 +434,13 @@ def kernel(profile: RadialProfile, spec: GridSpec) -> GridFunction:
             "enlarge N or shrink L"
         )
     N, d = spec.N, spec.d
-    # The samples are real and even, so irfftn of the phased half-spectrum is
-    # the real part of the full inverse transform.  The unpaired N/2 bins can
-    # hold weight only on the axes (the support stays within the extent), and
-    # there the phase is imaginary, so they add nothing to that real part.
-    radii, index = _rfft_shells(spec)
-    g = profile(radii).astype(np.complex128)[index]
-    # the inverse transform's cell-centre phase, in FFT order
-    phase = np.fft.ifftshift(np.conj(_forward_phase(N)))
-    for p in np.meshgrid(*([phase] * (d - 1) + [phase[: N // 2 + 1]]), indexing="ij", sparse=True):
-        g *= p
-    out = _fft.irfftn(g, s=spec.shape, workers=fft_workers())
-    out *= spec.size * spec.freq_step**d
-    return _wrap(spec, out, "physical")
+    # The -N/2 bins can hold weight only on the axes (the support stays within
+    # the extent), and there their term is purely imaginary, so dropping them
+    # leaves the real part exact.
+    radii, index = _shells(spec, [np.arange(N // 2, dtype=np.int32)] * d)
+    out = _fft.dctn(profile(radii)[index], type=3, workers=fft_workers())
+    out *= spec.freq_step**d
+    return _wrap(spec, np.pad(out, [(N // 2, 0)] * d, mode="symmetric"), "physical")
 
 
 class _CosineTransform:

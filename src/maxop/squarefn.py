@@ -82,6 +82,8 @@ def _require_annulus(profile: RadialProfile) -> tuple[float, float]:
 
 def default_tgrid(profile: RadialProfile, spec: GridSpec, n: int = 128) -> TGrid:
     """Dilation grid covering [a/s_max, b/s_min] with du dividing log(b/a)."""
+    if not (float(n).is_integer() and n >= 1):
+        raise ValueError(f"dilation grid size must be an integer >= 1, got {n}")
     a, b = _require_annulus(profile)
     s_min = spec.freq_step
     s_max = spec.freq_extent * math.sqrt(spec.d)

@@ -30,8 +30,10 @@ def test_default_radii_endpoints():
     rs3 = default_radii(spec, 3)
     assert rs3.radii[1] == pytest.approx(1.0)  # geometric midpoint
     assert all(b > a for a, b in zip(rs3.radii, rs3.radii[1:]))
-    with pytest.raises(ValueError):
-        default_radii(spec, 1)
+    for bad in (1, 2.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="integer"):
+            default_radii(spec, bad)
+    assert default_radii(spec, 3.0) == rs3  # integral floats are accepted
 
 
 def test_radii_set_validation():
@@ -215,8 +217,10 @@ def test_weighted_k0_is_hl(rng):
     np.testing.assert_array_equal(
         weighted_maximal(f, 0, radii).values, hl_maximal(f, radii).values
     )
-    with pytest.raises(ValueError):
-        weighted_maximal(f, -1, radii)
+    for bad in (-1, 0.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="integer"):
+            weighted_maximal(f, bad, radii)
+    np.testing.assert_array_equal(weighted_maximal(f, 1.0, radii).values, weighted_maximal(f, 1, radii).values)
 
 
 def test_weighted_constant_interior():

@@ -21,7 +21,7 @@ from maxop.maximal import RadiiSet, default_radii, hl_maximal
 from maxop.multiplier import (
     RadialProfile,
     _SurfaceTransform,
-    _rfft_shells,
+    _shells,
     _trig_progression,
     _trig_sum,
     apply_multiplier,
@@ -146,6 +146,20 @@ def test_non_integral_sphere_dimensions_are_rejected():
     # integral floats are the same dimension
     np.testing.assert_array_equal(gegenbauer_rule(4.0, 16)[0], gegenbauer_rule(4, 16)[0])
     assert surface_multiplier(3.0)(0.25) == surface_multiplier(3)(0.25)
+
+
+@pytest.mark.parametrize("bad", [-1, 1.5, math.inf, math.nan])
+def test_dyadic_indices_are_rejected_unless_nonnegative_integers(bad):
+    for call in (
+        lambda: bump(bad),
+        lambda: dyadic_piece(3, bad),
+        lambda: tilde_piece(3, bad),
+        lambda: funk_hecke_kernel(bad, 3, 0.5),
+    ):
+        with pytest.raises(ValueError, match="integer"):
+            call()
+    # integral floats are the same index
+    assert bump(2.0).support == bump(2).support
 
 
 def test_surface_multiplier_decay_envelope():
@@ -281,9 +295,10 @@ def test_kernel_guards_and_phi0_mass():
         kernel(dyadic_piece(2, 4), spec)  # support 32 exceeds extent 4
 
 
-@pytest.mark.parametrize("N", [32, 40, 48])  # non-dyadic sizes exercise the phases
+# non-dyadic sizes; N = 42 gives an odd DCT length N/2 = 21
+@pytest.mark.parametrize("N", [32, 40, 48, 42])
 def test_kernel_matches_generic_inverse_transform(N):
-    # the half-spectrum fast path agrees with the full inverse transform
+    # the octant DCT-III agrees with the full inverse transform
     spec = make_grid(2, N / 16.0, N)  # extent 4 holds the support of the piece
     prof = dyadic_piece(2, 1)
     fast = kernel(prof, spec)
@@ -305,22 +320,11 @@ def test_kernel_with_weight_at_the_extent_matches_generic_inverse_transform(d, N
     assert np.abs(kernel(prof, spec).values - slow.real).max() <= 1e-12 * np.abs(slow.real).max()
 
 
-def _node_radii_rfft(spec):
-    # |xi| node by node on the rfftn layout: the oracle for the shell radii
-    k = np.fft.ifftshift(np.arange(spec.N) - spec.N // 2) * spec.freq_step
-    axes = [k] * (spec.d - 1) + [k[: spec.N // 2 + 1]]
-    return np.sqrt(sum(g**2 for g in np.meshgrid(*axes, indexing="ij", sparse=True)))
-
-
-@pytest.mark.parametrize("d", [1, 2, 3, 4])
-@pytest.mark.parametrize("N", [8, 9, 16, 17])
-@pytest.mark.parametrize("L", [4.0, 3.0])
-def test_rfft_shells_rebuild_the_node_radii(d, N, L):
-    # GridSpec takes even N only; the layout itself is defined for odd N too
-    spec = SimpleNamespace(d=d, N=N, freq_step=1.0 / (2.0 * L))
-    radii, index = _rfft_shells(spec)
-    want = _node_radii_rfft(spec)
-    assert index.dtype == np.int32 and index.shape == (N,) * (d - 1) + (N // 2 + 1,)
+def _check_shells(spec, axes, L, shape):
+    radii, index = _shells(spec, axes)
+    # |xi| node by node: the oracle for the shell radii
+    want = np.sqrt(sum(g**2 for g in np.meshgrid(*(a * spec.freq_step for a in axes), indexing="ij", sparse=True)))
+    assert index.dtype == np.int32 and index.shape == shape
     if L == 4.0:
         # freq_step = 1/8: every square and sum is exact on both routes
         assert np.array_equal(radii[index], want)
@@ -333,11 +337,33 @@ def test_rfft_shells_rebuild_the_node_radii(d, N, L):
     assert np.bincount(index.reshape(-1)).min() > 0
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("N", [8, 9, 16, 17])
+@pytest.mark.parametrize("L", [4.0, 3.0])
+def test_rfft_shells_rebuild_the_node_radii(d, N, L):
+    # GridSpec takes even N only; the layout itself is defined for odd N too
+    spec = SimpleNamespace(d=d, N=N, freq_step=1.0 / (2.0 * L))
+    # FFT order on every axis, only the nonnegative half of the last one
+    k = np.fft.ifftshift(np.arange(N) - N // 2)
+    _check_shells(spec, [k] * (d - 1) + [k[: N // 2 + 1]], L, (N,) * (d - 1) + (N // 2 + 1,))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("N", [8, 9, 16, 17])
+@pytest.mark.parametrize("L", [4.0, 3.0])
+def test_octant_shells_rebuild_the_node_radii(d, N, L):
+    # kernel()'s layout: the nonnegative frequencies k < N/2 on every axis
+    spec = SimpleNamespace(d=d, N=N, freq_step=1.0 / (2.0 * L))
+    _check_shells(spec, [np.arange(N // 2)] * d, L, (N // 2,) * d)
+
+
 def _plancherel_pieces(f, profile, ts):
-    # the reference route: forward transform, multiply, inverse transform
+    # the reference route: forward transform, multiply, inverse transform; the
+    # profile is evaluated once per distinct float among the node radii
     fhat = forward_transform(f).values
-    freq = frequency_radii(f.spec)
-    return [inverse_transform(_wrap(f.spec, fhat * profile(t * freq), "frequency")).values.real for t in ts]
+    freq, node = np.unique(frequency_radii(f.spec), return_inverse=True)
+    node = node.reshape(fhat.shape)
+    return [inverse_transform(_wrap(f.spec, fhat * profile(t * freq)[node], "frequency")).values.real for t in ts]
 
 
 def test_fourier_operators_evaluate_profiles_per_shell(rng):
@@ -365,7 +391,8 @@ def test_fourier_operators_evaluate_profiles_per_shell(rng):
     samples = prof(frequency_radii(spec)).astype(np.complex128)
     close(kernel(counted, spec).values, inverse_transform(_wrap(spec, samples, "frequency")).values.real)
     # one point per shell at most; a per-node evaluation passes 135,168
-    assert 0 < max(sizes) <= _rfft_shells(spec)[0].size
+    k = np.fft.ifftshift(np.arange(spec.N) - spec.N // 2)
+    assert 0 < max(sizes) <= _shells(spec, [k, k, k[: spec.N // 2 + 1]])[0].size
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

@@ -27,6 +27,17 @@ def test_tgrid_validation_and_log_weight():
         TGrid(ts=np.array([0.5, 1.0]), weights=np.array([0.1, -0.1]))
 
 
+def test_tgrid_size_must_be_a_positive_integer():
+    for bad in (0, -3, 2.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="integer"):
+            default_tgrid(sharp_annulus(0.5, 2.0), SPEC, n=bad)
+    # integral floats are the same size
+    want = default_tgrid(sharp_annulus(0.5, 2.0), SPEC, n=16)
+    got = default_tgrid(sharp_annulus(0.5, 2.0), SPEC, n=16.0)
+    np.testing.assert_array_equal(got.ts, want.ts)
+    np.testing.assert_array_equal(got.weights, want.weights)
+
+
 def test_rejects_non_annulus():
     with pytest.raises(ValueError):
         default_tgrid(surface_multiplier(2), SPEC)
