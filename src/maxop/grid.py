@@ -48,13 +48,19 @@ class PreconditionError(ValueError):
 
 
 def fft_workers() -> int:
-    """Worker cap for FFT calls; MAXOP_THREADS overrides the CPU count."""
+    """Worker cap for FFT calls: MAXOP_THREADS if set, else the number of CPUs
+    this process may run on (a cpuset can hold fewer than the host has)."""
     env = os.environ.get("MAXOP_THREADS")
     if env:
         try:
-            return max(1, int(env))
+            n = int(env)
         except ValueError:
-            raise ValueError(f"MAXOP_THREADS must be an integer, got {env!r}") from None
+            n = 0
+        if n < 1:
+            raise ValueError(f"MAXOP_THREADS must be an integer >= 1, got {env!r}")
+        return n
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 

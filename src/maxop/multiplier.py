@@ -419,7 +419,8 @@ def kernel(profile: RadialProfile, spec: GridSpec) -> GridFunction:
     frequency octant.  The samples are even in every axis and the nodes sit
     at (n + 1/2) h, so per axis that real part, g_0 + 2 sum_{k >= 1} g_k
     cos(pi k (2n + 1) / N) for n, k < N/2, is scipy's unnormalized DCT-III of
-    length N/2, mirrored onto x < 0.
+    length N/2, copied reversed onto x < 0.  The returned array is the only
+    full-size allocation: peak memory is the output plus one octant.
 
     Rejects profiles whose radial support exceeds the per-axis frequency
     extent N/(4L): such samples would alias.  The result equals the
@@ -438,9 +439,16 @@ def kernel(profile: RadialProfile, spec: GridSpec) -> GridFunction:
     # the extent), and there their term is purely imaginary, so dropping them
     # leaves the real part exact.
     radii, index = _shells(spec, [np.arange(N // 2, dtype=np.int32)] * d)
-    out = _fft.dctn(profile(radii)[index], type=3, workers=fft_workers())
-    out *= spec.freq_step**d
-    return _wrap(spec, np.pad(out, [(N // 2, 0)] * d, mode="symmetric"), "physical")
+    octant = profile(radii)[index]
+    del index
+    octant = _fft.dctn(octant, type=3, overwrite_x=True, workers=fft_workers())
+    octant *= spec.freq_step**d
+    # each orthant of the output is the octant reversed on its axes with x < 0
+    out = np.empty(spec.shape)
+    for neg in np.ndindex((2,) * d):
+        dest = tuple(slice(None, N // 2) if n else slice(N // 2, None) for n in neg)
+        out[dest] = np.flip(octant, [a for a in range(d) if neg[a]])
+    return _wrap(spec, out, "physical")
 
 
 class _CosineTransform:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -318,6 +319,31 @@ def test_kernel_with_weight_at_the_extent_matches_generic_inverse_transform(d, N
     slow = inverse_transform(_wrap(spec, samples, "frequency")).values
     assert np.abs(slow.imag).max() > 1e-3  # the -N/2 bins break the symmetry
     assert np.abs(kernel(prof, spec).values - slow.real).max() <= 1e-12 * np.abs(slow.real).max()
+
+
+# N/2 even and odd in every dimension
+@pytest.mark.parametrize("d,N", [(1, 40), (1, 42), (2, 40), (2, 42), (3, 24), (3, 26), (4, 12), (4, 14)])
+def test_kernel_is_exactly_even_in_every_axis(d, N):
+    spec = make_grid(d, N / 16.0, N)
+    ext = spec.freq_extent
+    prof = RadialProfile(fn=lambda s: np.where(s <= ext, np.cos(s), 0.0), support=(0.0, ext))
+    values = kernel(prof, spec).values
+    for ax in range(d):
+        assert np.array_equal(values, np.flip(values, ax))
+
+
+def test_kernel_allocates_one_full_size_array():
+    # the output plus one octant is 1 + 2^-d of the output's bytes; a second
+    # full-size array (a padded or reflected copy) lifts the peak past 1.2
+    prof = dyadic_piece(3, 1)
+    spec = make_grid(3, 4.0, 128)
+    tracemalloc.start()
+    try:
+        values = kernel(prof, spec).values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * values.nbytes
 
 
 def _check_shells(spec, axes, L, shape):

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import os
 import time
 
 import pytest
@@ -208,6 +209,8 @@ def test_cli_scan_and_exit_codes(tmp_path, capsys):
     [
         (["--p_list", "1.0"], None),
         ([], "abc"),
+        ([], "0"),
+        ([], "-2"),
         (["--d_range", "0"], None),
         (["--n_members", "0"], None),
         (["--operator", "SQFN", "--l", "0"], None),
@@ -277,5 +280,12 @@ def test_maxop_threads_env(monkeypatch):
 
     monkeypatch.setenv("MAXOP_THREADS", "3")
     assert fft_workers() == 3
+    for bad in ("abc", "0", "-2"):
+        monkeypatch.setenv("MAXOP_THREADS", bad)
+        with pytest.raises(ValueError, match="MAXOP_THREADS must be an integer >= 1"):
+            fft_workers()
     monkeypatch.delenv("MAXOP_THREADS")
     assert fft_workers() >= 1
+    # the default counts the CPUs this process may run on, not the host's
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert fft_workers() == 1
