@@ -209,8 +209,6 @@ def test_cli_scan_and_exit_codes(tmp_path, capsys):
     [
         (["--p_list", "1.0"], None),
         ([], "abc"),
-        ([], "0"),
-        ([], "-2"),
         (["--d_range", "0"], None),
         (["--n_members", "0"], None),
         (["--operator", "SQFN", "--l", "0"], None),
@@ -226,6 +224,8 @@ def test_cli_scan_and_exit_codes(tmp_path, capsys):
         (["--d_range", "1,1"], None),
         (["--p_list", "2,2"], None),
         (["--q_list", "2,2"], None),
+        ([], "0"),
+        ([], "-2"),
     ],
 )
 def test_cli_rejects_bad_config_up_front(tmp_path, monkeypatch, capsys, flags, env):
