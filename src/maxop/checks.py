@@ -88,7 +88,7 @@ def criterion_identity_suite() -> CheckResult:
     checks: list[tuple[str, bool]] = []
 
     spec2 = make_grid(2, 2.0, 16)
-    one2 = _wrap(spec2, np.ones(spec2.shape), "physical")
+    one2 = _wrap(spec2, np.ones(spec2.shape))
     dev = np.abs(hl_maximal(one2, default_radii(spec2, 8)).values - 1.0).max()
     checks.append((f"hl {dev:.1e}", dev <= 1e-10))
 
@@ -102,7 +102,7 @@ def criterion_identity_suite() -> CheckResult:
     checks.append((f"1d {dev:.1e}", dev <= 1e-10))
 
     spec3 = make_grid(3, 2.0, 16)
-    one3 = _wrap(spec3, np.ones(spec3.shape), "physical")
+    one3 = _wrap(spec3, np.ones(spec3.shape))
     rs3 = RadiiSet(tuple(np.geomspace(spec3.h, 1.0, 6)))
     dev = np.abs(spherical_maximal(one3, rs3).values - 1.0).max()
     checks.append((f"spherical {dev:.1e}", dev <= 1e-3))
@@ -111,7 +111,7 @@ def criterion_identity_suite() -> CheckResult:
     checks.append((f"multiplier {dev:.1e}", dev <= 1e-3))
 
     spec3s = make_grid(3, 2.0, 12)
-    one3s = _wrap(spec3s, np.ones(spec3s.shape), "physical")
+    one3s = _wrap(spec3s, np.ones(spec3s.shape))
     rsd = RadiiSet((0.2, 0.35, 0.5))
     desc = descent_maximal(one3s, haar_rotation(3, 1), DescentSplit(3, 3), rsd, n_radial=6, n_sphere=12)
     axs = spec3s.axis_nodes()
@@ -120,7 +120,7 @@ def criterion_identity_suite() -> CheckResult:
     checks.append((f"descent {dev:.1e}", dev <= 1e-10))
 
     grid = make_grid(2, 2.0, 8)  # one x-axis and the u-axis
-    oneg = _wrap(grid, np.ones(grid.shape), "physical")
+    oneg = _wrap(grid, np.ones(grid.shape))
     rk = RadiiSet((0.9 * min_node_gap(grid), 0.8, 1.5))
     dev = np.abs(grushin_maximal(oneg, rk).values - 1.0).max()
     checks.append((f"grushin {dev:.1e}", dev <= 1e-10))
@@ -278,21 +278,21 @@ def criterion_brute_force() -> CheckResult:
 
     for d in (1, 2):
         spec = make_grid(d, 1.0, 8)
-        f = _wrap(spec, rng.standard_normal(spec.shape), "physical")
+        f = _wrap(spec, rng.standard_normal(spec.shape))
         radii = RadiiSet((spec.h, 0.4, 0.9, 1.7))
         got = hl_maximal(f, radii).values
         want = _oracle_hl(f.values, spec.h, radii)
         checks.append((f"hl d={d} bit-exact", np.array_equal(got, want)))
 
     grid = make_grid(2, 1.0, 8)  # one x-axis and the u-axis
-    fg = _wrap(grid, rng.standard_normal(grid.shape), "physical")
+    fg = _wrap(grid, rng.standard_normal(grid.shape))
     rk = RadiiSet((0.9 * min_node_gap(grid), 0.35, 0.8, 1.4))
     got = grushin_maximal(fg, rk).values
     want = _oracle_grushin(fg, rk)
     checks.append(("grushin bit-exact", np.array_equal(got, want)))
 
     spec = make_grid(2, 1.5, 12)
-    F = VectorField(tuple(_wrap(spec, rng.standard_normal(spec.shape), "physical") for _ in range(3)))
+    F = VectorField(tuple(_wrap(spec, rng.standard_normal(spec.shape)) for _ in range(3)))
     for p, q in ((2.0, 2.0), (3.0, 1.5), (1.5, 4.0)):
         got = mixed_norm(F, p, q)
         acc = sum(np.abs(m.values) ** q for m in F) ** (1.0 / q)
@@ -405,7 +405,7 @@ def criterion_square_function() -> CheckResult:
     rng = np.random.default_rng(7)
     vals = rng.standard_normal(spec.shape)
     vals -= vals.mean()  # zero frequency never meets the annulus
-    f = _wrap(spec, vals, "physical")
+    f = _wrap(spec, vals)
     height = 1.3
     sharp = sharp_annulus(0.5, 2.0, height)
     g = square_function(f, sharp, default_tgrid(sharp, spec, n=128))
@@ -417,7 +417,7 @@ def criterion_square_function() -> CheckResult:
     ok = 0
     for trial in range(10):
         F = VectorField(
-            tuple(_wrap(spec, rng.standard_normal(spec.shape), "physical") for _ in range(3))
+            tuple(_wrap(spec, rng.standard_normal(spec.shape)) for _ in range(3))
         )
         l1, r1 = prop2_check(F, sharp)
         l2, r2 = prop2_check(F, dyadic_piece(2, 1))

@@ -1,4 +1,10 @@
-"""Uniform tensor grids on [-L, L]^d and a Plancherel-faithful Fourier transform.
+"""Uniform tensor grids on [-L, L]^d, real samples on them, and a
+Plancherel-faithful Fourier transform of those samples.
+
+A GridFunction holds real, finite samples at the nodes of a GridSpec, and
+every operator reads and returns such samples.  The transform pair maps
+arrays: a GridFunction to its complex spectrum, and a spectrum back to
+complex node samples.
 
 The grid is cell-centered: nodes sit at ``-L + (i + 1/2) h`` per axis with
 ``h = 2L/N``, so no node ever lands on a singular radius such as ``|x| = 0``.
@@ -64,6 +70,18 @@ def fft_workers() -> int:
     return os.cpu_count() or 1
 
 
+def _integer(value, name: str, least: int) -> int:
+    """``value`` as an int, if it is an integer >= ``least``; integral floats
+    such as 16.0 are accepted.  Anything else raises ValueError."""
+    try:
+        ok = float(value).is_integer() and value >= least
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Cell-centered uniform grid on the cube [-L, L]^d with N nodes per axis."""
@@ -73,15 +91,13 @@ class GridSpec:
     N: int
 
     def __post_init__(self):
-        # integral floats such as 16.0 are accepted and stored as int
-        if not (float(self.d).is_integer() and self.d >= 1):
-            raise ValueError(f"dimension must be an integer >= 1, got {self.d}")
+        d, N = _integer(self.d, "dimension d", 1), _integer(self.N, "N", 4)
         if not (0.0 < float(self.L) < math.inf):
             raise ValueError(f"half-width L must be finite and positive, got {self.L}")
-        if not (float(self.N).is_integer() and self.N >= 4 and self.N % 2 == 0):
+        if N % 2:
             raise ValueError(f"N must be an even integer >= 4, got {self.N}")
-        for name, cast in (("d", int), ("L", float), ("N", int)):
-            object.__setattr__(self, name, cast(getattr(self, name)))
+        for name, value in (("d", d), ("L", float(self.L)), ("N", N)):
+            object.__setattr__(self, name, value)
 
     @property
     def h(self) -> float:
@@ -147,39 +163,32 @@ def frequency_radii(spec: GridSpec) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Samples of a function on a GridSpec, in the physical or frequency domain.
+    """Real, finite samples of a function at the nodes of a GridSpec.
 
-    Values are stored read-only; every operator returns a fresh GridFunction,
-    so instances are safe to share across threads.
+    The constructor rejects complex, wrongly shaped and non-finite values and
+    stores a read-only float copy; every operator returns a fresh
+    GridFunction, so instances are safe to share across threads.
     """
 
     spec: GridSpec
     values: np.ndarray
-    domain: str = "physical"
 
     def __post_init__(self):
-        if self.domain not in ("physical", "frequency"):
-            raise ValueError(f"domain must be 'physical' or 'frequency', got {self.domain!r}")
-        vals = np.array(self.values)
+        if np.iscomplexobj(self.values):
+            raise ValueError("grid functions hold real samples, got complex values")
+        vals = np.array(self.values, dtype=float)
         if vals.shape != self.spec.shape:
             raise ValueError(f"values shape {vals.shape} != grid shape {self.spec.shape}")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("grid function values must be finite")
         object.__setattr__(self, "values", _readonly(vals))
 
-    @property
-    def is_real(self) -> bool:
-        return not np.iscomplexobj(self.values)
 
-    def require(self, domain: str) -> None:
-        if self.domain != domain:
-            raise ValueError(f"expected a {domain}-domain GridFunction, got {self.domain}")
-
-
-def _wrap(spec: GridSpec, values: np.ndarray, domain: str) -> GridFunction:
-    # internal constructor that skips the defensive copy
+def _wrap(spec: GridSpec, values: np.ndarray) -> GridFunction:
+    # internal constructor that skips the defensive copy and the checks
     gf = object.__new__(GridFunction)
     object.__setattr__(gf, "spec", spec)
     object.__setattr__(gf, "values", _readonly(values))
-    object.__setattr__(gf, "domain", domain)
     return gf
 
 
@@ -211,36 +220,27 @@ class VectorField:
 
 
 def _stack(f: GridFunction | VectorField) -> np.ndarray:
-    """Values of a real physical-domain GridFunction, or of every member of a
-    VectorField, stacked along a new leading axis."""
+    """Values of a GridFunction, or of every member of a VectorField, stacked
+    along a new leading axis."""
     members = f.members if isinstance(f, VectorField) else (f,)
-    for m in members:
-        m.require("physical")
-        if not m.is_real:
-            raise ValueError("maximal and multiplier operators act on real-valued grid functions")
     return np.stack([m.values for m in members])
 
 
 def _unstack(f: GridFunction | VectorField, out: np.ndarray) -> GridFunction | VectorField:
     """``out``, one result per member along its leading axis, as ``f``'s kind."""
     if isinstance(f, VectorField):
-        return VectorField(tuple(_wrap(f.spec, o, "physical") for o in out))
-    return _wrap(f.spec, out[0], "physical")
+        return VectorField(tuple(_wrap(f.spec, o) for o in out))
+    return _wrap(f.spec, out[0])
 
 
 def sample(spec: GridSpec, field: Callable[[np.ndarray], np.ndarray]) -> GridFunction:
     """Sample ``field`` at the cell-centered nodes.
 
     ``field`` receives an array of shape (..., d) (last axis = coordinates)
-    and must return values of shape (...).  Non-finite samples are rejected.
+    and must return values broadcastable to spec.shape; the GridFunction
+    constructor rejects complex and non-finite samples.
     """
-    vals = np.asarray(field(node_coordinates(spec)), dtype=None)
-    vals = np.broadcast_to(vals, spec.shape).astype(
-        np.complex128 if np.iscomplexobj(vals) else np.float64
-    )
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("field produced non-finite values on the grid")
-    return _wrap(spec, vals, "physical")
+    return GridFunction(spec, np.broadcast_to(field(node_coordinates(spec)), spec.shape))
 
 
 @lru_cache(maxsize=32)
@@ -257,26 +257,25 @@ def _apply_axis_phases(a: np.ndarray, phase: np.ndarray, d: int) -> np.ndarray:
     return a
 
 
-def forward_transform(f: GridFunction) -> GridFunction:
-    """Discrete version of fhat(xi) = int f(x) exp(-2 pi i <x, xi>) dx.
-
-    Output values live on the ascending frequency lattice of ``f.spec``.
-    """
-    f.require("physical")
+def forward_transform(f: GridFunction) -> np.ndarray:
+    """Discrete version of fhat(xi) = int f(x) exp(-2 pi i <x, xi>) dx: the
+    complex spectrum on the ascending frequency lattice of ``f.spec``."""
     spec = f.spec
     g = _fft.fftn(f.values, workers=fft_workers())
     g = np.fft.fftshift(g)
     g = _apply_axis_phases(g, _forward_phase(spec.N), spec.d)
     g *= spec.cell_volume
-    return _wrap(spec, g, "frequency")
+    return g
 
 
-def inverse_transform(fhat: GridFunction) -> GridFunction:
-    """Two-sided inverse of :func:`forward_transform` (exact up to rounding)."""
-    fhat.require("frequency")
-    spec = fhat.spec
-    g = _apply_axis_phases(fhat.values.astype(np.complex128), np.conj(_forward_phase(spec.N)), spec.d)
+def inverse_transform(spec: GridSpec, fhat: np.ndarray) -> np.ndarray:
+    """Two-sided inverse of :func:`forward_transform` (exact up to rounding):
+    the complex node samples of a spectrum on the frequency lattice of ``spec``."""
+    if np.shape(fhat) != spec.shape:
+        raise ValueError(f"spectrum shape {np.shape(fhat)} != grid shape {spec.shape}")
+    g = np.asarray(fhat, dtype=np.complex128)
+    g = _apply_axis_phases(g, np.conj(_forward_phase(spec.N)), spec.d)
     g = np.fft.ifftshift(g)
     out = _fft.ifftn(g, workers=fft_workers())
     out *= spec.size * spec.freq_step**spec.d
-    return _wrap(spec, out, "physical")
+    return out

@@ -141,8 +141,8 @@ def _in_box(spec: GridSpec, idx: np.ndarray) -> np.ndarray:
 def koranyi_ball_volume(g: GrushinPoint, r: float, spec: GridSpec) -> float:
     """Cell count times cell volume of the closed ball; the ball must sit
     inside the box (any member node outside raises)."""
-    if not (r > 0):
-        raise ValueError(f"radius must be positive, got {r}")
+    if not (0 < r < math.inf):
+        raise ValueError(f"radius must be positive and finite, got {r}")
     if g.d != _x_dim(spec):
         raise ValueError("point dimension does not match the grid")
     x = np.asarray(g.x)

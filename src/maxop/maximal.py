@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft as _fft
 
-from .grid import GridFunction, GridSpec, VectorField, _stack, _unstack, fft_workers
+from .grid import GridFunction, GridSpec, VectorField, _integer, _stack, _unstack, fft_workers
 
 __all__ = ["RadiiSet", "default_radii", "hl_maximal", "weighted_maximal", "maximal_1d"]
 
@@ -77,9 +77,8 @@ class RadiiSet:
 
 def default_radii(spec: GridSpec, K: int = 32) -> RadiiSet:
     """K log-spaced radii from h to the cube diameter 2L*sqrt(d)."""
-    if not (float(K).is_integer() and K >= 2):
-        raise ValueError(f"number of radii K must be an integer >= 2, got {K}")
-    return RadiiSet(tuple(np.geomspace(spec.h, 2.0 * spec.L * math.sqrt(spec.d), int(K))))
+    K = _integer(K, "number of radii K", 2)
+    return RadiiSet(tuple(np.geomspace(spec.h, 2.0 * spec.L * math.sqrt(spec.d), K)))
 
 
 def _as_radii(radii) -> tuple[float, ...]:
@@ -320,9 +319,7 @@ def weighted_maximal(f: GridFunction | VectorField, k: int, radii) -> GridFuncti
     :func:`hl_maximal` it acts on a GridFunction or on each member of a
     VectorField.
     """
-    if not (float(k).is_integer() and k >= 0):
-        raise ValueError(f"weight exponent must be a nonnegative integer, got {k}")
-    return _ball_max(f, radii, int(k))
+    return _ball_max(f, radii, _integer(k, "weight exponent k", 0))
 
 
 def _interval_max_values(vals: np.ndarray, h: float, radii: tuple[float, ...], axis: int) -> np.ndarray:

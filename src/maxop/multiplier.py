@@ -37,6 +37,7 @@ from .grid import (
     GridSpec,
     PreconditionError,
     VectorField,
+    _integer,
     _stack,
     _unstack,
     _wrap,
@@ -263,16 +264,10 @@ def _bump_support(l: int) -> tuple[float, float]:
     return (2.0 ** (l - 1), 2.0 ** (l + 1))
 
 
-def _check_dyadic(l: int) -> int:
-    if not (float(l).is_integer() and l >= 0):
-        raise ValueError(f"dyadic index must be a nonnegative integer, got {l}")
-    return int(l)
-
-
 def bump(l: int) -> RadialProfile:
     """Dyadic partition-of-unity bump: the unit plateau for l = 0, the
     difference of two dilates for l >= 1 (supported in [2^(l-1), 2^(l+1)])."""
-    l = _check_dyadic(l)
+    l = _integer(l, "dyadic index l", 0)
     if l == 0:
         fn = _plateau
     else:
@@ -312,7 +307,7 @@ def _swept_sup(d: int, l: int, tilde: bool) -> float:
 
 def dyadic_piece(d: int, l: int) -> RadialProfile:
     """The multiplier piece bump_l * m; vanishes at 0 for l >= 1."""
-    l = _check_dyadic(l)
+    l = _integer(l, "dyadic index l", 0)
     st = _surface(d)
     phi = bump(l)
 
@@ -334,7 +329,7 @@ def tilde_piece(d: int, l: int) -> RadialProfile:
     """Radial form s * d/ds of the dyadic piece (the profile of the radial
     derivative field <x, grad> applied to it), via analytic derivatives of
     both factors."""
-    l = _check_dyadic(l)
+    l = _integer(l, "dyadic index l", 0)
     st = _surface(d)
     phi, dphi = bump(l), _bump_deriv(l)
 
@@ -387,8 +382,8 @@ def _dilation_sweep(vals: np.ndarray, spec: GridSpec, profile: RadialProfile, ts
 def apply_multiplier(f: GridFunction | VectorField, profile: RadialProfile, r: float):
     """(fhat(.) profile(r |.|)) back-transformed, of a real GridFunction or
     of each member of a VectorField; returns the same kind."""
-    if not (r > 0):
-        raise ValueError(f"dilation must be positive, got {r}")
+    if not (0 < r < math.inf):
+        raise ValueError(f"dilation must be positive and finite, got {r}")
     vals = _stack(f)
     # a multiplier that vanishes on the grid yields no piece
     _, out = next(_dilation_sweep(vals, f.spec, profile, (r,)), (0, np.zeros_like(vals)))
@@ -448,7 +443,7 @@ def kernel(profile: RadialProfile, spec: GridSpec) -> GridFunction:
     for neg in np.ndindex((2,) * d):
         dest = tuple(slice(None, N // 2) if n else slice(N // 2, None) for n in neg)
         out[dest] = np.flip(octant, [a for a in range(d) if neg[a]])
-    return _wrap(spec, out, "physical")
+    return _wrap(spec, out)
 
 
 class _CosineTransform:
@@ -527,7 +522,7 @@ def funk_hecke_kernel(l: int, d: int, x_norm, tol: float = 1e-9):
     on this path touches the FFT route it cross-checks.  ``x_norm`` of any
     shape is evaluated element-wise; a scalar gives a float.
     """
-    l = _check_dyadic(l)
+    l = _integer(l, "dyadic index l", 0)
     if d < 3:
         raise ValueError("funk_hecke_kernel needs d >= 3 (Gegenbauer weight exponent)")
     arr = np.asarray(x_norm, dtype=float)
@@ -561,9 +556,8 @@ class DecayRow(NamedTuple):
 
 
 def _check_decay_range(d, l_max) -> None:
-    for name, value, least in (("d", d, 3), ("l_max", l_max, 2)):
-        if not (float(value).is_integer() and value >= least):
-            raise ValueError(f"decay constants need an integer {name} >= {least}, got {value}")
+    _integer(d, "decay dimension d", 3)
+    _integer(l_max, "l_max", 2)
 
 
 def decay_constants(d: int, l_max: int) -> list[DecayRow]:
@@ -603,7 +597,6 @@ def radial_majorant(kern: GridFunction) -> tuple[RadialProfile, float]:
     the exact shell volumes between consecutive node radii, hence an upper
     bound for its integral over the sampled range.
     """
-    kern.require("physical")
     d = kern.spec.d
     radii = node_radii(kern.spec).reshape(-1)
     vals = np.abs(kern.values).reshape(-1)

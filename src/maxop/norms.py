@@ -66,15 +66,12 @@ def _lq(arrays, qv: float) -> np.ndarray:
 
 def lp_norm(f: GridFunction, p) -> float:
     """(sum |f|^p h^d)^(1/p); max |f| for p = inf."""
-    f.require("physical")
     return _lp(f.values, _pvalue(p), f.spec.cell_volume)
 
 
 def lq_pointwise(F: VectorField, q) -> GridFunction:
     """Node-wise (sum_n |f_n|^q)^(1/q); q must be finite."""
-    for m in F:
-        m.require("physical")
-    return _wrap(F.spec, _lq([m.values for m in F], _pvalue(q)), "physical")
+    return _wrap(F.spec, _lq([m.values for m in F], _pvalue(q)))
 
 
 def mixed_norm(F: VectorField, p, q) -> float:
@@ -90,10 +87,8 @@ def mixed_norm_values(arrays, p, q, cell_volume: float) -> float:
 
 def level_measure(g: GridFunction, lam: float) -> float:
     """h^d times the number of nodes where g exceeds lam (superlevel-set measure)."""
-    g.require("physical")
     if not (lam > 0):
         raise ValueError(f"level threshold must be positive, got {lam}")
-    vals = g.values
-    if np.iscomplexobj(vals) or np.any(vals < 0):
-        raise ValueError("level_measure expects a real nonnegative GridFunction")
-    return float(np.count_nonzero(vals > lam)) * g.spec.cell_volume
+    if np.any(g.values < 0):
+        raise ValueError("level_measure expects a nonnegative GridFunction")
+    return float(np.count_nonzero(g.values > lam)) * g.spec.cell_volume

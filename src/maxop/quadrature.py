@@ -16,22 +16,17 @@ from typing import Callable
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
+from .grid import _integer
+
 __all__ = ["gegenbauer_rule", "gegenbauer_weight_mass", "radial_power_rule", "adaptive_levels"]
 
 _MAX_RULE_SIZE = 1 << 17
 
 
-def _sphere_dim(d) -> int:
-    # integral floats such as 3.0 are accepted and returned as int, as in GridSpec
-    if not (float(d).is_integer() and d >= 2):
-        raise ValueError(f"sphere dimension must be an integer >= 2, got {d}")
-    return int(d)
-
-
 @lru_cache(maxsize=256)
 def gegenbauer_rule(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes/weights for integrals against (1-t^2)^((d-3)/2) dt on [-1, 1]."""
-    d = _sphere_dim(d)
+    d = _integer(d, "sphere dimension d", 2)
     if d == 2:
         i = np.arange(1, n + 1)
         t = np.cos((2 * i - 1) * np.pi / (2 * n))
@@ -48,7 +43,7 @@ def gegenbauer_rule(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def gegenbauer_weight_mass(d: int) -> float:
     """int_{-1}^{1} (1-t^2)^((d-3)/2) dt = sqrt(pi) Gamma((d-1)/2) / Gamma(d/2)."""
-    d = _sphere_dim(d)
+    d = _integer(d, "sphere dimension d", 2)
     return math.sqrt(math.pi) * math.gamma((d - 1) / 2.0) / math.gamma(d / 2.0)
 
 

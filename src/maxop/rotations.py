@@ -27,14 +27,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy import ndimage
 
-from .grid import GridFunction, GridSpec, PreconditionError, VectorField, _stack, _unstack, _wrap
+from .grid import GridFunction, GridSpec, PreconditionError, VectorField, _integer, _stack, _unstack, _wrap
 from .maximal import _as_radii, _ball_max_values, _chunk, _inverse, _member_spectra
 from .maximal import _padded_shape, _strict_bound
 from .quadrature import radial_power_rule
@@ -79,6 +78,8 @@ class DescentSplit:
     d_prime: int
 
     def __post_init__(self):
+        object.__setattr__(self, "d", _integer(self.d, "d", 1))
+        object.__setattr__(self, "d_prime", _integer(self.d_prime, "d_prime", 1))
         if not (3 <= self.d_prime <= self.d):
             raise PreconditionError(f"need 3 <= d' <= d, got d'={self.d_prime}, d={self.d}")
 
@@ -90,8 +91,7 @@ class DescentSplit:
 def haar_rotation(d: int, seed: int) -> RotationMatrix:
     """Haar-distributed element of O(d): QR of a Gaussian matrix with the
     sign of diag(R) fixed, deterministic per seed."""
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+    d = _integer(d, "d", 1)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     return RotationMatrix(d=d, matrix=_haar_matrix(rng, d))
 
@@ -126,9 +126,7 @@ def descent_maximal(
 ) -> GridFunction | VectorField:
     """Weighted averages of |f| over rotated d'-balls, maximized over radii,
     of a GridFunction or of each member of a VectorField."""
-    for name, n in (("n_radial", n_radial), ("n_sphere", n_sphere)):
-        if not (isinstance(n, numbers.Integral) and n >= 1):
-            raise ValueError(f"{name} must be an integer >= 1, got {n!r}")
+    n_radial, n_sphere = _integer(n_radial, "n_radial", 1), _integer(n_sphere, "n_sphere", 1)
     absf = np.abs(_stack(f))
     spec = f.spec
     if split.d != spec.d or rotation.d != spec.d:
@@ -237,10 +235,8 @@ class MCComparison(NamedTuple):
 def _batch_stderr(samples: np.ndarray) -> np.ndarray:
     """Batch-means standard error of the mean over the leading axis of
     ``samples``, from at most 16 consecutive batches."""
-    chunks = np.array_split(samples, max(1, min(16, samples.shape[0])))
+    chunks = np.array_split(samples, min(16, samples.shape[0]))
     means = np.stack([c.mean(axis=0) for c in chunks])
-    if len(means) < 2:
-        return np.full(samples.shape[1:], np.inf)
     return means.std(axis=0, ddof=1) / math.sqrt(len(means))
 
 
@@ -256,7 +252,7 @@ def rotation_average_check(
 ) -> MCComparison:
     """Ball average at one node vs the Haar-rotation average of weighted
     d'-plane averages; they agree up to MC error and O(h) interpolation."""
-    f.require("physical")
+    n_mc = _integer(n_mc, "n_mc", 2)
     spec = f.spec
     if split.d != spec.d:
         raise ValueError("split dimension does not match the grid")
@@ -283,6 +279,7 @@ def sphere_identity_check(
     """MC average of f1 over S^(d-1) vs the double average over Haar
     rotations of points lifted from S^(d'-1); the pushforward identity makes
     the two targets equal."""
+    n_mc = _integer(n_mc, "n_mc", 2)
     root = np.random.SeedSequence(seed)
     lhs_rng = np.random.default_rng(root.spawn(1)[0])
     pts = _sphere_points(lhs_rng, n_mc, split.d)
@@ -318,7 +315,7 @@ def lemma2_domination(
     """MC average over Haar rotations of the descent operator, with a
     per-node batch-means standard error.  The ball maximal function is
     dominated by the average up to MC error and interpolation slack."""
-    f.require("physical")
+    n_mc = _integer(n_mc, "n_mc", 2)
     d = f.spec.d
     runs = np.stack([
         descent_maximal(
@@ -328,8 +325,8 @@ def lemma2_domination(
         for child in np.random.SeedSequence(seed).spawn(n_mc)
     ])
     return LemmaTwoDomination(
-        average=_wrap(f.spec, runs.mean(axis=0), "physical"),
-        stderr=_wrap(f.spec, _batch_stderr(runs), "physical"),
+        average=_wrap(f.spec, runs.mean(axis=0)),
+        stderr=_wrap(f.spec, _batch_stderr(runs)),
     )
 
 

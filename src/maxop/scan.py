@@ -24,7 +24,7 @@ from typing import Callable, Hashable
 import numpy as np
 
 from .families import FAMILIES, family_values
-from .grid import GridFunction, GridSpec, PreconditionError, VectorField, _wrap, node_coordinates
+from .grid import GridFunction, GridSpec, PreconditionError, VectorField, _integer, _wrap, node_coordinates
 from .grushin import cc_domination_note, grushin_maximal, iterated_maximal, min_node_gap
 from .maximal import RadiiSet, default_radii, hl_maximal, weighted_maximal
 from .multiplier import dyadic_piece, maximal_multiplier, spherical_maximal
@@ -64,10 +64,6 @@ def _grushin_default_grid(d: int) -> tuple[float, int]:
     return (3.0, 8)
 
 
-def _is_int(v) -> bool:
-    return float(v).is_integer()
-
-
 @dataclass(frozen=True)
 class ScanConfig:
     """Flat scan configuration; JSON files use exactly these field names."""
@@ -91,9 +87,8 @@ class ScanConfig:
             raise ValueError(f"unknown operator {self.operator!r}; choose from {tuple(OPERATORS)}")
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; choose from {FAMILIES}")
-        if not all(_is_int(d) and d >= 1 for d in self.d_range):
-            raise ValueError(f"dimensions must be integers >= 1, got {self.d_range}")
-        object.__setattr__(self, "d_range", tuple(int(v) for v in self.d_range))
+        d_range = tuple(_integer(d, "each dimension in d_range", 1) for d in self.d_range)
+        object.__setattr__(self, "d_range", d_range)
         object.__setattr__(self, "p_list", tuple(float(v) for v in self.p_list))
         object.__setattr__(self, "q_list", tuple(float(v) for v in self.q_list))
         for name in ("d_range", "p_list", "q_list"):
@@ -108,18 +103,10 @@ class ScanConfig:
             raise ValueError(f"exponents p must be > 1 (or inf), got {self.p_list}")
         if not all(1.0 < q < math.inf for q in self.q_list):
             raise ValueError(f"exponents q must be finite and > 1, got {self.q_list}")
-        if not (_is_int(self.n_members) and self.n_members >= 1):
-            raise ValueError(f"n_members must be an integer >= 1, got {self.n_members}")
-        if not (_is_int(self.radii_K) and self.radii_K >= 2):
-            raise ValueError(f"radii_K must be an integer >= 2, got {self.radii_K}")
-        if not (_is_int(self.k) and self.k >= 0):
-            raise ValueError(f"weight exponent k must be a nonnegative integer, got {self.k}")
-        if not (_is_int(self.l) and self.l >= (1 if self.operator == "SQFN" else 0)):
-            raise ValueError(
-                f"dyadic index l must be a nonnegative integer (>= 1 for SQFN), got {self.l}"
-            )
-        if not (_is_int(self.seed) and self.seed >= 0):
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
+        # the dyadic index l is >= 1 for SQFN
+        counts = (("n_members", 1), ("radii_K", 2), ("k", 0), ("l", int(self.operator == "SQFN")), ("seed", 0))
+        for name, least in counts:
+            object.__setattr__(self, name, _integer(getattr(self, name), name, least))
 
     @classmethod
     def from_json(cls, path: str) -> "ScanConfig":
@@ -256,7 +243,7 @@ def _field(cfg: ScanConfig, op: Operator, d: int) -> VectorField:
     L, N = cfg.grid if cfg.grid is not None else op.default_grid(d)
     spec = GridSpec(d + 1 if op.u_axis else d, L, N)
     vals = family_values(cfg.family, node_coordinates(spec), cfg.n_members, cfg.seed, L)
-    return VectorField(tuple(_wrap(spec, v, "physical") for v in vals))
+    return VectorField(tuple(_wrap(spec, v) for v in vals))
 
 
 def run_scan(cfg: ScanConfig) -> ScanReport:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridFunction, GridSpec, VectorField, _stack, _unstack
+from .grid import GridFunction, GridSpec, VectorField, _integer, _stack, _unstack
 from .multiplier import RadialProfile, _dilation_sweep
 from .norms import lp_norm, lq_pointwise
 
@@ -59,10 +59,10 @@ class TGrid:
         w = np.asarray(self.weights, dtype=float)
         if ts.ndim != 1 or ts.size == 0 or w.shape != ts.shape:
             raise ValueError("TGrid needs matching nonempty 1-D nodes and weights")
-        if np.any(ts <= 0) or np.any(np.diff(ts) <= 0):
-            raise ValueError("TGrid nodes must be positive and increasing")
-        if np.any(w <= 0):
-            raise ValueError("TGrid weights must be positive")
+        if not np.all((ts > 0) & (ts < np.inf)) or np.any(np.diff(ts) <= 0):
+            raise ValueError("TGrid nodes must be finite, positive and increasing")
+        if not np.all((w > 0) & (w < np.inf)):
+            raise ValueError("TGrid weights must be finite and positive")
         ts.setflags(write=False)
         w.setflags(write=False)
         object.__setattr__(self, "ts", ts)
@@ -82,8 +82,7 @@ def _require_annulus(profile: RadialProfile) -> tuple[float, float]:
 
 def default_tgrid(profile: RadialProfile, spec: GridSpec, n: int = 128) -> TGrid:
     """Dilation grid covering [a/s_max, b/s_min] with du dividing log(b/a)."""
-    if not (float(n).is_integer() and n >= 1):
-        raise ValueError(f"dilation grid size must be an integer >= 1, got {n}")
+    n = _integer(n, "dilation grid size n", 1)
     a, b = _require_annulus(profile)
     s_min = spec.freq_step
     s_max = spec.freq_extent * math.sqrt(spec.d)

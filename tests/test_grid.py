@@ -75,8 +75,7 @@ def test_delta_has_flat_modulus():
     spec = make_grid(1, 1.0, 16)
     vals = np.zeros(spec.shape)
     vals[7] = 1.0
-    fhat = forward_transform(GridFunction(spec, vals))
-    mods = np.abs(fhat.values)
+    mods = np.abs(forward_transform(GridFunction(spec, vals)))
     np.testing.assert_allclose(mods, mods[0])
 
 
@@ -87,23 +86,33 @@ def test_roundtrip_and_plancherel(d, N, seed):
         N = 8
     spec = make_grid(d, 1.7, N)
     vals = np.random.default_rng(seed).standard_normal(spec.shape)
-    f = GridFunction(spec, vals)
-    fhat = forward_transform(f)
-    back = inverse_transform(fhat)
+    fhat = forward_transform(GridFunction(spec, vals))
+    back = inverse_transform(spec, fhat)
     scale = np.abs(vals).max()
-    assert np.abs(back.values - vals).max() <= 1e-12 * scale
+    assert np.abs(back - vals).max() <= 1e-12 * scale
     phys = np.sum(np.abs(vals) ** 2) * spec.cell_volume
-    freq = np.sum(np.abs(fhat.values) ** 2) * spec.freq_step**spec.d
+    freq = np.sum(np.abs(fhat) ** 2) * spec.freq_step**spec.d
     assert abs(phys - freq) <= 1e-12 * phys
 
 
-def test_domain_tag_mismatch():
-    spec = make_grid(1, 1.0, 8)
-    f = sample(spec, lambda p: p[..., 0])
-    with pytest.raises(ValueError):
-        inverse_transform(f)
-    with pytest.raises(ValueError):
-        forward_transform(forward_transform(f))
+def test_grid_functions_hold_real_finite_samples():
+    spec = make_grid(2, 1.0, 4)
+    for bad, match in (
+        (np.ones(spec.shape, dtype=complex), "real"),
+        (np.full(spec.shape, np.nan), "finite"),
+        (np.full(spec.shape, -np.inf), "finite"),
+        (np.ones((4, 2)), "shape"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            GridFunction(spec, bad)
+    with pytest.raises(ValueError, match="real"):
+        sample(spec, lambda p: p[..., 0] + 1j)
+    # integer input is stored as a float copy
+    ints = np.arange(16).reshape(spec.shape)
+    f = GridFunction(spec, ints)
+    assert f.values.dtype == np.float64 and np.array_equal(f.values, ints)
+    with pytest.raises(ValueError, match="shape"):
+        inverse_transform(spec, np.ones((4, 2), dtype=complex))
 
 
 def test_vector_field_validation():

@@ -62,6 +62,12 @@ def test_ball_volume_exit_guard():
         koranyi_ball_volume(GrushinPoint((0.9,), 0.0), 0.8, grid)
 
 
+@pytest.mark.parametrize("r", [0.0, math.inf, math.nan])
+def test_ball_volume_rejects_bad_radii(r):
+    with pytest.raises(ValueError, match="radius"):
+        koranyi_ball_volume(GrushinPoint((0.0,), 0.0), r, make_grid(2, 1.0, 16))
+
+
 def test_dilation_volume_scaling():
     grid = make_grid(2, 3.0, 96)
     c = GrushinPoint((0.3,), 0.2)

@@ -203,11 +203,13 @@ def test_lattice_operators_take_vector_fields_bit_exactly(rng, name):
 
 @pytest.mark.parametrize("name", list(_LATTICE_OPERATORS))
 def test_lattice_operators_reject_complex_input(rng, name):
+    # complex data are rejected when their GridFunction is built; outputs skip
+    # the constructor's checks, so they are checked to be real and finite here
     spec, op = _LATTICE_OPERATORS[name]
-    f = GridFunction(spec, rng.standard_normal(spec.shape) + 1j)
-    for g in (f, VectorField((GridFunction(spec, np.ones(spec.shape)), f))):
-        with pytest.raises(ValueError, match="real-valued"):
-            op(g)
+    with pytest.raises(ValueError, match="real"):
+        op(GridFunction(spec, rng.standard_normal(spec.shape) + 1j))
+    out = op(GridFunction(spec, rng.standard_normal(spec.shape))).values
+    assert out.dtype == np.float64 and np.all(np.isfinite(out))
 
 
 def test_weighted_k0_is_hl(rng):
@@ -294,12 +296,8 @@ def test_dimension_stability_probe():
     assert all(r >= 1.0 - 1e-12 for r in ratios)
 
 
-def test_rejects_frequency_domain_and_oversized_radii(rng):
+def test_rejects_oversized_radii(rng):
     spec = make_grid(1, 1.0, 8)
     f = GridFunction(spec, rng.standard_normal(spec.shape))
-    from maxop.grid import forward_transform
-
-    with pytest.raises(ValueError):
-        hl_maximal(forward_transform(f), RadiiSet((0.5,)))
     with pytest.raises(ValueError):
         hl_maximal(f, RadiiSet((0.5, 50.0)))

@@ -5,7 +5,7 @@ import pytest
 
 from maxop import maximal
 from maxop.checks import _oracle_descent, _oracle_shift_sum
-from maxop.grid import GridFunction, VectorField, make_grid, sample
+from maxop.grid import GridFunction, PreconditionError, VectorField, make_grid, sample
 from maxop.maximal import RadiiSet, hl_maximal
 from maxop.rotations import (
     DescentSplit,
@@ -138,12 +138,44 @@ def test_shift_sums_match_ndimage_at_the_edges(rng):
     assert np.abs(past).max() <= 1e-14 and np.abs(past_int).max() <= 1e-14
 
 
-@pytest.mark.parametrize("n_radial,n_sphere", [(16, 0), (0, 64), (16, -2), (16, 2.5), (4.0, 64)])
+@pytest.mark.parametrize("n_radial,n_sphere", [(16, 0), (0, 64), (16, -2), (16, 2.5)])
 def test_descent_rejects_bad_sample_counts(n_radial, n_sphere):
     spec = make_grid(3, 2.0, 8)
     f = GridFunction(spec, np.ones(spec.shape))
     with pytest.raises(ValueError, match="n_radial|n_sphere"):
         descent_maximal(f, haar_rotation(3, 1), DescentSplit(3, 3), (0.5,), n_radial=n_radial, n_sphere=n_sphere)
+
+
+def test_integral_float_counts_are_integers(rng):
+    # every count takes an integral float as the same int
+    spec = make_grid(3, 2.0, 8)
+    f = GridFunction(spec, rng.standard_normal(spec.shape))
+    args = (haar_rotation(3, 1), DescentSplit(3, 3), (0.5, 0.9))
+    want = descent_maximal(f, *args, n_radial=4, n_sphere=8)
+    assert np.array_equal(descent_maximal(f, *args, n_radial=4.0, n_sphere=8.0).values, want.values)
+    assert np.array_equal(haar_rotation(3.0, 1).matrix, args[0].matrix)
+    assert DescentSplit(4.0, 3.0) == DescentSplit(4, 3) and type(DescentSplit(4.0, 3.0).d_prime) is int
+    for bad in (lambda: haar_rotation(2.5, 0), lambda: DescentSplit(3.5, 3), lambda: DescentSplit(4, 3.5)):
+        with pytest.raises(ValueError, match="integer"):
+            bad()
+    # the d' range stays a declared precondition
+    with pytest.raises(PreconditionError):
+        DescentSplit(4, 2)
+
+
+@pytest.mark.parametrize("n_mc", [0, 1, 2.5, math.inf])
+def test_monte_carlo_checks_need_two_samples(n_mc):
+    # one sample gives an infinite or undefined error bar, which no gap can exceed
+    spec = make_grid(3, 2.0, 8)
+    one = GridFunction(spec, np.ones(spec.shape))
+    split = DescentSplit(3, 3)
+    for call in (
+        lambda: rotation_average_check(one, split, r=0.5, x_index=(4, 4, 4), n_mc=n_mc),
+        lambda: sphere_identity_check(lambda y: y[:, 0] ** 2, split, n_mc=n_mc),
+        lambda: lemma2_domination(one, split, (0.5,), n_mc=n_mc, n_radial=4, n_sphere=8),
+    ):
+        with pytest.raises(ValueError, match="n_mc"):
+            call()
 
 
 def test_rotation_average_constant_exact():

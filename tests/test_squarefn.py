@@ -25,6 +25,10 @@ def test_tgrid_validation_and_log_weight():
         TGrid(ts=np.array([1.0, 0.5]), weights=np.array([0.1, 0.1]))
     with pytest.raises(ValueError):
         TGrid(ts=np.array([0.5, 1.0]), weights=np.array([0.1, -0.1]))
+    # a NaN weight would make square_function NaN
+    for ts, w in (([0.5, math.inf], [0.1, 0.1]), ([0.5, math.nan], [0.1, 0.1]), ([0.5, 1.0], [0.1, math.nan])):
+        with pytest.raises(ValueError, match="finite"):
+            TGrid(ts=np.array(ts), weights=np.array(w))
 
 
 def test_tgrid_size_must_be_a_positive_integer():
