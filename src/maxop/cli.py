@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields, replace
 
 from .grid import fft_workers
 from .multiplier import _check_decay_range, decay_constants, decay_table_csv
@@ -41,43 +42,31 @@ def _grid(text: str) -> tuple[float, int]:
     return (float(L), int(N))
 
 
+# the flag parsers of the ScanConfig field types that are not scalars; a
+# scalar field's flag parses as the type of its default
+_PARSERS = {"tuple[int, ...]": _int_list, "tuple[float, ...]": _float_list, "tuple[float, int] | None": _grid}
+
+
 def _add_scan_flags(p: _Parser, with_operator: bool = True) -> None:
     if with_operator:
         p.add_argument("--operator", choices=OPERATORS)
     p.add_argument("--config", help="JSON file with flat ScanConfig keys")
-    p.add_argument("--d_range", type=_int_list, help="comma-separated dimensions")
-    p.add_argument("--p_list", type=_float_list)
-    p.add_argument("--q_list", type=_float_list)
-    p.add_argument("--family")
-    p.add_argument("--n_members", type=int)
-    p.add_argument("--grid", type=_grid, help="L,N (default: per-dimension)")
-    p.add_argument("--radii_K", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--l", type=int)
-    p.add_argument("--k", type=int)
+    for f in fields(ScanConfig):
+        if f.name != "operator":
+            parse = _PARSERS.get(f.type, type(f.default))
+            p.add_argument(f"--{f.name}", type=parse, help=f.metadata.get("help"))
     p.add_argument("--out", required=True, help="CSV output path")
     p.add_argument("--plotdata", help="optional plot-ready data path")
 
 
-def _config_from_args(args, forced_operator: str | None = None) -> ScanConfig:
+def _config_from_args(args, operator: str | None = None) -> ScanConfig:
+    """The --config file's settings (or the defaults), overridden by each
+    given flag and then by ``operator``."""
     cfg = ScanConfig.from_json(args.config) if args.config else ScanConfig()
-    overrides = dict(
-        d_range=args.d_range,
-        p_list=args.p_list,
-        q_list=args.q_list,
-        family=args.family,
-        n_members=args.n_members,
-        grid=args.grid,
-        radii_K=args.radii_K,
-        seed=args.seed,
-        l=args.l,
-        k=args.k,
-    )
-    if forced_operator is not None:
-        overrides["operator"] = forced_operator
-    elif getattr(args, "operator", None) is not None:
-        overrides["operator"] = args.operator
-    return cfg.with_overrides(**overrides)
+    overrides = {f.name: getattr(args, f.name, None) for f in fields(ScanConfig)}
+    if operator is not None:
+        overrides["operator"] = operator
+    return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _run_and_emit(cfg: ScanConfig, out: str, plotdata: str | None) -> int:
@@ -104,11 +93,12 @@ def _scan_jobs(args) -> list[tuple[ScanConfig, str, str | None]]:
         base, ext = args.out.rsplit(".", 1) if "." in args.out else (args.out, "csv")
         return [
             (
-                _config_from_args(args, forced_operator=op),
-                f"{base}_{op.lower()}.{ext}",
-                f"{args.plotdata}_{op.lower()}" if args.plotdata else None,
+                _config_from_args(args, operator=name),
+                f"{base}_{name.lower()}.{ext}",
+                f"{args.plotdata}_{name.lower()}" if args.plotdata else None,
             )
-            for op in ("MK", "MK_iter")
+            for name, op in OPERATORS.items()
+            if op.u_axis
         ]
     return []
 

@@ -490,7 +490,6 @@ class _CosineTransform:
             s2, d2 = dens_for(2 * n_s)
         else:
             raise RuntimeError(f"radial rule did not verify to {abs_tol}")
-        self.u_max = float(grid[-1])
         self.spline = CubicSpline(grid, _trig_progression(np.cos, 0.0, du, grid.size, s2, d2))
 
     def __call__(self, u: np.ndarray) -> np.ndarray:

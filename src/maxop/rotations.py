@@ -92,7 +92,7 @@ def haar_rotation(d: int, seed: int) -> RotationMatrix:
     """Haar-distributed element of O(d): QR of a Gaussian matrix with the
     sign of diag(R) fixed, deterministic per seed."""
     d = _integer(d, "d", 1)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = np.random.default_rng(_integer(seed, "seed", 0))
     return RotationMatrix(d=d, matrix=_haar_matrix(rng, d))
 
 
@@ -132,7 +132,7 @@ def descent_maximal(
     if split.d != spec.d or rotation.d != spec.d:
         raise ValueError("rotation/split dimension does not match the grid")
     rs = _as_radii(radii)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = np.random.default_rng(_integer(seed, "seed", 0))
     sphere = _sphere_points(rng, n_sphere, split.d_prime)
     rho, rho_w = radial_power_rule(n_radial, split.k + split.d_prime)
     # unit offsets theta (sigma_j, 0) in R^d
@@ -252,7 +252,7 @@ def rotation_average_check(
 ) -> MCComparison:
     """Ball average at one node vs the Haar-rotation average of weighted
     d'-plane averages; they agree up to MC error and O(h) interpolation."""
-    n_mc = _integer(n_mc, "n_mc", 2)
+    n_mc, seed = _integer(n_mc, "n_mc", 2), _integer(seed, "seed", 0)
     spec = f.spec
     if split.d != spec.d:
         raise ValueError("split dimension does not match the grid")
@@ -279,12 +279,11 @@ def sphere_identity_check(
     """MC average of f1 over S^(d-1) vs the double average over Haar
     rotations of points lifted from S^(d'-1); the pushforward identity makes
     the two targets equal."""
-    n_mc = _integer(n_mc, "n_mc", 2)
-    root = np.random.SeedSequence(seed)
-    lhs_rng = np.random.default_rng(root.spawn(1)[0])
-    pts = _sphere_points(lhs_rng, n_mc, split.d)
+    n_mc, seed = _integer(n_mc, "n_mc", 2), _integer(seed, "seed", 0)
+    lhs, _, rhs = np.random.SeedSequence(seed).spawn(3)
+    pts = _sphere_points(np.random.default_rng(lhs), n_mc, split.d)
     lhs_samples = np.asarray(f1(pts), dtype=float)
-    rhs_rng = np.random.default_rng(root.spawn(2)[1])
+    rhs_rng = np.random.default_rng(rhs)
     rhs_samples = np.empty(n_mc)
     for i in range(n_mc):
         theta = _haar_matrix(rhs_rng, split.d)
@@ -315,7 +314,7 @@ def lemma2_domination(
     """MC average over Haar rotations of the descent operator, with a
     per-node batch-means standard error.  The ball maximal function is
     dominated by the average up to MC error and interpolation slack."""
-    n_mc = _integer(n_mc, "n_mc", 2)
+    n_mc, seed = _integer(n_mc, "n_mc", 2), _integer(seed, "seed", 0)
     d = f.spec.d
     runs = np.stack([
         descent_maximal(

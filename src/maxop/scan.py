@@ -4,11 +4,12 @@ A scan fixes one operator and one test-function family, then walks the
 requested dimensions and (p, q) exponent pairs, recording the mixed-norm
 ratio ||op F|| / ||F|| per row.  Each operator is one entry of
 :data:`OPERATORS`, which also fixes its default grid, whether its data carry
-the Grushin u-axis, and which part of (p, q) its output depends on (only the
-descent split does).  Operator outputs are computed once per dimension and
-such key and shared among the exponent rows.  Everything is seeded, and rows
-are sorted before emission, so a config re-run on one machine reproduces the
-CSV byte for byte apart from the wall_ms column.
+the Grushin u-axis, which part of (p, q) its output depends on (only the
+descent split does), and whether its output dominates |f| pointwise.
+Operator outputs are computed once per dimension and such key and shared
+among the exponent rows.  Everything is seeded, and rows are sorted before
+emission, so a config re-run on one machine reproduces the CSV byte for byte
+apart from the wall_ms column.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import astuple, dataclass, field, fields
 from typing import Callable, Hashable
 
 import numpy as np
@@ -31,8 +32,6 @@ from .multiplier import dyadic_piece, maximal_multiplier, spherical_maximal
 from .norms import mixed_norm
 from .rotations import DescentSplit, descent_maximal, dimension_split, haar_rotation
 from .squarefn import default_tgrid, square_function
-
-CSV_HEADER = "operator,d,p,q,family,n_members,input_norm,output_norm,ratio,wall_ms,extra"
 
 __all__ = [
     "OPERATORS",
@@ -66,15 +65,16 @@ def _grushin_default_grid(d: int) -> tuple[float, int]:
 
 @dataclass(frozen=True)
 class ScanConfig:
-    """Flat scan configuration; JSON files use exactly these field names."""
+    """Flat scan configuration; JSON files and CLI flags use exactly these
+    field names, and a field's ``help`` metadata is its flag's help text."""
 
     operator: str = "HL"
-    d_range: tuple[int, ...] = (1, 2, 3)
+    d_range: tuple[int, ...] = field(default=(1, 2, 3), metadata={"help": "comma-separated dimensions"})
     p_list: tuple[float, ...] = (2.0,)
     q_list: tuple[float, ...] = (2.0,)
     family: str = "gaussian"
     n_members: int = 4
-    grid: tuple[float, int] | None = None  # (L, N); None -> per-d defaults
+    grid: tuple[float, int] | None = field(default=None, metadata={"help": "L,N (default: per-dimension)"})
     radii_K: int = 32
     seed: int = 0
     l: int = 1  # dyadic index for MULT_L / SQFN
@@ -118,9 +118,6 @@ class ScanConfig:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return cls(**data)
 
-    def with_overrides(self, **kwargs) -> "ScanConfig":
-        return replace(self, **{k: v for k, v in kwargs.items() if v is not None})
-
 
 @dataclass(frozen=True)
 class ScanRow:
@@ -135,6 +132,9 @@ class ScanRow:
     ratio: float
     wall_ms: float
     extra: str = ""
+
+
+CSV_HEADER = ",".join(f.name for f in fields(ScanRow))
 
 
 @dataclass(frozen=True)
@@ -225,17 +225,20 @@ class Operator:
     # the part of (p, q) the output depends on; rows sharing it share one
     # operator evaluation
     pq_key: Callable[[float, float], Hashable] = _no_pq_key
+    # the output dominates |f| pointwise (its smallest radius keeps only the
+    # center node), so a ratio below 1 is a fault
+    dominates: bool = False
 
 
 OPERATORS: dict[str, Operator] = {
-    "HL": Operator(_apply_hl),
+    "HL": Operator(_apply_hl, dominates=True),
     "HL_weighted": Operator(_apply_hl_weighted),
     "SPH": Operator(_apply_sph),
     "MULT_L": Operator(_apply_mult_l),
     "SQFN": Operator(_apply_sqfn),
     "DESCENT": Operator(_apply_descent, pq_key=dimension_split),
-    "MK": Operator(_apply_mk, _grushin_default_grid, u_axis=True),
-    "MK_iter": Operator(_apply_mk_iter, _grushin_default_grid, u_axis=True),
+    "MK": Operator(_apply_mk, _grushin_default_grid, u_axis=True, dominates=True),
+    "MK_iter": Operator(_apply_mk_iter, _grushin_default_grid, u_axis=True, dominates=True),
 }
 
 
@@ -290,21 +293,10 @@ def csv_text(report: ScanReport, mask_wall: bool = False) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER.split(","))
     for r in report.rows:
-        writer.writerow(
-            [
-                r.operator,
-                r.d,
-                _fmt(r.p),
-                _fmt(r.q),
-                r.family,
-                r.n_members,
-                _fmt(r.input_norm),
-                _fmt(r.output_norm),
-                _fmt(r.ratio),
-                "masked" if mask_wall else _fmt(r.wall_ms),
-                r.extra,
-            ]
-        )
+        row = {f.name: _fmt(v) if f.type == "float" else v for f, v in zip(fields(r), astuple(r))}
+        if mask_wall:
+            row["wall_ms"] = "masked"
+        writer.writerow(row.values())
     return buf.getvalue()
 
 
@@ -342,9 +334,8 @@ def report_violations(report: ScanReport) -> list[str]:
             bad.append(f"{r.operator} d={r.d} p={r.p} q={r.q}: ratio not finite")
         if abs(r.ratio - r.output_norm / r.input_norm) > 1e-12 * max(1.0, r.ratio):
             bad.append(f"{r.operator} d={r.d} p={r.p} q={r.q}: ratio inconsistent")
-        # these outputs dominate |f| pointwise: their smallest radius keeps
-        # only the center node
-        if r.operator in ("HL", "MK", "MK_iter") and r.ratio < 1.0 - 1e-12:
+        op = OPERATORS.get(r.operator)
+        if op is not None and op.dominates and r.ratio < 1.0 - 1e-12:
             bad.append(f"{r.operator} d={r.d} p={r.p} q={r.q}: ratio {r.ratio} < 1")
         if r.wall_ms < 0:
             bad.append(f"{r.operator} d={r.d}: negative wall_ms")

@@ -178,6 +178,28 @@ def test_monte_carlo_checks_need_two_samples(n_mc):
             call()
 
 
+@pytest.mark.parametrize("seed", [2.5, -1, math.inf, math.nan])
+def test_seeds_follow_the_integer_rule(rng, seed):
+    # a seed is an integer >= 0 like every count, and an integral float is
+    # the same seed as its int
+    spec = make_grid(3, 2.0, 8)
+    f = GridFunction(spec, rng.standard_normal(spec.shape))
+    split, ident = DescentSplit(3, 3), RotationMatrix(3, np.eye(3))
+    calls = (
+        lambda s: haar_rotation(3, s).matrix,
+        lambda s: descent_maximal(f, ident, split, (0.5,), n_radial=4, n_sphere=8, seed=s).values,
+        lambda s: np.array(rotation_average_check(f, split, r=0.5, x_index=(4, 4, 4), n_mc=4, seed=s)),
+        lambda s: np.array(sphere_identity_check(lambda y: y[:, 0] ** 2, split, n_mc=4, seed=s)),
+        lambda s: np.stack(
+            [g.values for g in lemma2_domination(f, split, (0.5,), n_mc=2, seed=s, n_radial=4, n_sphere=8)]
+        ),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            call(seed)
+        np.testing.assert_array_equal(call(3.0), call(3))
+
+
 def test_rotation_average_constant_exact():
     spec = make_grid(3, 2.0, 12)
     one = GridFunction(spec, np.ones(spec.shape))

@@ -3,10 +3,11 @@ import json
 import math
 import os
 import time
+from dataclasses import fields, replace
 
 import pytest
 
-from maxop import scan
+from maxop import cli, scan
 from maxop.cli import main
 from maxop.scan import (
     CSV_HEADER,
@@ -64,6 +65,41 @@ def test_config_json_roundtrip(tmp_path):
         ScanConfig.from_json(str(path))
 
 
+# a non-default value of each ScanConfig field: its flag text and its value
+NON_DEFAULT = {
+    "operator": ("SPH", "SPH"),
+    "d_range": ("2,4", (2, 4)),
+    "p_list": ("3,1.5", (3.0, 1.5)),
+    "q_list": ("1.5", (1.5,)),
+    "family": ("random_bumps", "random_bumps"),
+    "n_members": ("2", 2),
+    "grid": ("2,8", (2.0, 8)),
+    "radii_K": ("6", 6),
+    "seed": ("7", 7),
+    "l": ("3", 3),
+    "k": ("2", 2),
+}
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(ScanConfig)])
+def test_each_config_field_is_a_flag_and_a_json_key(tmp_path, monkeypatch, name):
+    text, value = NON_DEFAULT[name]
+    want = replace(ScanConfig(), **{name: value})
+    assert want != ScanConfig()
+    seen = []
+
+    def record(cfg, out, plotdata):
+        seen.append(cfg)
+        return 0
+
+    monkeypatch.setattr(cli, "_run_and_emit", record)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({name: value}))
+    assert main(["scan", f"--{name}", text, "--out", str(tmp_path / "a.csv")]) == 0
+    assert main(["scan", "--config", str(path), "--out", str(tmp_path / "b.csv")]) == 0
+    assert seen == [want, want]
+
+
 def test_empty_report_is_header_only():
     assert csv_text(ScanReport(())) == CSV_HEADER + "\n"
 
@@ -86,11 +122,15 @@ def test_rows_roundtrip_and_ratio_invariant(tmp_path):
 @pytest.mark.parametrize("operator", ["HL", "MK", "MK_iter"])
 def test_dominating_operators_flag_ratio_below_one(operator):
     # each of these outputs dominates |f| pointwise, so a ratio below 1 is a fault
-    def row(ratio):
-        return ScanRow(operator, 2, 2.0, 2.0, "gaussian", 2, 1.0, ratio, ratio, 1.0)
+    def row(ratio, name=operator):
+        return ScanRow(name, 2, 2.0, 2.0, "gaussian", 2, 1.0, ratio, ratio, 1.0)
 
     assert report_violations(ScanReport((row(0.9),))) == [f"{operator} d=2 p=2.0 q=2.0: ratio 0.9 < 1"]
     assert report_violations(ScanReport((row(1.0),))) == []
+    # the other operators' outputs may fall below |f|, and so may an unknown one's
+    for other in ("HL_weighted", "SPH", "MULT_L", "SQFN", "DESCENT", "NOPE"):
+        assert report_violations(ScanReport((row(0.9, other),))) == []
+    assert {name for name, op in scan.OPERATORS.items() if op.dominates} == {"HL", "MK", "MK_iter"}
 
 
 def test_rows_sorted_and_deterministic():
