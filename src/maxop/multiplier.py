@@ -30,7 +30,6 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 import scipy.fft as _fft
-from scipy.interpolate import CubicSpline
 
 from .grid import (
     GridFunction,
@@ -458,6 +457,12 @@ class _CosineTransform:
     is verified by doubling on a probe of every stride-th grid point.  Grid
     and probe are arithmetic progressions, so both are summed by
     :func:`_trig_progression`.
+
+    The interpolant is a numpy not-a-knot cubic spline on the uniform grid,
+    the spline of scipy's ``CubicSpline`` (its test oracle): the slopes solve
+    the tridiagonal system with not-a-knot end rows, and a value is Horner's
+    rule on interval floor(u / du), clamped to the last interval, which
+    extrapolates past the grid's end as ``CubicSpline`` does.
     """
 
     def __init__(self, profile: RadialProfile, d: int, u_max: float, abs_tol: float):
@@ -476,6 +481,8 @@ class _CosineTransform:
         s2, d2 = dens_for(2 * n_s)
         amp = float(np.sum(np.abs(d2)))
         du = (abs_tol / (0.014 * max(amp, 1e-300))) ** 0.25 / (2.0 * math.pi * b)
+        # 24 significant bits make every k du exact, so the grid is uniform in floating point
+        du = float(np.float32(du))
         grid = np.arange(0.0, u_max + 4 * du, du)
         # the probe is every stride-th grid point
         stride = max(1, grid.size // 64)
@@ -490,10 +497,43 @@ class _CosineTransform:
             s2, d2 = dens_for(2 * n_s)
         else:
             raise RuntimeError(f"radial rule did not verify to {abs_tol}")
-        self.spline = CubicSpline(grid, _trig_progression(np.cos, 0.0, du, grid.size, s2, d2))
+        y = _trig_progression(np.cos, 0.0, du, grid.size, s2, d2)
+        slope = np.diff(y) / du
+        m = _not_a_knot_slopes(slope)
+        curv = (m[:-1] + m[1:] - 2 * slope) / du
+        # the cubic on interval i in t = u - grid[i], highest power first; the
+        # constant terms are the samples themselves (the last one unused)
+        self.du, self.coef = du, (curv / du, (slope - m[:-1]) / du - curv, m[:-1], y)
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
-        return self.spline(np.abs(u))
+        u = np.abs(u)
+        i = np.minimum((u / self.du).astype(np.intp), self.coef[0].size - 1)
+        t = u - i * self.du
+        out = self.coef[0][i]
+        for c in self.coef[1:]:
+            out *= t
+            out += c[i]
+        return out
+
+
+def _not_a_knot_slopes(slope: np.ndarray) -> np.ndarray:
+    """Node slopes of the not-a-knot cubic spline through samples on a uniform
+    grid, given the secant slopes s_i of its intervals (at least three).
+
+    Rows 1..n-2 are m_(i-1) + 4 m_i + m_(i+1) = 3 (s_(i-1) + s_i); scipy's
+    not-a-knot end rows are m_0 + 2 m_1 = (5 s_0 + s_1) / 2 and its mirror.
+    The Thomas algorithm solves the system in two sweeps over Python floats.
+    """
+    s = slope.tolist()
+    c, e = [2.0], [(5 * s[0] + s[1]) / 2]
+    for a, b in zip(s, s[1:]):
+        den = 4.0 - c[-1]
+        c.append(1.0 / den)
+        e.append((3 * (a + b) - e[-1]) / den)
+    e.append(((s[-2] + 5 * s[-1]) / 2 - 2.0 * e[-1]) / (1.0 - 2.0 * c[-1]))
+    for i in range(len(e) - 2, -1, -1):
+        e[i] -= c[i] * e[i + 1]
+    return np.array(e)
 
 
 def _zonal_from_table(table: _CosineTransform, d: int, rho: np.ndarray, tol: float = 1e-10) -> np.ndarray:

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy import ndimage
 
 from .grid import GridFunction, GridSpec, PreconditionError, VectorField, _integer, _stack, _unstack, _wrap
 from .maximal import _as_radii, _ball_max_values, _chunk, _inverse, _member_spectra
@@ -208,6 +207,8 @@ def _point_weighted_average(
     rho: np.ndarray,
     rho_w: np.ndarray,
 ) -> float:
+    from scipy import ndimage
+
     units = sphere @ rotation[:, : split.d_prime].T
     pts = x[None, None, :] - r * rho[:, None, None] * units[None, :, :]
     coords = _index_coords(spec, pts.reshape(-1, spec.d))

@@ -28,6 +28,9 @@ def test_traced_functions_resolve():
         if not callable(getattr(importlib.import_module(home), name, None))
     ]
     assert not missing, f"traced functions not found: {missing}"
+    # the rule-build counter reads the cache misses of the rule builders
+    uncached = [fn.__name__ for fn in lt.RULE_FUNCS if not callable(getattr(fn, "cache_info", None))]
+    assert not uncached, f"rule builders without cache_info: {uncached}"
 
 
 def _imports_scipy_fft(path: Path) -> bool:

@@ -486,6 +486,22 @@ def test_kernel_dilation_rule():
     np.testing.assert_allclose(ray[sel], _zonal_inverse(dilated, d, rad, tol=1e-10), atol=1e-5)
 
 
+@pytest.mark.parametrize("l, d", [(1, 3), (4, 5)])
+def test_cosine_table_spline_matches_scipy(l, d):
+    from scipy.interpolate import CubicSpline
+
+    table = multiplier._CosineTransform(dyadic_piece(d, l), d, 8.0, abs_tol=1e-6 * 2.0**l)
+    y = table.coef[-1]
+    grid = np.arange(y.size) * table.du
+    np.testing.assert_array_equal(np.diff(grid), table.du)  # uniform in floating point
+    oracle = CubicSpline(grid, y)
+    rng = np.random.default_rng(7)
+    end = grid[-1]
+    # dense points of both signs, the last 4 grid steps, and past the grid's end
+    u = np.concatenate([rng.uniform(-end, end, 20000), end - 4 * table.du * rng.random(2000), end + table.du * rng.random(50)])
+    np.testing.assert_allclose(table(u), oracle(np.abs(u)), rtol=0, atol=1e-14 * np.abs(y).max())
+
+
 def test_funk_hecke_against_zonal_route():
     # chord-integral route vs direct radial transform of the full piece
     probes = np.array([0.0, 0.5, 1.0, 2.0])

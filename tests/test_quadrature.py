@@ -1,7 +1,95 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.special import roots_jacobi, roots_legendre
 
-from maxop.quadrature import _MAX_RULE_SIZE, adaptive_levels, refine_until_stationary
+from maxop.quadrature import (
+    _MAX_RULE_SIZE,
+    adaptive_levels,
+    gegenbauer_rule,
+    gegenbauer_weight_mass,
+    radial_power_rule,
+    refine_until_stationary,
+)
+
+RULE_SIZES = [1, 2, 3, 16, 17, 255, 1024, 4096]
+
+
+@pytest.mark.parametrize("n", RULE_SIZES)
+def test_rule_nodes_match_scipy(n):
+    for d in range(3, 9):
+        t, _ = gegenbauer_rule(d, n)
+        alpha = (d - 3) / 2.0
+        ref = roots_legendre(n)[0] if d == 3 else roots_jacobi(n, alpha, alpha)[0]
+        np.testing.assert_allclose(t, ref, rtol=0, atol=1e-14, err_msg=f"d={d}")
+    for kappa in range(1, 11):
+        rho, _ = radial_power_rule(n, kappa)
+        ref = (roots_jacobi(n, 0.0, kappa - 1.0)[0] + 1.0) / 2.0
+        np.testing.assert_allclose(rho, ref, rtol=0, atol=1e-14, err_msg=f"kappa={kappa}")
+
+
+@pytest.mark.parametrize("n", [n for n in RULE_SIZES if n <= 256])
+def test_rule_weights_integrate_monomials_exactly(n):
+    # exact moments from their own recurrences, without scipy: a Gauss rule of
+    # n nodes integrates every polynomial of degree <= 2n - 1
+    for d in range(3, 9):
+        alpha = (d - 3) / 2.0
+        t, w = gegenbauer_rule(d, n)
+        assert math.isclose(w.sum(), gegenbauer_weight_mass(d), rel_tol=1e-13)
+        moment = gegenbauer_weight_mass(d)  # B(j + 1/2, alpha + 1) at j = 0
+        for j in range(n):
+            assert math.isclose(np.sum(w * t ** (2 * j)), moment, rel_tol=1e-13), (d, j)
+            moment *= (j + 0.5) / (j + alpha + 1.5)
+    for kappa in range(1, 11):
+        rho, w = radial_power_rule(n, kappa)
+        for m in range(2 * n):
+            assert math.isclose(np.sum(w * rho**m), kappa / (kappa + m), rel_tol=1e-13), (kappa, m)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: gegenbauer_rule(2, 0),
+        lambda: gegenbauer_rule(2, 2.5),
+        lambda: gegenbauer_rule(3, 0),
+        lambda: gegenbauer_rule(5, -4),
+        lambda: gegenbauer_rule(5, math.inf),
+        lambda: radial_power_rule(4, 2.5),
+        lambda: radial_power_rule(4, 0),
+        lambda: radial_power_rule(0, 3),
+        lambda: radial_power_rule(math.nan, 3),
+    ],
+    ids=["d2-n0", "d2-n2.5", "d3-n0", "d5-n-4", "d5-ninf", "kappa2.5", "kappa0", "radial-n0", "radial-nnan"],
+)
+def test_rule_arguments_follow_the_integer_rule(call):
+    with pytest.raises(ValueError, match="integer"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, reason",
+    [
+        (lambda: gegenbauer_rule(40, 64), "converge"),
+        (lambda: radial_power_rule(2, 20), "converge"),
+        (lambda: radial_power_rule(2, 31), "repeat"),
+        # two nodes 2 ulps apart on one zero: sorted, but p_(n-1) does not alternate
+        (lambda: radial_power_rule(36, 17), "repeat"),
+        # the solved half converges onto a negative zero, which the mirror repeats
+        (lambda: gegenbauer_rule(35, 11), "repeat"),
+    ],
+    ids=["d40", "kappa20", "kappa31", "kappa17", "d35"],
+)
+def test_rules_raise_beyond_their_initial_guesses(call, reason):
+    # far beyond the scans' parameters the asymptotic guesses fail; the rule
+    # raises rather than return a repeated or unconverged node
+    with pytest.raises(RuntimeError, match=reason):
+        call()
+
+
+def test_integral_float_rule_arguments_are_integers():
+    np.testing.assert_array_equal(gegenbauer_rule(2, 16.0)[1], gegenbauer_rule(2, 16)[1])
+    np.testing.assert_array_equal(radial_power_rule(16.0, 4.0)[0], radial_power_rule(16, 4)[0])
 
 
 def test_adaptive_levels_double_from_the_oscillation_count():
