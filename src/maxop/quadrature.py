@@ -7,9 +7,9 @@ Gauss-Chebyshev at d = 2 and keeps spectral convergence at even d, where a
 plain Legendre rule on the weighted integrand would crawl.
 
 The Gauss-Jacobi rules are built in numpy: Newton's method on the
-orthonormal three-term recurrence from asymptotic initial guesses (Hale &
-Townsend, SIAM J. Sci. Comput. 35, 2013), vectorized over the nodes.
-scipy's Gauss-Jacobi and Gauss-Legendre rules serve only as the test
+orthonormal three-term recurrence, vectorized over the nodes, from asymptotic
+initial guesses (Hale & Townsend, SIAM J. Sci. Comput. 35, 2013) or, for
+large Jacobi parameters, from bisection on the Sturm count.  scipy's Gauss-Jacobi and Gauss-Legendre rules serve only as the test
 oracle.
 """
 
@@ -28,23 +28,32 @@ __all__ = ["gegenbauer_rule", "gegenbauer_weight_mass", "radial_power_rule", "ad
 _MAX_RULE_SIZE = 1 << 17
 
 
+# Above this value of a or b the interior asymptotics can seed Newton on the
+# wrong zero near that endpoint; bisection seeds every node there instead.
+_INTERIOR_SEEDS_MAX = 10.0
+
+
 def _gauss_jacobi(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     """Gauss rule of ``n`` nodes (ascending) for (1-x)^a (1+x)^b dx on [-1, 1].
 
     Newton runs in theta = arccos(x) on u = sin^(a+1/2)(theta/2)
     cos^(b+1/2)(theta/2) p_n(cos theta), whose zeros are spaced almost
-    evenly, from the interior asymptotics of the zeros.  When a = b only
-    the nonnegative half is solved.  The weights are
-    (2n+a+b+1) / ((1-x^2) p_n'(x)^2), the Christoffel-Darboux weight
-    1 / (b_n p_(n-1) p_n') rewritten through the derivative identity; this
-    form is the less sensitive of the two to the rounding of the node.
-    Nodes that fail to converge, or that are not strictly increasing with
-    p_(n-1) alternating in sign over them (a repeated zero), raise
-    RuntimeError; this happens once a or b exceeds about 15.
+    evenly.  It starts from the interior asymptotics of the zeros while a
+    and b are at most ``_INTERIOR_SEEDS_MAX``.  Beyond that the asymptotic
+    guesses near the endpoint of the large parameter miss by more than the
+    spacing of the zeros, so each node is first bracketed by bisection on
+    the Sturm count of the Jacobi matrix, to an eighth of pi / rho (about
+    that spacing).  When a = b only the nonnegative half is solved.  The
+    weights are (2n+a+b+1) / ((1-x^2) p_n'(x)^2), the Christoffel-Darboux
+    weight 1 / (b_n p_(n-1) p_n') rewritten through the derivative
+    identity; this form is the less sensitive of the two to the rounding of
+    the node.  Nodes that fail to converge, or that are not strictly
+    increasing with p_(n-1) alternating in sign over them (a repeated
+    zero), raise RuntimeError.
     """
     rho = n + (a + b + 1) / 2.0
-    phi = (np.arange(1, (n + 1) // 2 + 1 if a == b else n + 1) + a / 2.0 - 0.25) * np.pi / rho
-    theta = phi + ((0.25 - a * a) / np.tan(phi / 2) - (0.25 - b * b) * np.tan(phi / 2)) / (4 * rho * rho)
+    # k-th zero in increasing theta, that is in decreasing x
+    k = np.arange(1, (n + 1) // 2 + 1 if a == b else n + 1)
     # orthonormal recurrence b_(j+1) p_(j+1) = (x - alpha_j) p_j - b_j p_(j-1),
     # with alpha_0 written out: its general form is 0/0 when a + b = 0
     j = np.arange(1.0, n + 1)
@@ -53,6 +62,27 @@ def _gauss_jacobi(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     beta = np.sqrt(4 * j * (j + a) * (j + b) * (j + a + b) / (s * s * (s + 1) * (s - 1)))
     log_mass = (a + b + 1) * math.log(2.0) + math.lgamma(a + 1) + math.lgamma(b + 1) - math.lgamma(a + b + 2)
     p_first, sn = math.exp(-log_mass / 2), s[-1]
+
+    if max(a, b) <= _INTERIOR_SEEDS_MAX:
+        phi = (k + a / 2.0 - 0.25) * np.pi / rho
+        theta = phi + ((0.25 - a * a) / np.tan(phi / 2) - (0.25 - b * b) * np.tan(phi / 2)) / (4 * rho * rho)
+    else:
+        beta_sq = np.concatenate([[0.0], beta[:-1] ** 2])
+
+        def zeros_above(x):
+            # negative pivots of x I - J, J the n x n Jacobi matrix
+            piv, count = np.full_like(x, np.inf), np.zeros(x.shape, np.intp)
+            for al, bsq in zip(alpha, beta_sq):
+                piv = (x - al) - bsq / piv
+                count += piv < 0
+            return count
+
+        # the bracket of every node halves from [0, pi]; theta is its midpoint
+        theta, half = np.full(k.size, np.pi / 2), np.pi / 4
+        with np.errstate(divide="ignore"):
+            for _ in range(math.ceil(math.log2(8 * rho))):
+                theta += np.where(zeros_above(np.cos(theta)) >= k, -half, half)
+                half /= 2
 
     def evaluate(x):
         prev, p, b_prev = np.zeros_like(x), np.full_like(x, p_first), 0.0

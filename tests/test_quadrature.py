@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import roots_jacobi, roots_legendre
 
+from maxop import quadrature
 from maxop.quadrature import (
     _MAX_RULE_SIZE,
     adaptive_levels,
@@ -14,16 +15,22 @@ from maxop.quadrature import (
 )
 
 RULE_SIZES = [1, 2, 3, 16, 17, 255, 1024, 4096]
+# past _INTERIOR_SEEDS_MAX (a = (d - 3) / 2, b = kappa - 1), where bisection seeds Newton
+DIMENSIONS = [*range(3, 9), 35, 40]
+KAPPAS = [*range(1, 11), 17, 20, 31]
 
 
 @pytest.mark.parametrize("n", RULE_SIZES)
 def test_rule_nodes_match_scipy(n):
-    for d in range(3, 9):
+    # past the interior range only up to n = 1,024, which already takes 14
+    # bisection passes; n = 4,096 there would add about 10 s
+    past_interior = n <= 1024
+    for d in DIMENSIONS if past_interior else range(3, 9):
         t, _ = gegenbauer_rule(d, n)
         alpha = (d - 3) / 2.0
         ref = roots_legendre(n)[0] if d == 3 else roots_jacobi(n, alpha, alpha)[0]
         np.testing.assert_allclose(t, ref, rtol=0, atol=1e-14, err_msg=f"d={d}")
-    for kappa in range(1, 11):
+    for kappa in KAPPAS if past_interior else range(1, 11):
         rho, _ = radial_power_rule(n, kappa)
         ref = (roots_jacobi(n, 0.0, kappa - 1.0)[0] + 1.0) / 2.0
         np.testing.assert_allclose(rho, ref, rtol=0, atol=1e-14, err_msg=f"kappa={kappa}")
@@ -33,7 +40,7 @@ def test_rule_nodes_match_scipy(n):
 def test_rule_weights_integrate_monomials_exactly(n):
     # exact moments from their own recurrences, without scipy: a Gauss rule of
     # n nodes integrates every polynomial of degree <= 2n - 1
-    for d in range(3, 9):
+    for d in DIMENSIONS:
         alpha = (d - 3) / 2.0
         t, w = gegenbauer_rule(d, n)
         assert math.isclose(w.sum(), gegenbauer_weight_mass(d), rel_tol=1e-13)
@@ -41,7 +48,7 @@ def test_rule_weights_integrate_monomials_exactly(n):
         for j in range(n):
             assert math.isclose(np.sum(w * t ** (2 * j)), moment, rel_tol=1e-13), (d, j)
             moment *= (j + 0.5) / (j + alpha + 1.5)
-    for kappa in range(1, 11):
+    for kappa in KAPPAS:
         rho, w = radial_power_rule(n, kappa)
         for m in range(2 * n):
             assert math.isclose(np.sum(w * rho**m), kappa / (kappa + m), rel_tol=1e-13), (kappa, m)
@@ -68,23 +75,24 @@ def test_rule_arguments_follow_the_integer_rule(call):
 
 
 @pytest.mark.parametrize(
-    "call, reason",
+    "n, a, b, reason",
     [
-        (lambda: gegenbauer_rule(40, 64), "converge"),
-        (lambda: radial_power_rule(2, 20), "converge"),
-        (lambda: radial_power_rule(2, 31), "repeat"),
+        (64, 18.5, 18.5, "converge"),
+        (2, 0.0, 19.0, "converge"),
+        (2, 0.0, 30.0, "repeat"),
         # two nodes 2 ulps apart on one zero: sorted, but p_(n-1) does not alternate
-        (lambda: radial_power_rule(36, 17), "repeat"),
+        (36, 0.0, 16.0, "repeat"),
         # the solved half converges onto a negative zero, which the mirror repeats
-        (lambda: gegenbauer_rule(35, 11), "repeat"),
+        (11, 16.0, 16.0, "repeat"),
     ],
     ids=["d40", "kappa20", "kappa31", "kappa17", "d35"],
 )
-def test_rules_raise_beyond_their_initial_guesses(call, reason):
-    # far beyond the scans' parameters the asymptotic guesses fail; the rule
-    # raises rather than return a repeated or unconverged node
+def test_interior_guesses_past_their_range_raise(monkeypatch, n, a, b, reason):
+    # the interior asymptotics miss near the endpoint of a large parameter;
+    # the rule raises rather than return a repeated or unconverged node
+    monkeypatch.setattr(quadrature, "_INTERIOR_SEEDS_MAX", math.inf)
     with pytest.raises(RuntimeError, match=reason):
-        call()
+        quadrature._gauss_jacobi(n, a, b)
 
 
 def test_integral_float_rule_arguments_are_integers():
