@@ -127,8 +127,11 @@ def _ball_lattice(spec: GridSpec, x: np.ndarray, u: float, r: float):
         lo = math.ceil((c - w + L) / h - 0.5 - 1e-12)
         hi = math.floor((c + w + L) / h - 0.5 + 1e-12)
         ranges.append(np.arange(lo, hi + 1))
-    mesh = np.meshgrid(*ranges, indexing="ij")
-    idx = np.stack([m.reshape(-1) for m in mesh], axis=-1)
+    dim = len(ranges)
+    idx = np.empty([len(rg) for rg in ranges] + [dim], dtype=np.int64)
+    for j, rg in enumerate(ranges):
+        idx[..., j] = rg.reshape([-1 if a == j else 1 for a in range(dim)])
+    idx = idx.reshape(-1, dim)
     X = -L + (idx[:, :-1] + 0.5) * h
     U = -L + (idx[:, -1] + 0.5) * h
     return X, U, idx
@@ -178,9 +181,11 @@ def grushin_maximal(f: GridFunction | VectorField, radii) -> GridFunction | Vect
         inside = _in_box(spec, idx)
         flat_idx = np.ravel_multi_index(tuple(idx[inside].T), spec.shape)
         dk_in = dk[inside]
-        for r in rs:
-            count = int(np.count_nonzero(dk <= r))
-            if count == 0:
+        # members per radius; balls are nested, so a radius whose count
+        # repeats the previous one has the same ball and the same average
+        counts = np.searchsorted(np.sort(dk), rs, side="right").tolist()
+        for r, count, prev in zip(rs, counts, [0] + counts):
+            if count == prev:
                 continue
             sel = flat_idx[dk_in <= r]
             for m, best in zip(flat, out):

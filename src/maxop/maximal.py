@@ -28,9 +28,19 @@ stencil is even in every axis, so its spectrum is computed from its
 nonnegative-offset part.  The center-only radius is taken exactly.  The
 first radius whose ball holds every in-grid offset ends the sweep: for
 k = 0 its numerator is each member's mass, and every larger radius has the
-same numerator over a denominator no smaller.  The descent operator
-(:mod:`maxop.rotations`) applies its corner stencils with the same FFT
-helpers: padded shapes, member spectra, batching and cropped inverses.
+same numerator over a denominator no smaller.
+
+A radius is skipped when it cannot raise the max.  The values are |f| >= 0
+and every weight of the ball |delta|^2 <= T is at most (T h^2)^(k/2) (1 for
+k = 0), so no in-grid numerator exceeds mass * (T h^2)^(k/2), and no
+average exceeds that over the denominator.  When every node's running max
+of a member is already at least that bound, for every member, the radius
+leaves the max unchanged in exact arithmetic, and its convolution is not
+computed.
+
+The descent operator (:mod:`maxop.rotations`) applies its corner stencils
+with the same FFT helpers: padded shapes, member spectra, batching and
+cropped inverses.
 """
 
 from __future__ import annotations
@@ -172,6 +182,8 @@ def _ball_max_fft(a, h, radii, k, denom):
     cover = sum((m - 1) ** 2 for m in shape)  # |delta|^2 of the farthest in-grid offset
     full = tuple(min(math.isqrt(_strict_bound(radii[-1], h)), m - 1) for m in shape)
     n2_full, fold_full = _half_box(full, cover)
+    norms = np.flatnonzero(np.bincount(n2_full.ravel()))  # the |delta|^2 in-grid offsets take
+    mass = a.sum(axis=axes, keepdims=True)
     out = np.zeros_like(a)
     mshape = spectra = key = conv = None
     for r in radii:
@@ -179,14 +191,21 @@ def _ball_max_fft(a, h, radii, k, denom):
         den = denom[t]
         if den <= 0:
             continue
+        # no average of this radius exceeds the member's mass times the
+        # ball's largest weight over den; skip the radius when that bound
+        # cannot raise any node's max (key and conv stay those of one stencil)
+        if np.all(out.min(axis=axes, keepdims=True) >= mass * (t * (h * h)) ** (k / 2.0) / den):
+            if t >= cover:
+                break
+            continue
         if k == 0 and t >= cover:
             # the ball holds every in-grid offset from every node, so the
             # numerator is each member's mass
-            np.maximum(out, a.sum(axis=axes, keepdims=True) / den, out=out)
+            np.maximum(out, mass / den, out=out)
             break
-        reach = tuple(min(math.isqrt(t), m - 1) for m in shape)
-        # a ball that covers its reach box shares the box's stencil
-        new_key = (reach, t if t < sum(R * R for R in reach) else -1)
+        # balls with the same largest in-grid |delta|^2 <= t hold the same
+        # offsets and share one stencil
+        new_key = norms[np.searchsorted(norms, t, side="right") - 1]
         if new_key != key:
             key = new_key
             if t == 0:
@@ -194,6 +213,7 @@ def _ball_max_fft(a, h, radii, k, denom):
                 # taken exactly so that Mf >= |f| holds without rounding
                 conv = a
             else:
+                reach = tuple(min(math.isqrt(t), m - 1) for m in shape)
                 shp = _padded_shape(shape, reach)
                 if shp != mshape:
                     mshape, spectra = shp, None  # drop the old spectra first
@@ -244,16 +264,24 @@ def _chunk(mshape: tuple[int, ...]) -> int:
 
 
 def _member_spectra(a: np.ndarray, mshape: tuple[int, ...]) -> np.ndarray:
-    """rfftn of every member zero-padded to ``mshape``, one axis at a time
-    and last axis first, so each axis is padded only when it is transformed."""
+    """rfftn of every member zero-padded to ``mshape``, in batches of at
+    most :func:`_chunk` members; a single batch is returned as computed."""
     n, c = a.shape[0], _chunk(mshape)
+    if n <= c:
+        return _padded_spectra(a, mshape)
     out = np.empty((n,) + mshape[:-1] + (mshape[-1] // 2 + 1,), dtype=complex)
     for lo in range(0, n, c):
-        y = _fft.rfftn(a[lo : lo + c], s=mshape[-1:], axes=(a.ndim - 1,), workers=fft_workers())
-        for ax in range(a.ndim - 2, 0, -1):
-            y = _fft.fftn(y, s=(mshape[ax - 1],), axes=(ax,), overwrite_x=True, workers=fft_workers())
-        out[lo : lo + c] = y
+        out[lo : lo + c] = _padded_spectra(a[lo : lo + c], mshape)
     return out
+
+
+def _padded_spectra(a: np.ndarray, mshape: tuple[int, ...]) -> np.ndarray:
+    """One batch of :func:`_member_spectra`, one axis at a time and last axis
+    first, so each axis is padded only when it is transformed."""
+    y = _fft.rfftn(a, s=mshape[-1:], axes=(a.ndim - 1,), workers=fft_workers())
+    for ax in range(a.ndim - 2, 0, -1):
+        y = _fft.fftn(y, s=(mshape[ax - 1],), axes=(ax,), overwrite_x=True, workers=fft_workers())
+    return y
 
 
 def _even_spectrum(half: np.ndarray, mshape: tuple[int, ...]) -> np.ndarray:
@@ -263,22 +291,28 @@ def _even_spectrum(half: np.ndarray, mshape: tuple[int, ...]) -> np.ndarray:
 
     Per axis the transform of an even sequence is the real part of the
     transform of its folded half, and it is even in the frequency, so only
-    frequencies 0..m//2 are computed and the rest are read off by symmetry.
+    frequencies 0..m//2 are computed and frequencies m//2+1..m-1 are the
+    mirror image of 1..m - m//2 - 1.
     """
     s = half
     for ax, m in enumerate(mshape):
         s = _fft.rfftn(s, s=(m,), axes=(ax,), workers=fft_workers()).real
-    idx = [np.minimum(np.arange(m), m - np.arange(m)) for m in mshape[:-1]]
-    return s[np.ix_(*idx, np.arange(s.shape[-1]))]
+    for ax, m in enumerate(mshape[:-1]):
+        mirror = np.flip(s[(slice(None),) * ax + (slice(1, m - m // 2),)], axis=ax)
+        s = np.concatenate((s, mirror), axis=ax)
+    return s
 
 
 def _convolve(spectra, sfft, mshape, shape) -> np.ndarray:
     """Inverse transforms of every member spectrum times ``sfft``, cropped to
-    the grid."""
+    the grid; each batch's products go to one reused work array that is
+    inverted in place."""
     n, c = spectra.shape[0], _chunk(mshape)
     conv = np.empty((n,) + tuple(shape))
+    work = np.empty((min(n, c),) + spectra.shape[1:], dtype=complex)
     for lo in range(0, n, c):
-        conv[lo : lo + c] = _inverse(spectra[lo : lo + c] * sfft, mshape, shape)
+        y = np.multiply(spectra[lo : lo + c], sfft, out=work[: min(c, n - lo)])
+        conv[lo : lo + c] = _inverse(y, mshape, shape)
     return conv
 
 

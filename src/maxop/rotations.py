@@ -172,9 +172,10 @@ def _shift_max(a: np.ndarray, shifts: list[np.ndarray], coeff: np.ndarray) -> np
             live = ~np.any(exact & (c == 1), axis=1) & np.all(np.abs(off) < shape, axis=1)
             w = coeff * np.prod(np.where(c == 1, t, 1.0 - t), axis=1)
             states = np.where(exact, 2, c)
-            for key in np.unique(states[live], axis=0):
-                sel = live & np.all(states == key, axis=1)
-                taps.setdefault(tuple(key.tolist()), []).append((g, off[sel], w[sel]))
+            code = states @ 3 ** np.arange(len(shape))  # base-3 code of each row's states
+            for key in np.unique(code[live]):
+                sel = live & (code == key)
+                taps.setdefault(tuple(states[sel][0].tolist()), []).append((g, off[sel], w[sel]))
             reach = np.maximum(reach, np.abs(off[live]).max(axis=0, initial=0))
     mshape = _padded_shape(shape, reach)
     n, step = a.shape[0], max(1, _chunk(mshape) // (len(shifts) + 1))

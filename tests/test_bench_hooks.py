@@ -53,3 +53,32 @@ def test_fft_calling_modules_are_traced():
     assert "maxop.multiplier" in callers
     untracked = sorted(callers - set(lt.CALLER_LAYER))
     assert not untracked, f"modules calling scipy.fft without a tracer layer: {untracked}"
+
+
+def _scipy_fft_attributes(path: Path) -> set[str]:
+    """Names read off every alias the module binds to scipy.fft."""
+    tree = ast.parse(path.read_text())
+    aliases = {
+        a.asname
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for a in node.names
+        if a.name == "scipy.fft" and a.asname
+    }
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases
+    }
+
+
+def test_package_transforms_are_counted():
+    # the FFT counters wrap the n-dim transforms by name; a transform outside
+    # that list (a 1-D fft, say) would run uncounted.  dctn is the one known
+    # uncounted transform, and next_fast_len transforms nothing.
+    lt = _layertrace()
+    package = Path(maxop.__file__).resolve().parent
+    used = set().union(*(_scipy_fft_attributes(p) for p in package.glob("*.py")))
+    assert {"rfftn", "irfftn", "fftn", "ifftn"} <= used
+    uncounted = sorted(used - set(lt.FFT_FUNCS) - {"next_fast_len", "dctn"})
+    assert not uncounted, f"scipy.fft names the tracer does not count: {uncounted}"

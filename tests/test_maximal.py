@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
+from maxop import maximal
 from maxop.checks import _oracle_hl
 from maxop.grid import GridFunction, VectorField, make_grid, sample
 from maxop.grushin import grushin_maximal, iterated_maximal, min_node_gap
@@ -11,6 +13,7 @@ from maxop.maximal import (
     RadiiSet,
     _ball_max_exact,
     _cumulative_weights,
+    _even_spectrum,
     _strict_bound,
     default_radii,
     hl_maximal,
@@ -133,6 +136,89 @@ def test_covering_radius_reaches_the_far_corner(k):
     assert want[-1, -1] > 0
     assert got[-1, -1] == pytest.approx(want[-1, -1], rel=1e-12)
     assert np.abs(got - want).max() <= 1e-12 * want.max()
+
+
+def _cutoff_members(spec):
+    # a centered gaussian, and a spike in one corner that reaches the
+    # opposite corner only through the ball holding every in-grid offset
+    x = spec.axis_nodes()
+    corner = np.zeros(spec.shape)
+    corner[0, 0] = 1.0
+    return {"gaussian": np.exp(-(x[:, None] ** 2 + x[None, :] ** 2) / 4.0), "corner": corner}
+
+
+# h = 1, so every nonzero weight |delta h|^k is at least 1 and the bound's
+# weight factor matters at every radius
+_CUTOFF_SPEC = make_grid(2, 6.0, 12)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("member", ["gaussian", "corner"])
+def test_radius_cutoff_is_exact(member, k):
+    spec = _CUTOFF_SPEC
+    assert spec.size > _EXACT_PATH_MAX_NODES
+    vals = _cutoff_members(spec)[member]
+    radii = default_radii(spec)
+    f = GridFunction(spec, vals)
+    got = (hl_maximal(f, radii) if k == 0 else weighted_maximal(f, k, radii)).values
+    denom = _cumulative_weights(2, _strict_bound(radii.radii[-1], spec.h), k, spec.h)
+    want = _ball_max_exact(vals[None], spec.h, radii.radii, k, denom)[0]
+    assert np.abs(got - want).max() <= 1e-13 * want.max()
+    if member == "corner":
+        # the winning radius at the far corner is the covering one
+        assert want[-1, -1] > 0
+        assert got[-1, -1] == pytest.approx(want[-1, -1], rel=1e-13)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_radius_cutoff_skips_convolutions(monkeypatch, k):
+    spec = _CUTOFF_SPEC
+    radii = default_radii(spec)
+    calls = []
+    convolve = maximal._convolve
+    monkeypatch.setattr(maximal, "_convolve", lambda *args: calls.append(args) or convolve(*args))
+    counts = {}
+    for name, vals in _cutoff_members(spec).items():
+        calls.clear()
+        weighted_maximal(GridFunction(spec, vals), k, radii)
+        counts[name] = len(calls)
+    # distinct stencils: in-grid offset sets of the balls the sweep convolves,
+    # from the first one past the center up to the covering one (for k = 0
+    # the covering ball's numerator is the mass, with no convolution)
+    off = np.arange(-(spec.N - 1), spec.N)
+    n2 = off[:, None] ** 2 + off[None, :] ** 2
+    ts = [_strict_bound(r, spec.h) for r in radii]
+    swept = [t for t in ts if 0 < t < n2.max()] + ([n2.max()] if k else [])
+    stencils = {tuple(np.flatnonzero(n2 <= t)) for t in swept}
+    # the corner spike leaves the far corner at 0 below the covering radius,
+    # so no radius is skipped; the gaussian skips the radii whose bound its
+    # running max already meets everywhere
+    assert counts["corner"] == len(stencils)
+    assert counts["gaussian"] < len(stencils)
+
+
+@pytest.mark.parametrize(
+    "mshape",
+    [(18, 21), (21, 25), (25, 27), (27, 32), (32, 33), (33, 35), (35, 63), (63, 18), (21, 33, 25), (63, 27, 35)],
+)
+def test_even_spectrum_mirror_matches_the_gather(rng, mshape):
+    # odd padded lengths come from next_fast_len at d = 3; every length sits
+    # on a mirrored (non-last) axis at least once
+    half = rng.random(tuple(min(6, m // 2) for m in mshape))
+    got = _even_spectrum(half, mshape)
+    s = half
+    for ax, m in enumerate(mshape):
+        s = scipy.fft.rfftn(s, s=(m,), axes=(ax,)).real
+    idx = [np.minimum(np.arange(m), m - np.arange(m)) for m in mshape[:-1]]
+    want = s[np.ix_(*idx, np.arange(s.shape[-1]))]
+    assert got.shape == want.shape and np.array_equal(got, want)
+    # and it is the spectrum of the even stencil laid out with wrap-around
+    full = np.zeros(mshape)
+    for corner in np.ndindex(*half.shape):
+        fold = 2 ** sum(c > 0 for c in corner)
+        for signs in np.ndindex(*(2,) * len(mshape)):
+            full[tuple(-c if sg else c for c, sg in zip(corner, signs))] = half[corner] / fold
+    np.testing.assert_allclose(got, np.fft.rfftn(full).real, rtol=0, atol=1e-12 * np.abs(got).max())
 
 
 def test_fft_path_matches_naive_oracle(rng):
