@@ -305,14 +305,11 @@ def _even_spectrum(half: np.ndarray, mshape: tuple[int, ...]) -> np.ndarray:
 
 def _convolve(spectra, sfft, mshape, shape) -> np.ndarray:
     """Inverse transforms of every member spectrum times ``sfft``, cropped to
-    the grid; each batch's products go to one reused work array that is
-    inverted in place."""
+    the grid."""
     n, c = spectra.shape[0], _chunk(mshape)
     conv = np.empty((n,) + tuple(shape))
-    work = np.empty((min(n, c),) + spectra.shape[1:], dtype=complex)
     for lo in range(0, n, c):
-        y = np.multiply(spectra[lo : lo + c], sfft, out=work[: min(c, n - lo)])
-        conv[lo : lo + c] = _inverse(y, mshape, shape)
+        conv[lo : lo + c] = _inverse(spectra[lo : lo + c] * sfft, mshape, shape)
     return conv
 
 

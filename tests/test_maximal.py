@@ -197,6 +197,18 @@ def test_radius_cutoff_skips_convolutions(monkeypatch, k):
     assert counts["gaussian"] < len(stencils)
 
 
+@pytest.mark.parametrize("k", [0, 1])
+def test_fft_path_is_bit_exact_across_batches(monkeypatch, rng, k):
+    spec = _CUTOFF_SPEC
+    F = VectorField(tuple(GridFunction(spec, rng.standard_normal(spec.shape)) for _ in range(3)))
+    radii = default_radii(spec)
+    whole = weighted_maximal(F, k, radii)
+    monkeypatch.setattr(maximal, "_BATCH_BYTES", 1)  # one member per batch
+    assert maximal._chunk((64, 64)) == 1
+    for g, w in zip(weighted_maximal(F, k, radii), whole):
+        assert np.array_equal(g.values, w.values)
+
+
 @pytest.mark.parametrize(
     "mshape",
     [(18, 21), (21, 25), (25, 27), (27, 32), (32, 33), (33, 35), (35, 63), (63, 18), (21, 33, 25), (63, 27, 35)],
