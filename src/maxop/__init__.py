@@ -31,12 +31,11 @@ from .multiplier import (
     funk_hecke_kernel,
     kernel,
     maximal_multiplier,
-    radial_majorant,
     spherical_maximal,
     surface_multiplier,
     tilde_piece,
 )
-from .norms import Exponent, level_measure, lp_norm, lq_pointwise, mixed_norm
+from .norms import lp_norm, lq_pointwise, mixed_norm
 from .rotations import (
     DescentSplit,
     RotationMatrix,

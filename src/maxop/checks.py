@@ -18,7 +18,7 @@ import numpy as np
 from scipy import ndimage
 
 from .families import compact_bump_values
-from .grid import GridFunction, GridSpec, VectorField, _wrap, make_grid, sample
+from .grid import GridFunction, GridSpec, VectorField, _wrap, make_grid, node_coordinates, sample
 from .grushin import (
     GrushinPoint,
     grushin_maximal,
@@ -54,7 +54,7 @@ from .rotations import (
     rotation_average_check,
     sphere_identity_check,
 )
-from .scan import ScanConfig, csv_text, report_violations, run_scan
+from .scan import ScanConfig, _decay_window, csv_text, report_violations, run_scan
 from .squarefn import default_tgrid, prop2_check, sharp_annulus, square_function
 
 __all__ = ["CheckResult", "run_all", "CRITERIA"]
@@ -93,8 +93,7 @@ def criterion_identity_suite() -> CheckResult:
     checks.append((f"hl {dev:.1e}", dev <= 1e-10))
 
     small = RadiiSet(tuple(np.geomspace(spec2.h, 1.0, 6)))
-    ax = spec2.axis_nodes()
-    interior2 = np.abs(np.stack(np.meshgrid(ax, ax, indexing="ij"), -1)).max(-1) <= spec2.L - 1.05
+    interior2 = np.abs(node_coordinates(spec2)).max(-1) <= spec2.L - 1.05
     dev = np.abs(weighted_maximal(one2, 2, small).values[interior2] - 1.0).max()
     checks.append((f"weighted {dev:.1e}", dev <= 1e-10))
 
@@ -114,8 +113,7 @@ def criterion_identity_suite() -> CheckResult:
     one3s = _wrap(spec3s, np.ones(spec3s.shape))
     rsd = RadiiSet((0.2, 0.35, 0.5))
     desc = descent_maximal(one3s, haar_rotation(3, 1), DescentSplit(3, 3), rsd, n_radial=6, n_sphere=12)
-    axs = spec3s.axis_nodes()
-    inter3 = np.abs(np.stack(np.meshgrid(axs, axs, axs, indexing="ij"), -1)).max(-1) <= spec3s.L - 0.55
+    inter3 = np.abs(node_coordinates(spec3s)).max(-1) <= spec3s.L - 0.55
     dev = np.abs(desc.values[inter3] - 1.0).max()
     checks.append((f"descent {dev:.1e}", dev <= 1e-10))
 
@@ -473,11 +471,7 @@ def criterion_rotation_identities() -> CheckResult:
         radii = RadiiSet((spec.h, 0.55, 0.75))
         dom = lemma2_domination(f, DescentSplit(d, 3), radii, n_mc=16, seed=3, n_radial=8, n_sphere=16)
         M = hl_maximal(f, radii)
-        axn = spec.axis_nodes()
-        interior = (
-            np.abs(np.stack(np.meshgrid(*([axn] * d), indexing="ij"), -1)).max(-1)
-            <= spec.L - 0.8
-        )
+        interior = np.abs(node_coordinates(spec)).max(-1) <= spec.L - 0.8
         ok = M.values <= dom.average.values + 3 * dom.stderr.values + 2 * spec.h
         frac = float(ok[interior].mean())
         checks.append((f"rotation-average domination d={d} at {frac:.3f}", frac >= 0.95))
@@ -513,20 +507,15 @@ def criterion_decay_slope() -> CheckResult:
     spec = make_grid(3, 8.0, 96)
     f = sample(spec, compact_bump_values)
     radii = RadiiSet(tuple(np.geomspace(0.5, 6.0, 64)))
-    M = spherical_maximal(f, radii)
-    center = spec.N // 2
-    ray = M.values[:, center, center]
-    x1 = spec.axis_nodes()
-    rad = np.sqrt(x1**2 + 2 * (spec.h / 2.0) ** 2)
-    sel = (rad >= 2.0) & (rad <= 4.0) & (x1 > 0)
-    slope = float(np.polyfit(np.log(rad[sel]), np.log(ray[sel]), 1)[0])
+    rad, ray = _decay_window(spherical_maximal(f, radii))
+    slope = float(np.polyfit(np.log(rad), np.log(ray), 1)[0])
     checks.append((f"fft slope {slope:.3f}", abs(slope + 2.0) <= 0.2))
 
     r_dense = np.linspace(1.0, 5.5, 400)
-    oracle_vals = np.array([_oracle_sphere_sup(3, x, r_dense) for x in rad[sel]])
-    oslope = float(np.polyfit(np.log(rad[sel]), np.log(oracle_vals), 1)[0])
+    oracle_vals = np.array([_oracle_sphere_sup(3, x, r_dense) for x in rad])
+    oslope = float(np.polyfit(np.log(rad), np.log(oracle_vals), 1)[0])
     checks.append((f"oracle slope {oslope:.3f}", abs(oslope + 2.0) <= 0.2))
-    agree = np.max(np.abs(ray[sel] - oracle_vals) / oracle_vals)
+    agree = np.max(np.abs(ray - oracle_vals) / oracle_vals)
     return _result(
         "criterion 8: necessity decay slope",
         t0,

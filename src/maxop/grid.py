@@ -40,7 +40,6 @@ __all__ = [
     "forward_transform",
     "inverse_transform",
     "node_coordinates",
-    "node_radii",
     "frequency_radii",
     "fft_workers",
     "PreconditionError",
@@ -148,10 +147,6 @@ def node_coordinates(spec: GridSpec) -> np.ndarray:
     """Node coordinates, shape spec.shape + (d,)."""
     axes = np.meshgrid(*([spec.axis_nodes()] * spec.d), indexing="ij")
     return _readonly(np.stack(axes, axis=-1))
-
-@lru_cache(maxsize=32)
-def node_radii(spec: GridSpec) -> np.ndarray:
-    return _readonly(np.sqrt(np.sum(node_coordinates(spec) ** 2, axis=-1)))
 
 
 def frequency_radii(spec: GridSpec) -> np.ndarray:

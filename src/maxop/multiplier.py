@@ -41,7 +41,6 @@ from .grid import (
     _unstack,
     _wrap,
     fft_workers,
-    node_radii,
 )
 from .maximal import _as_radii
 from .quadrature import gegenbauer_rule, gegenbauer_weight_mass, refine_until_stationary
@@ -60,7 +59,6 @@ __all__ = [
     "decay_constants",
     "DecayRow",
     "decay_table_csv",
-    "radial_majorant",
     "sphere_area",
 ]
 
@@ -483,10 +481,12 @@ class _CosineTransform:
         du = (abs_tol / (0.014 * max(amp, 1e-300))) ** 0.25 / (2.0 * math.pi * b)
         # 24 significant bits make every k du exact, so the grid is uniform in floating point
         du = float(np.float32(du))
-        grid = np.arange(0.0, u_max + 4 * du, du)
+        # the length of np.arange(0.0, u_max + 4 * du, du); no table-sized
+        # array exists until the rule has verified
+        size = math.ceil((u_max + 4 * du) / du)
         # the probe is every stride-th grid point
-        stride = max(1, grid.size // 64)
-        probe = (0.0, stride * du, -(-grid.size // stride))
+        stride = max(1, size // 64)
+        probe = (0.0, stride * du, -(-size // stride))
         for _ in range(5):
             coarse = _trig_progression(np.cos, *probe, s1, d1)
             check = np.abs(coarse - _trig_progression(np.cos, *probe, s2, d2)).max()
@@ -497,7 +497,7 @@ class _CosineTransform:
             s2, d2 = dens_for(2 * n_s)
         else:
             raise RuntimeError(f"radial rule did not verify to {abs_tol}")
-        y = _trig_progression(np.cos, 0.0, du, grid.size, s2, d2)
+        y = _trig_progression(np.cos, 0.0, du, size, s2, d2)
         slope = np.diff(y) / du
         m = _not_a_knot_slopes(slope)
         curv = (m[:-1] + m[1:] - 2 * slope) / du
@@ -627,38 +627,3 @@ def decay_table_csv(rows: Sequence[DecayRow], path: str) -> None:
         for row in rows:
             fh.write(f"{row.l},{row.c1!r},{row.c2!r},{row.c3!r}\n")
 
-
-def radial_majorant(kern: GridFunction) -> tuple[RadialProfile, float]:
-    """Nonincreasing radial majorant of a sampled kernel, with its L^1 mass.
-
-    Omega(s) = max over nodes with |x| >= s of |kernel(x)| is nonincreasing
-    by construction; the returned mass is the upper Riemann sum of Omega over
-    the exact shell volumes between consecutive node radii, hence an upper
-    bound for its integral over the sampled range.
-    """
-    d = kern.spec.d
-    radii = node_radii(kern.spec).reshape(-1)
-    vals = np.abs(kern.values).reshape(-1)
-    order = np.argsort(radii)
-    r_sorted = radii[order]
-    v_sorted = vals[order]
-    tail_max = np.maximum.accumulate(v_sorted[::-1])[::-1]
-    r_unique, first_idx = np.unique(r_sorted, return_index=True)
-    omega_at = tail_max[first_idx]
-
-    def fn(s):
-        s = np.asarray(s, dtype=float)
-        idx = np.searchsorted(r_unique, s, side="left")
-        out = np.zeros(s.shape, dtype=float)
-        inside = idx < r_unique.size
-        out[inside] = omega_at[idx[inside]]
-        return out
-
-    ball_coeff = math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
-    edges = np.concatenate([[0.0], r_unique])
-    shells = ball_coeff * (edges[1:] ** d - edges[:-1] ** d)
-    mass = float(np.sum(omega_at * shells))
-    profile = RadialProfile(
-        fn=fn, support=(0.0, float(r_unique[-1])), sup_bound=float(tail_max[0])
-    )
-    return profile, mass

@@ -1,4 +1,4 @@
-"""Discrete L^p norms, pointwise l^q reductions, mixed norms, level-set measures.
+"""Discrete L^p norms, pointwise l^q reductions and mixed norms.
 
 Integrals are plain Riemann sums with cell weight h^d; reductions rely on
 numpy's pairwise summation, which is deterministic for a fixed array layout.
@@ -7,43 +7,25 @@ numpy's pairwise summation, which is deterministic for a fixed array layout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import GridFunction, VectorField, _wrap
 
 __all__ = [
-    "Exponent",
     "lp_norm",
     "lq_pointwise",
     "mixed_norm",
     "mixed_norm_values",
-    "level_measure",
 ]
 
 
-@dataclass(frozen=True)
-class Exponent:
-    """An exponent p with 1 < p < inf, or p = inf."""
-
-    value: float
-
-    def __post_init__(self):
-        v = float(self.value)
-        if not (v > 1.0):
-            raise ValueError(f"exponent must satisfy p > 1 (or inf), got {v}")
-        object.__setattr__(self, "value", v)
-
-    @property
-    def is_inf(self) -> bool:
-        return math.isinf(self.value)
-
-
 def _pvalue(p) -> float:
-    if isinstance(p, Exponent):
-        return p.value
-    return Exponent(float(p)).value
+    """p as a float, validated as an exponent with 1 < p < inf or p = inf."""
+    v = float(p)
+    if not (v > 1.0):
+        raise ValueError(f"exponent must satisfy p > 1 (or inf), got {v}")
+    return v
 
 
 def _lp(a: np.ndarray, pv: float, cell_volume: float) -> float:
@@ -81,14 +63,8 @@ def mixed_norm(F: VectorField, p, q) -> float:
 
 def mixed_norm_values(arrays, p, q, cell_volume: float) -> float:
     """Mixed norm on raw sample arrays sharing one cell volume; the same
-    reduction as :func:`mixed_norm`."""
+    reduction as :func:`mixed_norm`.  No package code calls it: the bench's
+    layer trace spans it, so it goes when the package owns its counters, a
+    change to the benchmark (see ROADMAP.md)."""
     return _lp(_lq(arrays, _pvalue(q)), _pvalue(p), cell_volume)
 
-
-def level_measure(g: GridFunction, lam: float) -> float:
-    """h^d times the number of nodes where g exceeds lam (superlevel-set measure)."""
-    if not (lam > 0):
-        raise ValueError(f"level threshold must be positive, got {lam}")
-    if np.any(g.values < 0):
-        raise ValueError("level_measure expects a nonnegative GridFunction")
-    return float(np.count_nonzero(g.values > lam)) * g.spec.cell_volume

@@ -9,8 +9,8 @@ plain Legendre rule on the weighted integrand would crawl.
 The Gauss-Jacobi rules are built in numpy: Newton's method on the
 orthonormal three-term recurrence, vectorized over the nodes, from asymptotic
 initial guesses (Hale & Townsend, SIAM J. Sci. Comput. 35, 2013) or, for
-large Jacobi parameters, from bisection on the Sturm count.  scipy's Gauss-Jacobi and Gauss-Legendre rules serve only as the test
-oracle.
+large Jacobi parameters, from bisection on the Sturm count.  scipy's
+Gauss-Jacobi and Gauss-Legendre rules serve only as the test oracle.
 """
 
 from __future__ import annotations

@@ -35,6 +35,7 @@ import numpy as np
 from .grid import GridFunction, GridSpec, PreconditionError, VectorField, _integer, _stack, _unstack, _wrap
 from .maximal import _as_radii, _ball_max_values, _chunk, _inverse, _member_spectra
 from .maximal import _padded_shape, _strict_bound
+from .norms import _pvalue
 from .quadrature import radial_power_rule
 
 __all__ = [
@@ -334,9 +335,7 @@ def lemma2_domination(
 def dimension_split(p: float, q: float) -> int:
     """The descent dimension d' = floor(max(2, p, q, p', q')) + 1, which
     satisfies d'/(d'-1) < min(p, q) and max(p, q) < d'."""
-    from .norms import Exponent
-
-    pv, qv = Exponent(float(p)).value, Exponent(float(q)).value
+    pv, qv = _pvalue(p), _pvalue(q)
     if math.isinf(pv) or math.isinf(qv):
         raise PreconditionError("dimension_split needs finite exponents")
     target = max(2.0, pv, qv, pv / (pv - 1.0), qv / (qv - 1.0))

@@ -146,18 +146,25 @@ class ScanReport:
         object.__setattr__(self, "rows", ordered)
 
 
-def _decay_slope_extra(member: GridFunction) -> str:
-    """log-log slope of the leading member over the first-axis ray, fitted on
-    the radii window [2, 4] (clipped to the grid)."""
+def _decay_window(member: GridFunction) -> tuple[np.ndarray, np.ndarray]:
+    """(|x|, value) of a member on the positive first-axis ray through the
+    grid's centre, at the positive values in the radii window [2, 4] (clipped
+    to the grid), where its decay slope is fitted."""
     spec, vals = member.spec, member.values
     center = (spec.N // 2,) * (spec.d - 1)
     ray = vals[(slice(None),) + center] if spec.d > 1 else vals
     x1 = spec.axis_nodes()
     rad = np.sqrt(x1**2 + (spec.d - 1) * (spec.h / 2.0) ** 2)
     sel = (rad >= 2.0) & (rad <= min(4.0, spec.L - spec.h)) & (x1 > 0) & (ray > 0)
-    if np.count_nonzero(sel) < 3:
+    return rad[sel], ray[sel]
+
+
+def _decay_slope_extra(member: GridFunction) -> str:
+    """log-log slope of the leading member over its decay window."""
+    rad, ray = _decay_window(member)
+    if rad.size < 3:
         return ""
-    slope = np.polyfit(np.log(rad[sel]), np.log(ray[sel]), 1)[0]
+    slope = np.polyfit(np.log(rad), np.log(ray), 1)[0]
     return f"slope={float(slope)!r}"
 
 

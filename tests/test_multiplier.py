@@ -14,6 +14,7 @@ from maxop.grid import (
     frequency_radii,
     inverse_transform,
     make_grid,
+    node_coordinates,
     sample,
 )
 from maxop.maximal import RadiiSet, default_radii, hl_maximal
@@ -30,7 +31,6 @@ from maxop.multiplier import (
     funk_hecke_kernel,
     kernel,
     maximal_multiplier,
-    radial_majorant,
     spherical_maximal,
     surface_multiplier,
     tilde_piece,
@@ -270,24 +270,38 @@ def test_spherical_maximal_at_bump_center():
 
 def test_prop1_majorant_domination():
     # the multiplier maximal function is controlled by ||Omega||_1 times the
-    # Hardy-Littlewood maximal function, Omega the kernel's radial majorant
+    # Hardy-Littlewood maximal function, Omega(s) the largest |kernel| over
+    # the nodes with |x| >= s (the kernel's nonincreasing radial majorant)
     spec = make_grid(2, 4.0, 48)
     prof = bump(0)
     kern = kernel(prof, spec)
-    omega, mass = radial_majorant(kern)
-    assert mass >= 1.0 - 1e-6  # at least the kernel integral = profile(0)
-    s = np.linspace(0.0, 5.0, 400)
-    vals = omega(s)
-    assert np.all(np.diff(vals) <= 1e-15)
-    assert np.all(np.abs(kern.values) <= omega(np.sqrt(np.sum(
-        np.stack(np.meshgrid(spec.axis_nodes(), spec.axis_nodes(), indexing='ij'), -1) ** 2, -1
-    )) ) + 1e-15)
+    node_r = np.sqrt(np.sum(node_coordinates(spec) ** 2, axis=-1)).reshape(-1)
+    order = np.argsort(node_r)
+    tail_max = np.maximum.accumulate(np.abs(kern.values).reshape(-1)[order][::-1])[::-1]
+    r_unique, first = np.unique(node_r[order], return_index=True)
+    # the upper Riemann sum of Omega over the annuli between node radii
+    mass = float(np.sum(tail_max[first] * np.pi * np.diff(r_unique**2, prepend=0.0)))
     f = sample(spec, lambda p: np.exp(-3 * np.sum((p - 0.4) ** 2, -1)))
     radii = RadiiSet(tuple(np.geomspace(spec.h, 2.0, 10)))
     dense = default_radii(spec, 24)
     Mw = maximal_multiplier(f, prof, radii)
     Mhl = hl_maximal(f, dense)
     assert np.all(Mw.values <= mass * Mhl.values * 1.05 + 1e-8)
+
+
+def test_funk_hecke_refuses_an_unverified_rule_before_tabulating():
+    # the radial rule cannot verify for d >= 13; the cosine table's length is
+    # computed, not allocated, so the refusal holds no table-sized array
+    with pytest.raises(RuntimeError, match="did not verify"):
+        funk_hecke_kernel(1, 63, [0.5])
+    tracemalloc.start()
+    try:
+        with pytest.raises(RuntimeError, match="did not verify"):
+            funk_hecke_kernel(1, 34, [0.5])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def test_kernel_guards_and_phi0_mass():
