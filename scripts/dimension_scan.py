@@ -2,28 +2,16 @@
 """Headline experiment: mixed-norm ratios of the ball maximal operator and
 the first dyadic multiplier piece across dimensions 1..5.
 
-Writes CSV + plot-ready series under outputs/.
+Writes CSV + plot-ready series under outputs/; the configs are the ones
+criterion 10 of ``maxop check`` re-runs.
 """
 
 import pathlib
 
-from maxop.scan import ScanConfig, emit_csv, emit_plotdata, run_scan
+from maxop.checks import _HEADLINE_CONFIGS as CONFIGS
+from maxop.scan import emit_csv, emit_plotdata, run_scan
 
 OUT = pathlib.Path(__file__).resolve().parent.parent / "outputs"
-
-CONFIGS = [
-    ScanConfig(
-        operator=operator,
-        d_range=(1, 2, 3, 4, 5),
-        p_list=(2.0, 3.0),
-        q_list=(2.0, 1.5),
-        family="gaussian",
-        n_members=4,
-        seed=0,
-        l=1,
-    )
-    for operator in ("HL", "MULT_L")
-]
 
 
 def main() -> None:

@@ -30,7 +30,7 @@ from .grushin import (
 from .maximal import RadiiSet, default_radii, hl_maximal, maximal_1d, weighted_maximal
 from .multiplier import (
     RadialProfile,
-    _surface,
+    _m,
     bump,
     dyadic_piece,
     funk_hecke_kernel,
@@ -244,7 +244,7 @@ def _zonal_inverse(
     radial function: area(S^(d-1)) * int profile(s) m(s rho) s^(d-1) ds.
 
     Every m value is a direct Gegenbauer quadrature to ``m_tol`` stationarity
-    (``_SurfaceTransform._bucketed``), point by point and never through the
+    (``maxop.multiplier._m``), point by point and never through the
     angle-addition sums of the production sweeps, so this is accurate but
     expensive; bulk sweeps go through ``maxop.multiplier._CosineTransform``
     instead, and the two paths cross-check each other in the test suite.
@@ -253,14 +253,13 @@ def _zonal_inverse(
     if not math.isfinite(b):
         raise ValueError("zonal inverse transform needs compact support")
     rho = np.asarray(rho, dtype=float)
-    st = _surface(d)
     rmax = float(np.max(rho)) if rho.size else 0.0
 
     def with_rule(n: int) -> np.ndarray:
         t, w = gegenbauer_rule(3, n)  # plain Legendre nodes for the radial leg
         s = a + (b - a) * (t + 1.0) / 2.0
         dens = profile(s) * s ** (d - 1) * (w * (b - a) / 2.0)
-        vals = st._bucketed(np.outer(rho.reshape(-1), s), deriv=False, tol=m_tol)
+        vals = _m(d, np.outer(rho.reshape(-1), s), tol=m_tol)
         return vals @ dens
 
     out = refine_until_stationary(with_rule, max_arg=(b - a) * max(rmax, 1.0), tol=tol)
@@ -621,22 +620,26 @@ def criterion_grushin_suite() -> CheckResult:
 # -- criterion 10 ------------------------------------------------------------
 
 
+# the headline scans (scripts/dimension_scan.py writes them to outputs/), one
+# config per operator: the exponent grid is the product of the lists, and the
+# per-dimension operator output is shared across all its rows
+_HEADLINE_CONFIGS = tuple(
+    ScanConfig(
+        operator=op,
+        d_range=(1, 2, 3, 4, 5),
+        p_list=(2.0, 3.0),
+        q_list=(2.0, 1.5),
+        family="gaussian",
+        n_members=4,
+        seed=0,
+        l=1,
+    )
+    for op in ("HL", "MULT_L")
+)
+
+
 def _stability_scan() -> tuple[list, str]:
-    # one config per operator: the exponent grid is the product of the lists,
-    # and the per-dimension operator output is shared across all its rows
-    reports = []
-    for op in ("HL", "MULT_L"):
-        cfg = ScanConfig(
-            operator=op,
-            d_range=(1, 2, 3, 4, 5),
-            p_list=(2.0, 3.0),
-            q_list=(2.0, 1.5),
-            family="gaussian",
-            n_members=4,
-            seed=0,
-            l=1,
-        )
-        reports.append(run_scan(cfg))
+    reports = [run_scan(cfg) for cfg in _HEADLINE_CONFIGS]
     text = "".join(csv_text(r, mask_wall=True) for r in reports)
     return reports, text
 

@@ -120,12 +120,7 @@ def _sq_norm_hist(d: int, tmax: int) -> np.ndarray:
 def _cumulative_weights(d: int, tmax: int, k: int, h: float) -> np.ndarray:
     """W[T] = sum over lattice offsets with |delta|^2 <= T of (|delta| h)^k."""
     hist = _sq_norm_hist(d, tmax)
-    n = np.arange(tmax + 1, dtype=float)
-    if k == 0:
-        w = hist
-    else:
-        w = hist * (n * h * h) ** (k / 2.0)
-    return np.cumsum(w)
+    return np.cumsum(hist * (np.arange(tmax + 1, dtype=float) * h * h) ** (k / 2.0))
 
 
 def _validate_radii_for_spec(radii: tuple[float, ...], spec_like_h: float, limit: float) -> None:
@@ -154,7 +149,7 @@ def _ball_max_exact(a, h, radii, k, denom):
     shape = a.shape[1:]
     idx = np.indices(shape).reshape(len(shape), -1)
     d2 = sum((i[:, None] - i[None, :]) ** 2 for i in idx)
-    w2 = (d2.astype(float) * (h * h)) ** (k / 2.0) if k else None
+    w2 = (d2.astype(float) * (h * h)) ** (k / 2.0)
     flat = a.reshape(a.shape[0], -1)
     out = np.zeros(flat.shape)
     for r in radii:
@@ -164,10 +159,9 @@ def _ball_max_exact(a, h, radii, k, denom):
             continue
         for i, row in enumerate(d2):
             mask = row <= t
-            w = w2[i][mask] if k else None
+            w = w2[i][mask]
             for m, vals in enumerate(flat):
-                num = np.sum(vals[mask]) if k == 0 else np.sum(vals[mask] * w)
-                out[m, i] = max(out[m, i], float(num) / den)
+                out[m, i] = max(out[m, i], float(np.sum(vals[mask] * w)) / den)
     return out.reshape(a.shape)
 
 
@@ -246,8 +240,6 @@ def _half_box(reach: tuple[int, ...], cover: int) -> tuple[np.ndarray, np.ndarra
 
 
 def _stencil(n2: np.ndarray, t: int, k: int, h: float) -> np.ndarray:
-    if k == 0:
-        return n2 <= t
     return np.where(n2 <= t, (n2 * (h * h)) ** (k / 2.0), 0.0)
 
 

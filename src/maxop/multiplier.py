@@ -144,142 +144,107 @@ def _octaves(sorted_args: np.ndarray):
         edge *= 2.0
 
 
-class _SurfaceTransform:
-    """Adaptive evaluator for the sphere transform m and its derivative.
+def _rule(d: int, n: int, deriv: bool):
+    """(trig, nodes, weights) with m = trig(2 pi s t) @ weights at rule size n
+    (m' for ``deriv``)."""
+    t, w = gegenbauer_rule(d, n)
+    # the rules are symmetric and both integrands even in t: sum the
+    # positive nodes only, at twice their weight
+    t, w = t[t > 0], 2.0 * w[t > 0]
+    if deriv:
+        return np.sin, t, t * w * (-2.0 * np.pi / gegenbauer_weight_mass(d))
+    return np.cos, t, w / gegenbauer_weight_mass(d)
 
-    Every argument is evaluated by the Gegenbauer quadrature, octave by
-    octave on a doubling ladder of rule sizes, to 1e-10 stationarity
-    (:meth:`_bucketed`, which the oracles call at their own tolerance).
-    Callers whose arguments are an evenly spaced sweep pass it as such to
-    :meth:`_progression`, which sums each octave by :func:`_trig_progression`
-    (angle addition from ~sqrt(n) anchors) instead of one cos or sin per
-    point and node.
+
+def _sums(d: int, args: np.ndarray, deriv: bool, tol: float, du: float | None = None) -> np.ndarray:
+    """m (m' for ``deriv``) on sorted nonnegative ``args``.
+
+    Each octave of arguments is a Gegenbauer quadrature on a doubling ladder
+    of rule sizes, to ``tol`` stationarity.  Callers whose arguments are an
+    evenly spaced sweep pass its step ``du``, and each octave is then summed
+    by :func:`_trig_progression` (angle addition from ~sqrt(n) anchors)
+    instead of one cos or sin per point and node.
     """
+    out = np.empty(args.size)
+    for lo, hi in _octaves(args):
 
-    def __init__(self, d: int):
-        if d < 2:
-            raise PreconditionError(f"surface multiplier needs d >= 2, got {d}")
-        self.d = d
-        self.mass = gegenbauer_weight_mass(d)
+        def at_rule(n: int) -> np.ndarray:
+            trig, t, w = _rule(d, n, deriv)
+            if du is None:
+                return _trig_sum(trig, args[lo:hi], t, w)
+            return _trig_progression(trig, args[lo], du, hi - lo, t, w)
 
-    def _rule(self, n: int, deriv: bool):
-        """(trig, nodes, weights) with m = trig(2 pi s t) @ weights at rule size n
-        (m' for ``deriv``)."""
-        t, w = gegenbauer_rule(self.d, n)
-        # the rules are symmetric and both integrands even in t: sum the
-        # positive nodes only, at twice their weight
-        t, w = t[t > 0], 2.0 * w[t > 0]
-        if deriv:
-            return np.sin, t, t * w * (-2.0 * np.pi / self.mass)
-        return np.cos, t, w / self.mass
-
-    def _sums(self, args: np.ndarray, deriv: bool, tol: float, du: float | None = None) -> np.ndarray:
-        """m (m' for ``deriv``) on sorted nonnegative ``args``, octave by
-        octave; an octave of a progression with step ``du`` is summed by
-        angle addition."""
-        out = np.empty(args.size)
-        for lo, hi in _octaves(args):
-
-            def at_rule(n: int) -> np.ndarray:
-                trig, t, w = self._rule(n, deriv)
-                if du is None:
-                    return _trig_sum(trig, args[lo:hi], t, w)
-                return _trig_progression(trig, args[lo], du, hi - lo, t, w)
-
-            out[lo:hi] = refine_until_stationary(at_rule, max_arg=float(args[hi - 1]), tol=tol)
-        return out
-
-    def _bucketed(self, s, deriv: bool, tol: float) -> np.ndarray:
-        arr = np.abs(np.asarray(s, dtype=float))
-        # a NaN never sorts below an octave edge, so it would keep the buckets open
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("sphere transform arguments must be finite")
-        order = np.argsort(arr, axis=None)
-        out = np.empty(arr.size)
-        out[order] = self._sums(arr.reshape(-1)[order], deriv, tol)
-        return out.reshape(arr.shape)
-
-    def _progression(self, a: float, b: float, n: int, deriv: bool) -> np.ndarray:
-        """m (m' for ``deriv``) on ``np.linspace(a, b, n)``, 0 <= a <= b, to
-        1e-10 stationarity like :meth:`value`."""
-        return self._sums(np.linspace(a, b, n), deriv, 1e-10, du=(b - a) / max(n - 1, 1))
-
-    def value(self, s) -> np.ndarray:
-        return self._bucketed(s, deriv=False, tol=1e-10)
-
-    def deriv(self, s) -> np.ndarray:
-        return self._bucketed(s, deriv=True, tol=1e-10)
+        out[lo:hi] = refine_until_stationary(at_rule, max_arg=float(args[hi - 1]), tol=tol)
+    return out
 
 
-@lru_cache(maxsize=16)
-def _surface(d: int) -> _SurfaceTransform:
-    return _SurfaceTransform(d)
+def _m(d: int, s, deriv: bool = False, tol: float = 1e-10) -> np.ndarray:
+    """The sphere transform m (m' for ``deriv``) at |s| of any shape, point by
+    point through :func:`_sums` (the oracles pass their own ``tol``)."""
+    arr = np.abs(np.asarray(s, dtype=float))
+    # a NaN never sorts below an octave edge, so it would keep the buckets open
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("sphere transform arguments must be finite")
+    order = np.argsort(arr, axis=None)
+    out = np.empty(arr.size)
+    out[order] = _sums(d, arr.reshape(-1)[order], deriv, tol)
+    return out.reshape(arr.shape)
 
 
 def surface_multiplier(d: int) -> RadialProfile:
     """Radial transform of the normalized surface measure on S^(d-1); m(0) = 1."""
-    st = _surface(d)
-    return RadialProfile(fn=st.value, support=(0.0, math.inf), sup_bound=1.0)
+    if d < 2:
+        raise PreconditionError(f"surface multiplier needs d >= 2, got {d}")
+    d = _integer(d, "sphere dimension d", 2)
+    return RadialProfile(fn=lambda s: _m(d, s), support=(0.0, math.inf), sup_bound=1.0)
 
 
-def _smooth_step(t: np.ndarray) -> np.ndarray:
-    """C^inf monotone step: 0 for t <= 0, 1 for t >= 1."""
-    t = np.asarray(t, dtype=float)
+def _plateau(s, deriv: bool = False) -> np.ndarray:
+    """1 on [0, 1], 0 beyond 2, a C^inf e^(-1/t) splice between (its
+    derivative for ``deriv``)."""
+    t = np.asarray(s, dtype=float) - 1.0
     out = np.zeros_like(t)
+    inside = (t > 0.0) & (t < 1.0)
+    ti = t[inside]
+    a = np.exp(-1.0 / ti)
+    b = np.exp(-1.0 / (1.0 - ti))
+    if deriv:
+        out[inside] = a * b * (1.0 / ti**2 + 1.0 / (1.0 - ti) ** 2) / (a + b) ** 2
+        return -out
     out[t >= 1.0] = 1.0
-    inside = (t > 0.0) & (t < 1.0)
-    ti = t[inside]
-    a = np.exp(-1.0 / ti)
-    b = np.exp(-1.0 / (1.0 - ti))
     out[inside] = a / (a + b)
-    return out
-
-
-def _smooth_step_deriv(t: np.ndarray) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    inside = (t > 0.0) & (t < 1.0)
-    ti = t[inside]
-    a = np.exp(-1.0 / ti)
-    b = np.exp(-1.0 / (1.0 - ti))
-    out[inside] = a * b * (1.0 / ti**2 + 1.0 / (1.0 - ti) ** 2) / (a + b) ** 2
-    return out
-
-
-def _plateau(s) -> np.ndarray:
-    # 1 on [0, 1], 0 beyond 2, e^(-1/t) splice between
-    return 1.0 - _smooth_step(np.asarray(s, dtype=float) - 1.0)
-
-
-def _plateau_deriv(s) -> np.ndarray:
-    return -_smooth_step_deriv(np.asarray(s, dtype=float) - 1.0)
+    return 1.0 - out
 
 
 def _bump_support(l: int) -> tuple[float, float]:
+    return (0.0, 2.0) if l == 0 else (2.0 ** (l - 1), 2.0 ** (l + 1))
+
+
+def _cutoff(l: int, s, deriv: bool = False) -> np.ndarray:
+    """bump_l at s (its derivative for ``deriv``): the plateau for l = 0, the
+    difference of the plateau's dilates by 2^-l and 2^(1-l) for l >= 1."""
+    s = np.asarray(s, dtype=float)
     if l == 0:
-        return (0.0, 2.0)
-    return (2.0 ** (l - 1), 2.0 ** (l + 1))
+        return _plateau(s, deriv)
+    here, prev = 2.0**-l, 2.0 ** (1 - l)
+    # the chain rule's factors; multiplying by 1.0 is exact
+    c_here, c_prev = (here, prev) if deriv else (1.0, 1.0)
+    return c_here * _plateau(s * here, deriv) - c_prev * _plateau(s * prev, deriv)
 
 
 def bump(l: int) -> RadialProfile:
     """Dyadic partition-of-unity bump: the unit plateau for l = 0, the
     difference of two dilates for l >= 1 (supported in [2^(l-1), 2^(l+1)])."""
     l = _integer(l, "dyadic index l", 0)
-    if l == 0:
-        fn = _plateau
-    else:
-        here, prev = 2.0**-l, 2.0 ** (1 - l)
-        fn = lambda s: _plateau(np.asarray(s, float) * here) - _plateau(np.asarray(s, float) * prev)
-    return RadialProfile(fn=fn, support=_bump_support(l), sup_bound=1.0)
+    return RadialProfile(fn=lambda s: _cutoff(l, s), support=_bump_support(l), sup_bound=1.0)
 
 
-def _bump_deriv(l: int) -> Callable[[np.ndarray], np.ndarray]:
-    if l == 0:
-        return _plateau_deriv
-    here, prev = 2.0**-l, 2.0 ** (1 - l)
-    return lambda s: here * _plateau_deriv(np.asarray(s, float) * here) - prev * _plateau_deriv(
-        np.asarray(s, float) * prev
-    )
+def _piece(l: int, s: np.ndarray, m: np.ndarray, dm: np.ndarray | None = None) -> np.ndarray:
+    """The piece bump_l m at s, given m there; given m' too, the tilde piece
+    s (bump_l' m + bump_l m')."""
+    if dm is None:
+        return _cutoff(l, s) * m
+    return s * (_cutoff(l, s, True) * m + _cutoff(l, s) * dm)
 
 
 _SWEEP_POINTS = 8192
@@ -289,7 +254,8 @@ _SWEEP_POINTS = 8192
 def _swept_m(d: int, l: int, deriv: bool) -> np.ndarray:
     """m (m' for ``deriv``) on the evenly spaced sweep of bump l's support;
     cached, so the pieces' sup_bound and the decay constants read one sweep."""
-    vals = _surface(d)._progression(*_bump_support(l), _SWEEP_POINTS, deriv)
+    a, b = _bump_support(l)
+    vals = _sums(d, np.linspace(a, b, _SWEEP_POINTS), deriv, 1e-10, du=(b - a) / (_SWEEP_POINTS - 1))
     vals.setflags(write=False)
     return vals
 
@@ -297,51 +263,42 @@ def _swept_m(d: int, l: int, deriv: bool) -> np.ndarray:
 def _swept_sup(d: int, l: int, tilde: bool) -> float:
     """max |piece| (|tilde piece| for ``tilde``) over the sweep."""
     s = np.linspace(*_bump_support(l), _SWEEP_POINTS)
-    cut, m = bump(l).fn(s), _swept_m(d, l, False)
-    vals = s * (_bump_deriv(l)(s) * m + cut * _swept_m(d, l, True)) if tilde else cut * m
-    return float(np.max(np.abs(vals)))
+    dm = _swept_m(d, l, True) if tilde else None
+    return float(np.max(np.abs(_piece(l, s, _swept_m(d, l, False), dm))))
+
+
+def _piece_profile(d: int, l: int, tilde: bool) -> RadialProfile:
+    """The profile of the piece (the tilde piece for ``tilde``), bounded by its
+    sweep's max plus 1e-4 relative."""
+    l = _integer(l, "dyadic index l", 0)
+    m = surface_multiplier(d).fn  # rejects d < 2 here, not at the first evaluation
+
+    def fn(s):
+        # m is a quadrature per point; only touch it where the piece can be nonzero
+        s = np.asarray(s, dtype=float)
+        out = np.zeros_like(s)
+        mask = _cutoff(l, s) != 0.0
+        if tilde:
+            mask |= _cutoff(l, s, True) != 0.0
+        if np.any(mask):
+            sm = s[mask]
+            out[mask] = _piece(l, sm, m(sm), _m(d, sm, True) if tilde else None)
+        return out
+
+    sup = _swept_sup(d, l, tilde) * (1.0 + 1e-4)
+    return RadialProfile(fn=fn, support=_bump_support(l), sup_bound=sup)
 
 
 def dyadic_piece(d: int, l: int) -> RadialProfile:
     """The multiplier piece bump_l * m; vanishes at 0 for l >= 1."""
-    l = _integer(l, "dyadic index l", 0)
-    st = _surface(d)
-    phi = bump(l)
-
-    def fn(s):
-        # m is a quadrature per point; only touch it inside the bump support
-        s = np.asarray(s, dtype=float)
-        cut = phi.fn(s)
-        out = np.zeros_like(cut)
-        mask = cut != 0.0
-        if np.any(mask):
-            out[mask] = cut[mask] * st.value(s[mask])
-        return out
-
-    sup = _swept_sup(d, l, tilde=False) * (1.0 + 1e-4)
-    return RadialProfile(fn=fn, support=_bump_support(l), sup_bound=sup)
+    return _piece_profile(d, l, tilde=False)
 
 
 def tilde_piece(d: int, l: int) -> RadialProfile:
     """Radial form s * d/ds of the dyadic piece (the profile of the radial
     derivative field <x, grad> applied to it), via analytic derivatives of
     both factors."""
-    l = _integer(l, "dyadic index l", 0)
-    st = _surface(d)
-    phi, dphi = bump(l), _bump_deriv(l)
-
-    def fn(s):
-        s = np.asarray(s, dtype=float)
-        cut, dcut = phi.fn(s), dphi(s)
-        out = np.zeros_like(cut)
-        mask = (cut != 0.0) | (dcut != 0.0)
-        if np.any(mask):
-            sm = s[mask]
-            out[mask] = sm * (dcut[mask] * st.value(sm) + cut[mask] * st.deriv(sm))
-        return out
-
-    sup = _swept_sup(d, l, tilde=True) * (1.0 + 1e-4)
-    return RadialProfile(fn=fn, support=_bump_support(l), sup_bound=sup)
+    return _piece_profile(d, l, tilde=True)
 
 
 def _shells(spec: GridSpec, axes: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -564,6 +521,8 @@ def funk_hecke_kernel(l: int, d: int, x_norm, tol: float = 1e-9):
     l = _integer(l, "dyadic index l", 0)
     if d < 3:
         raise ValueError("funk_hecke_kernel needs d >= 3 (Gegenbauer weight exponent)")
+    if not (0 < tol < math.inf):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     arr = np.asarray(x_norm, dtype=float)
     x = arr.reshape(-1)
     if not np.all(np.isfinite(x) & (x >= 0)):

@@ -259,7 +259,11 @@ def rotation_average_check(
     spec = f.spec
     if split.d != spec.d:
         raise ValueError("split dimension does not match the grid")
-    lhs = _ball_average_at_node(f, tuple(x_index), r)
+    x_index = tuple(x_index)
+    if len(x_index) != spec.d:
+        raise ValueError(f"x_index needs {spec.d} entries, got {x_index}")
+    x_index = tuple(_integer(i, "x_index entry", 0) for i in x_index)
+    lhs = _ball_average_at_node(f, x_index, r)
     x = np.array([spec.axis_nodes()[i] for i in x_index])
     absf = np.abs(f.values)
     rho, rho_w = radial_power_rule(n_radial, split.k + split.d_prime)

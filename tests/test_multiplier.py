@@ -20,8 +20,9 @@ from maxop.grid import (
 from maxop.maximal import RadiiSet, default_radii, hl_maximal
 from maxop.multiplier import (
     RadialProfile,
-    _SurfaceTransform,
+    _m,
     _shells,
+    _sums,
     _trig_progression,
     _trig_sum,
     apply_multiplier,
@@ -68,10 +69,9 @@ def test_zonal_inverse_does_not_sum_progressions(monkeypatch):
 @pytest.mark.parametrize("deriv", [False, True])
 def test_surface_progression_matches_the_direct_quadrature(d, deriv):
     # three octaves of an evenly spaced sweep, summed by angle addition
-    st = _SurfaceTransform(d)
     a, b, n = 0.3, 40.0, 3001
-    got = st._progression(a, b, n, deriv)
-    want = st._bucketed(np.linspace(a, b, n), deriv, tol=1e-10)
+    got = _sums(d, np.linspace(a, b, n), deriv, 1e-10, du=(b - a) / (n - 1))
+    want = _m(d, np.linspace(a, b, n), deriv, tol=1e-10)
     np.testing.assert_allclose(got, want, rtol=0, atol=2e-10)
     if d == 3:
         s = np.linspace(a, b, n)
@@ -83,13 +83,13 @@ def test_surface_progression_matches_the_direct_quadrature(d, deriv):
 def test_decay_constants_sweep_each_piece_once(monkeypatch):
     # c1, c2 and the pieces' sup_bound read the same m and m' samples
     calls = []
-    progression = _SurfaceTransform._progression
 
-    def counting(self, a, b, n, deriv):
-        calls.append((self.d, a, b, n, deriv))
-        return progression(self, a, b, n, deriv)
+    def counting(d, args, deriv, tol, du=None):
+        if du is not None:
+            calls.append((d, args[0], args[-1], args.size, deriv))
+        return _sums(d, args, deriv, tol, du)
 
-    monkeypatch.setattr(_SurfaceTransform, "_progression", counting)
+    monkeypatch.setattr(multiplier, "_sums", counting)
     multiplier._swept_m.cache_clear()
     decay_constants(3, 3)
     want = [(3, *multiplier._bump_support(l), 8192, deriv) for l in (1, 2, 3) for deriv in (False, True)]
@@ -125,11 +125,10 @@ def test_trig_progression_keeps_its_tables_within_the_chunk(monkeypatch):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_surface_multiplier_rejects_non_finite_arguments(bad):
-    st = _SurfaceTransform(3)
     for batch in (np.array([bad, 1.0]), np.append(np.linspace(0.0, 2.0, 5000), bad)):
-        for evaluate in (st.value, st.deriv):
+        for deriv in (False, True):
             with pytest.raises(ValueError, match="finite"):
-                evaluate(batch)
+                _m(3, batch, deriv)
 
 
 def test_non_integral_sphere_dimensions_are_rejected():
@@ -210,6 +209,15 @@ def test_tilde_piece_matches_finite_differences():
         fd = sp * (piece(sp + delta) - piece(sp - delta)) / (2 * delta)
         np.testing.assert_allclose(tilde(sp), fd, rtol=1e-6)
         assert np.all(tilde(np.array([2.0 ** (l + 1) + 0.1, 2.0 ** (l - 1) - 0.05])) == 0.0)
+
+
+@pytest.mark.parametrize("d,l", [(3, 1), (5, 2)])
+def test_tilde_piece_sup_bound_is_the_sweep_max(d, l):
+    # a sweep four times denser than the one that sets the bound, through the
+    # profile's own pointwise evaluation
+    tilde = tilde_piece(d, l)
+    sweep = np.max(np.abs(tilde(np.linspace(*tilde.support, 4 * 8191 + 1))))
+    assert sweep <= tilde.sup_bound <= sweep * (1.0 + 1e-4) * (1.0 + 1e-9)
 
 
 def test_apply_multiplier_identity_and_linearity(rng):
@@ -534,6 +542,12 @@ def test_funk_hecke_validates_x_norm():
     for bad in ([np.nan], [np.inf], [0.5, -0.1], -1.0):
         with pytest.raises(ValueError, match="x_norm"):
             funk_hecke_kernel(1, 3, bad)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+def test_funk_hecke_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
+    with pytest.raises(ValueError, match="tol"):
+        funk_hecke_kernel(1, 3, [0.5], tol=tol)
 
 
 def test_funk_hecke_evaluates_any_shape_element_wise():

@@ -236,6 +236,14 @@ def test_rotation_average_stencil_guard():
         rotation_average_check(one, DescentSplit(3, 3), r=1.5, x_index=(0, 6, 6), n_mc=8, seed=1)
 
 
+@pytest.mark.parametrize("index", [(8, 8), (8, 8, 8, 8), (8.5, 8, 8)])
+def test_rotation_average_needs_one_integer_index_per_axis(index):
+    spec = make_grid(3, 2.0, 16)
+    one = GridFunction(spec, np.ones(spec.shape))
+    with pytest.raises(ValueError, match="x_index"):
+        rotation_average_check(one, DescentSplit(3, 3), r=0.5, x_index=index, n_mc=4, seed=1)
+
+
 def test_sphere_identity_examples():
     split = DescentSplit(4, 3)
     res = sphere_identity_check(lambda y: np.ones(y.shape[0]), split, n_mc=512, seed=2)
