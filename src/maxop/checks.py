@@ -9,6 +9,7 @@ subcommand and the acceptance test module both drive :func:`run_all`.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -68,23 +69,38 @@ class CheckResult:
     seconds: float
 
 
-def _result(name: str, t0: float, checks: list[tuple[str, bool]], extra: str = "") -> CheckResult:
-    failed = [label for label, ok in checks if not ok]
-    detail = f"{len(checks) - len(failed)}/{len(checks)} assertions"
-    if extra:
-        detail += f"; {extra}"
-    if failed:
-        detail += f"; FAILED: {', '.join(failed)}"
-    return CheckResult(name=name, passed=not failed, detail=detail, seconds=time.time() - t0)
+def _criterion(name: str, budget: float | None = None):
+    """Make a body returning (checks, extra) the criterion ``name``: timed, and
+    asserted to run in under ``budget`` seconds when a budget is given."""
+
+    def make(body: Callable[[], tuple[list[tuple[str, bool]], str]]) -> Callable[[], CheckResult]:
+        @functools.wraps(body)
+        def run() -> CheckResult:
+            t0 = time.time()
+            checks, extra = body()
+            elapsed = time.time() - t0
+            if budget is not None:
+                checks.append((f"runtime {elapsed:.1f}s < {budget:g}s", elapsed < budget))
+            failed = [label for label, ok in checks if not ok]
+            detail = f"{len(checks) - len(failed)}/{len(checks)} assertions"
+            if extra:
+                detail += f"; {extra}"
+            if failed:
+                detail += f"; FAILED: {', '.join(failed)}"
+            return CheckResult(name=name, passed=not failed, detail=detail, seconds=elapsed)
+
+        return run
+
+    return make
 
 
 # -- criterion 1 -------------------------------------------------------------
 
 
-def criterion_identity_suite() -> CheckResult:
+@_criterion("criterion 1: identity/constant suite", budget=10.0)
+def criterion_identity_suite():
     """All eight maximal-averaging operators send f == 1 to 1 (1e-10; 1e-3 on
     FFT paths), at interior nodes, in under 10 s."""
-    t0 = time.time()
     checks: list[tuple[str, bool]] = []
 
     spec2 = make_grid(2, 2.0, 16)
@@ -128,9 +144,7 @@ def criterion_identity_suite() -> CheckResult:
     dev = np.abs(iterated_maximal(oneg, rx, ru).values - 1.0).max()
     checks.append((f"iterated {dev:.1e}", dev <= 1e-10))
 
-    elapsed = time.time() - t0
-    checks.append((f"runtime {elapsed:.1f}s < 10s", elapsed < 10.0))
-    return _result("criterion 1: identity/constant suite", t0, checks)
+    return checks, ""
 
 
 # -- criterion 2 -------------------------------------------------------------
@@ -266,10 +280,10 @@ def _zonal_inverse(
     return sphere_area(d) * out.reshape(rho.shape)
 
 
-def criterion_brute_force() -> CheckResult:
+@_criterion("criterion 2: brute-force oracles")
+def criterion_brute_force():
     """Small-grid operators match independent naive loops bit-for-bit; norm
     reductions match re-summation oracles to 1e-12."""
-    t0 = time.time()
     rng = np.random.default_rng(42)
     checks: list[tuple[str, bool]] = []
 
@@ -298,16 +312,16 @@ def criterion_brute_force() -> CheckResult:
     got = lq_pointwise(F, 3.0).values
     want = sum(np.abs(m.values) ** 3.0 for m in F) ** (1.0 / 3.0)
     checks.append(("lq pointwise", np.max(np.abs(got - want)) <= 1e-12 * np.max(want)))
-    return _result("criterion 2: brute-force oracles", t0, checks)
+    return checks, ""
 
 
 # -- criterion 3 -------------------------------------------------------------
 
 
-def criterion_multiplier_exactness() -> CheckResult:
+@_criterion("criterion 3: multiplier exactness", budget=30.0)
+def criterion_multiplier_exactness():
     """m(0) = 1 and the d = 3 closed form to 1e-10; partition of unity to
     1e-12; radial-derivative profiles vs finite differences to 1e-6; < 30 s."""
-    t0 = time.time()
     checks: list[tuple[str, bool]] = []
     for d in (2, 3, 5):
         dev = abs(surface_multiplier(d)(0.0) - 1.0)
@@ -338,18 +352,16 @@ def criterion_multiplier_exactness() -> CheckResult:
             worst = max(worst, float(rel.max()))
     checks.append((f"tilde vs finite diff {worst:.1e}", worst <= 1e-6))
 
-    elapsed = time.time() - t0
-    checks.append((f"runtime {elapsed:.1f}s < 30s", elapsed < 30.0))
-    return _result("criterion 3: multiplier exactness", t0, checks)
+    return checks, ""
 
 
 # -- criterion 4 -------------------------------------------------------------
 
 
-def criterion_decay_constants() -> CheckResult:
+@_criterion("criterion 4: decay-constant boundedness", budget=300.0)
+def criterion_decay_constants():
     """For d in {3, 5}, l = 1..6: each normalized decay column varies by at
     most a factor 4 across l; under 5 minutes."""
-    t0 = time.time()
     checks: list[tuple[str, bool]] = []
     spreads = []
     for d in (3, 5):
@@ -360,18 +372,16 @@ def criterion_decay_constants() -> CheckResult:
             spread = max(vals) / min(vals)
             spreads.append(f"d={d} {name} x{spread:.2f}")
             checks.append((f"d={d} {name} max/min {spread:.2f}", spread <= 4.0))
-    elapsed = time.time() - t0
-    checks.append((f"runtime {elapsed:.0f}s < 300s", elapsed < 300.0))
-    return _result("criterion 4: decay-constant boundedness", t0, checks, extra=", ".join(spreads))
+    return checks, ", ".join(spreads)
 
 
 # -- criterion 5 -------------------------------------------------------------
 
 
-def criterion_kernel_cross_oracle() -> CheckResult:
+@_criterion("criterion 5: kernel cross-oracle")
+def criterion_kernel_cross_oracle():
     """FFT kernel vs Funk-Hecke quadrature for the dyadic pieces, d = 3,
     l in {1, 2}: relative error <= 1e-3 wherever both exceed 1e-6."""
-    t0 = time.time()
     checks: list[tuple[str, bool]] = []
     spec = make_grid(3, 8.0, 256)
     center = spec.N // 2
@@ -387,16 +397,16 @@ def criterion_kernel_cross_oracle() -> CheckResult:
         worst.append(f"l={l} rel {rel.max():.2e} over {strong.sum()} pts")
         checks.append((f"l={l} coverage", int(strong.sum()) >= 20))
         checks.append((f"l={l} rel err {rel.max():.2e}", float(rel.max()) <= 1e-3))
-    return _result("criterion 5: kernel cross-oracle", t0, checks, extra="; ".join(worst))
+    return checks, "; ".join(worst)
 
 
 # -- criterion 6 -------------------------------------------------------------
 
 
-def criterion_square_function() -> CheckResult:
+@_criterion("criterion 6: square-function equality case")
+def criterion_square_function():
     """Sharp-cutoff Plancherel equality to 1e-3; annulus square-function
     bound with tolerance 1e-2 on 10 random vector fields."""
-    t0 = time.time()
     checks: list[tuple[str, bool]] = []
     spec = make_grid(2, 2.0, 32)
     rng = np.random.default_rng(7)
@@ -421,17 +431,17 @@ def criterion_square_function() -> CheckResult:
         if l1 <= r1 * (1 + 1e-2) and l2 <= r2 * (1 + 1e-2):
             ok += 1
     checks.append((f"annulus bound on {ok}/10 fields", ok == 10))
-    return _result("criterion 6: square-function equality case", t0, checks)
+    return checks, ""
 
 
 # -- criterion 7 -------------------------------------------------------------
 
 
-def criterion_rotation_identities() -> CheckResult:
+@_criterion("criterion 7: rotation identities", budget=300.0)
+def criterion_rotation_identities():
     """Ball-average and sphere pushforward identities pass their Monte-Carlo
     error bars (3 sigma + 2h) at d in {3, 4}, d' = 3, n_mc = 4096; the
     rotation-average domination holds at >= 95% of interior nodes; < 5 min."""
-    t0 = time.time()
     checks: list[tuple[str, bool]] = []
 
     def test_field(points):
@@ -475,9 +485,7 @@ def criterion_rotation_identities() -> CheckResult:
         frac = float(ok[interior].mean())
         checks.append((f"rotation-average domination d={d} at {frac:.3f}", frac >= 0.95))
 
-    elapsed = time.time() - t0
-    checks.append((f"runtime {elapsed:.0f}s < 300s", elapsed < 300.0))
-    return _result("criterion 7: rotation identities", t0, checks)
+    return checks, ""
 
 
 # -- criterion 8 -------------------------------------------------------------
@@ -497,11 +505,11 @@ def _oracle_sphere_sup(d: int, x: float, r_grid: np.ndarray) -> float:
     return best
 
 
-def criterion_decay_slope() -> CheckResult:
+@_criterion("criterion 8: necessity decay slope")
+def criterion_decay_slope():
     """The spherical maximal function of the compact bump decays like
     |x|^-(d-1): log-log slope over |x| in [2, 4] equals -2 +- 0.2 at d = 3,
     for both the FFT path and the sphere-quadrature oracle."""
-    t0 = time.time()
     checks: list[tuple[str, bool]] = []
     spec = make_grid(3, 8.0, 96)
     f = sample(spec, compact_bump_values)
@@ -515,12 +523,7 @@ def criterion_decay_slope() -> CheckResult:
     oslope = float(np.polyfit(np.log(rad), np.log(oracle_vals), 1)[0])
     checks.append((f"oracle slope {oslope:.3f}", abs(oslope + 2.0) <= 0.2))
     agree = np.max(np.abs(ray - oracle_vals) / oracle_vals)
-    return _result(
-        "criterion 8: necessity decay slope",
-        t0,
-        checks,
-        extra=f"fft-vs-oracle value spread {agree:.2f}",
-    )
+    return checks, f"fft-vs-oracle value spread {agree:.2f}"
 
 
 # -- criterion 9 -------------------------------------------------------------
@@ -562,12 +565,12 @@ def _grushin_domination(spec: GridSpec) -> tuple[float, float]:
     return c_meas, c_norm
 
 
-def criterion_grushin_suite() -> CheckResult:
+@_criterion("criterion 9: grushin suite", budget=300.0)
+def criterion_grushin_suite():
     """Pseudo-distance identities to rounding; dilation volume scaling within
     the measured surface-cell fraction; the iterated operator dominates the
     Koranyi one with a stable measured constant across d in {1, 2, 3}, and
     in L^2 norm (ratio <= 1) on every bump."""
-    t0 = time.time()
     checks: list[tuple[str, bool]] = []
     rng = np.random.default_rng(5)
 
@@ -606,14 +609,9 @@ def criterion_grushin_suite() -> CheckResult:
         checks.append((f"norm domination d={d} {cnorm[d]:.3f} <= 1", cnorm[d] <= 1.0))
     spread = max(cmeas.values()) / min(cmeas.values())
     checks.append((f"C_meas stability x{spread:.3f}", spread <= 1.5))
-    elapsed = time.time() - t0
-    checks.append((f"runtime {elapsed:.0f}s < 300s", elapsed < 300.0))
-    return _result(
-        "criterion 9: grushin suite",
-        t0,
-        checks,
-        extra="C_meas " + ", ".join(f"d={d}: {v:.3f}" for d, v in cmeas.items())
-        + "; L2 ratio " + ", ".join(f"d={d}: {v:.3f}" for d, v in cnorm.items()),
+    return checks, (
+        "C_meas " + ", ".join(f"d={d}: {v:.3f}" for d, v in cmeas.items())
+        + "; L2 ratio " + ", ".join(f"d={d}: {v:.3f}" for d, v in cnorm.items())
     )
 
 
@@ -644,11 +642,11 @@ def _stability_scan() -> tuple[list, str]:
     return reports, text
 
 
-def criterion_dimension_stability() -> CheckResult:
+@_criterion("criterion 10: dimension-stability probe", budget=600.0)
+def criterion_dimension_stability():
     """Gaussian-family scan over d = 1..5 including (p,q) = (2,2) and
     (3,1.5): all computable ratios finite, maximal ratios within a factor 3
     across d, and the CSV reproduced byte-identically on a seeded re-run."""
-    t0 = time.time()
     checks: list[tuple[str, bool]] = []
     reports, text1 = _stability_scan()
     hl_ratios: dict[tuple[float, float], list[float]] = {}
@@ -673,11 +671,7 @@ def criterion_dimension_stability() -> CheckResult:
         checks.append((f"HL spread (p={p}, q={q}) {spread:.2f}", spread <= 3.0))
     _, text2 = _stability_scan()
     checks.append(("CSV byte-identical re-run", text1 == text2))
-    elapsed = time.time() - t0
-    checks.append((f"runtime {elapsed:.0f}s < 600s", elapsed < 600.0))
-    return _result(
-        "criterion 10: dimension-stability probe", t0, checks, extra="; ".join(spreads)
-    )
+    return checks, "; ".join(spreads)
 
 
 CRITERIA: dict[str, Callable[[], CheckResult]] = {

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridFunction, GridSpec, PreconditionError, VectorField, _stack, _unstack
-from .maximal import _as_radii, _ball_max_values, _interval_max_values
+from .maximal import _as_radii, _ball_max_values, _grid_limit, _interval_max_values
 
 __all__ = [
     "GrushinPoint",
@@ -165,11 +165,12 @@ def grushin_maximal(f: GridFunction | VectorField, radii) -> GridFunction | Vect
     small-grid values reproduce a naive loop bit-for-bit.  Each node's ball
     is enumerated once and serves every member.
     """
-    vals = _stack(f)
-    flat = np.abs(vals).reshape(vals.shape[0], -1)
     spec = f.spec
     d = _x_dim(spec)
-    rs = _as_radii(radii)
+    # sqrt(A^2 + 4 du^2) <= A + 2|du|, so on the box d_K^2 <= |x - x'|^2 + 2|u - u'| <= 4 d L^2 + 4 L
+    rs = _as_radii(radii, 2.0 * math.sqrt(d * spec.L**2 + spec.L) + spec.h)
+    vals = _stack(f)
+    flat = np.abs(vals).reshape(vals.shape[0], -1)
     axis = spec.axis_nodes()
     out = np.zeros_like(flat)
     r_max = rs[-1]
@@ -198,11 +199,11 @@ def iterated_maximal(f: GridFunction | VectorField, radii_x, radii_u) -> GridFun
     u-slice, of a GridFunction or of each member of a VectorField.  This
     iterated operator dominates the Koranyi one up to a constant, which is
     how its mapping bounds transfer."""
-    vals = _stack(f)
     spec = f.spec
     d = _x_dim(spec)
-    rs_x = _as_radii(radii_x)
-    rs_u = _as_radii(radii_u)
+    rs_x = _as_radii(radii_x, _grid_limit(spec))
+    rs_u = _as_radii(radii_u, _grid_limit(spec))
+    vals = _stack(f)
     x_shape = spec.shape[:d]
     stage1 = _interval_max_values(vals, spec.h, rs_u, axis=d + 1)
     # the u-slices of every member are the members of one batched x-ball call

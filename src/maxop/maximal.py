@@ -91,10 +91,19 @@ def default_radii(spec: GridSpec, K: int = 32) -> RadiiSet:
     return RadiiSet(tuple(np.geomspace(spec.h, 2.0 * spec.L * math.sqrt(spec.d), K)))
 
 
-def _as_radii(radii) -> tuple[float, ...]:
-    if isinstance(radii, RadiiSet):
-        return radii.radii
-    return RadiiSet(tuple(radii)).radii
+def _as_radii(radii, limit: float = math.inf) -> tuple[float, ...]:
+    """The radii of a RadiiSet or of an increasing sequence, at most ``limit``."""
+    rs = radii.radii if isinstance(radii, RadiiSet) else RadiiSet(tuple(radii)).radii
+    if rs[-1] > limit:
+        # averages over larger balls only dilute into the zero extension
+        raise ValueError(f"max radius {rs[-1]} exceeds {limit}, the box's diameter plus h")
+    return rs
+
+
+def _grid_limit(spec: GridSpec) -> float:
+    """The largest radius a ball or interval operator on ``spec`` accepts: the
+    cube diameter 2L sqrt(d) plus h."""
+    return 2.0 * spec.L * math.sqrt(spec.d) + spec.h
 
 
 def _strict_bound(r: float, h: float) -> int:
@@ -121,14 +130,6 @@ def _cumulative_weights(d: int, tmax: int, k: int, h: float) -> np.ndarray:
     """W[T] = sum over lattice offsets with |delta|^2 <= T of (|delta| h)^k."""
     hist = _sq_norm_hist(d, tmax)
     return np.cumsum(hist * (np.arange(tmax + 1, dtype=float) * h * h) ** (k / 2.0))
-
-
-def _validate_radii_for_spec(radii: tuple[float, ...], spec_like_h: float, limit: float) -> None:
-    if radii[-1] > limit + spec_like_h:
-        raise ValueError(
-            f"max radius {radii[-1]} exceeds the cube diameter {limit}; "
-            "averages beyond it only dilute into the zero extension"
-        )
 
 
 def _ball_max_values(vals: np.ndarray, h: float, radii: tuple[float, ...], k: int) -> np.ndarray:
@@ -320,11 +321,8 @@ def _inverse(y, mshape, shape) -> np.ndarray:
 def _ball_max(f, radii, k: int):
     """Ball maximal function of a GridFunction, or of every member of a
     VectorField in one batched engine call; returns the same kind."""
-    vals = _stack(f)
-    spec = f.spec
-    rs = _as_radii(radii)
-    _validate_radii_for_spec(rs, spec.h, 2.0 * spec.L * math.sqrt(spec.d))
-    return _unstack(f, _ball_max_values(vals, spec.h, rs, k))
+    rs = _as_radii(radii, _grid_limit(f.spec))
+    return _unstack(f, _ball_max_values(_stack(f), f.spec.h, rs, k))
 
 
 def hl_maximal(f: GridFunction | VectorField, radii) -> GridFunction | VectorField:
@@ -368,10 +366,8 @@ def _interval_max_values(vals: np.ndarray, h: float, radii: tuple[float, ...], a
 def maximal_1d(f: GridFunction | VectorField, radii, axis: int = 0) -> GridFunction | VectorField:
     """1-D centered maximal averages along one axis, independently per fiber,
     of a GridFunction or of each member of a VectorField."""
-    vals = _stack(f)
-    spec = f.spec
-    if not (0 <= axis < spec.d):
-        raise ValueError(f"axis {axis} out of range for d={spec.d}")
-    rs = _as_radii(radii)
-    _validate_radii_for_spec(rs, spec.h, 2.0 * spec.L * math.sqrt(spec.d))
-    return _unstack(f, _interval_max_values(vals, spec.h, rs, axis + 1))
+    axis = _integer(axis, "axis", 0)
+    if axis >= f.spec.d:
+        raise ValueError(f"axis {axis} out of range for d={f.spec.d}")
+    rs = _as_radii(radii, _grid_limit(f.spec))
+    return _unstack(f, _interval_max_values(_stack(f), f.spec.h, rs, axis + 1))

@@ -239,12 +239,12 @@ def bump(l: int) -> RadialProfile:
     return RadialProfile(fn=lambda s: _cutoff(l, s), support=_bump_support(l), sup_bound=1.0)
 
 
-def _piece(l: int, s: np.ndarray, m: np.ndarray, dm: np.ndarray | None = None) -> np.ndarray:
-    """The piece bump_l m at s, given m there; given m' too, the tilde piece
-    s (bump_l' m + bump_l m')."""
+def _piece(s: np.ndarray, cut: np.ndarray, m: np.ndarray, dcut=None, dm=None) -> np.ndarray:
+    """The piece bump_l m at s, given bump_l and m there; given bump_l' and m'
+    too, the tilde piece s (bump_l' m + bump_l m')."""
     if dm is None:
-        return _cutoff(l, s) * m
-    return s * (_cutoff(l, s, True) * m + _cutoff(l, s) * dm)
+        return cut * m
+    return s * (dcut * m + cut * dm)
 
 
 _SWEEP_POINTS = 8192
@@ -263,8 +263,8 @@ def _swept_m(d: int, l: int, deriv: bool) -> np.ndarray:
 def _swept_sup(d: int, l: int, tilde: bool) -> float:
     """max |piece| (|tilde piece| for ``tilde``) over the sweep."""
     s = np.linspace(*_bump_support(l), _SWEEP_POINTS)
-    dm = _swept_m(d, l, True) if tilde else None
-    return float(np.max(np.abs(_piece(l, s, _swept_m(d, l, False), dm))))
+    dcut, dm = (_cutoff(l, s, True), _swept_m(d, l, True)) if tilde else (None, None)
+    return float(np.max(np.abs(_piece(s, _cutoff(l, s), _swept_m(d, l, False), dcut, dm))))
 
 
 def _piece_profile(d: int, l: int, tilde: bool) -> RadialProfile:
@@ -277,12 +277,13 @@ def _piece_profile(d: int, l: int, tilde: bool) -> RadialProfile:
         # m is a quadrature per point; only touch it where the piece can be nonzero
         s = np.asarray(s, dtype=float)
         out = np.zeros_like(s)
-        mask = _cutoff(l, s) != 0.0
-        if tilde:
-            mask |= _cutoff(l, s, True) != 0.0
+        cut = _cutoff(l, s)
+        dcut = _cutoff(l, s, True) if tilde else None
+        mask = (cut != 0.0) | (dcut != 0.0) if tilde else cut != 0.0
         if np.any(mask):
             sm = s[mask]
-            out[mask] = _piece(l, sm, m(sm), _m(d, sm, True) if tilde else None)
+            rest = (dcut[mask], _m(d, sm, True)) if tilde else ()
+            out[mask] = _piece(sm, cut[mask], m(sm), *rest)
         return out
 
     sup = _swept_sup(d, l, tilde) * (1.0 + 1e-4)
@@ -357,8 +358,6 @@ def maximal_multiplier(f: GridFunction | VectorField, profile: RadialProfile, ra
 def spherical_maximal(f: GridFunction | VectorField, radii) -> GridFunction | VectorField:
     """Spherical means maximized over radii, realized through the surface
     multiplier (requires d >= 2), like :func:`maximal_multiplier`."""
-    if f.spec.d < 2:
-        raise PreconditionError("spherical maximal operator needs d >= 2")
     return maximal_multiplier(f, surface_multiplier(f.spec.d), radii)
 
 

@@ -29,7 +29,7 @@ from .grid import GridFunction, GridSpec, PreconditionError, VectorField, _integ
 from .grushin import cc_domination_note, grushin_maximal, iterated_maximal, min_node_gap
 from .maximal import RadiiSet, default_radii, hl_maximal, weighted_maximal
 from .multiplier import dyadic_piece, maximal_multiplier, spherical_maximal
-from .norms import mixed_norm
+from .norms import _pvalue, mixed_norm
 from .rotations import DescentSplit, descent_maximal, dimension_split, haar_rotation
 from .squarefn import default_tgrid, square_function
 
@@ -89,8 +89,8 @@ class ScanConfig:
             raise ValueError(f"unknown family {self.family!r}; choose from {FAMILIES}")
         d_range = tuple(_integer(d, "each dimension in d_range", 1) for d in self.d_range)
         object.__setattr__(self, "d_range", d_range)
-        object.__setattr__(self, "p_list", tuple(float(v) for v in self.p_list))
-        object.__setattr__(self, "q_list", tuple(float(v) for v in self.q_list))
+        object.__setattr__(self, "p_list", tuple(_pvalue(v) for v in self.p_list))
+        object.__setattr__(self, "q_list", tuple(_pvalue(v) for v in self.q_list))
         for name in ("d_range", "p_list", "q_list"):
             vals = getattr(self, name)
             if not vals or len(set(vals)) < len(vals):
@@ -99,10 +99,8 @@ class ScanConfig:
             L, N = self.grid
             spec = GridSpec(1, L, N)
             object.__setattr__(self, "grid", (spec.L, spec.N))
-        if not all(p > 1.0 for p in self.p_list):
-            raise ValueError(f"exponents p must be > 1 (or inf), got {self.p_list}")
-        if not all(1.0 < q < math.inf for q in self.q_list):
-            raise ValueError(f"exponents q must be finite and > 1, got {self.q_list}")
+        if math.inf in self.q_list:
+            raise ValueError(f"exponents q must be finite, got {self.q_list}")
         # the dyadic index l is >= 1 for SQFN
         counts = (("n_members", 1), ("radii_K", 2), ("k", 0), ("l", int(self.operator == "SQFN")), ("seed", 0))
         for name, least in counts:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maxop import grushin
 from maxop.grid import GridFunction, VectorField, make_grid, sample
 from maxop.grushin import (
     GrushinPoint,
@@ -66,6 +67,36 @@ def test_ball_volume_exit_guard():
 def test_ball_volume_rejects_bad_radii(r):
     with pytest.raises(ValueError, match="radius"):
         koranyi_ball_volume(GrushinPoint((0.0,), 0.0), r, make_grid(2, 1.0, 16))
+
+
+def test_radii_beyond_the_box_are_rejected_before_any_work(monkeypatch):
+    # at L = 0.3 nodes sit farther apart in d_K than the cube diameter plus h,
+    # and within the Koranyi bound 2 sqrt(d L^2 + L) + h
+    grid = make_grid(2, 0.3, 4)
+    f = GridFunction(grid, np.ones(grid.shape))
+    d, L, h = 1, grid.L, grid.h
+    koranyi_bound = 2.0 * math.sqrt(d * L**2 + L) + h
+    cube_bound = 2.0 * L * math.sqrt(grid.d) + h
+    axis = grid.axis_nodes()
+    nodes = [GrushinPoint((x,), u) for x in axis for u in axis]
+    widest = max(koranyi_distance(a, b) for a in nodes for b in nodes)
+    assert cube_bound < widest <= koranyi_bound
+    r0 = 0.9 * min_node_gap(grid)
+    assert grushin_maximal(f, (r0, koranyi_bound)).values.shape == grid.shape
+    assert iterated_maximal(f, (h, cube_bound), (h, cube_bound)).values.shape == grid.shape
+
+    def work(*args, **kwargs):
+        raise AssertionError("work began before the radii were checked")
+
+    for name in ("_ball_lattice", "_ball_max_values", "_interval_max_values"):
+        monkeypatch.setattr(grushin, name, work)
+    above = math.nextafter(koranyi_bound, math.inf)
+    with pytest.raises(ValueError, match="max radius"):
+        grushin_maximal(f, (r0, above))
+    above = math.nextafter(cube_bound, math.inf)
+    for rx, ru in (((h, above), (h, 0.5)), ((h, 0.5), (h, above))):
+        with pytest.raises(ValueError, match="max radius"):
+            iterated_maximal(f, rx, ru)
 
 
 def test_dilation_volume_scaling():

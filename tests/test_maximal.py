@@ -359,6 +359,16 @@ def test_maximal_1d_equals_hl_in_1d(rng):
         maximal_1d(f, radii, axis=1)
 
 
+def test_maximal_1d_axis_follows_the_integer_rule(rng):
+    spec = make_grid(2, 1.0, 8)
+    f = GridFunction(spec, rng.standard_normal(spec.shape))
+    radii = RadiiSet((spec.h, 0.4, 0.9))
+    assert np.array_equal(maximal_1d(f, radii, axis=1.0).values, maximal_1d(f, radii, axis=1).values)
+    for bad in (0.5, -1, math.nan, "1"):
+        with pytest.raises(ValueError, match="axis"):
+            maximal_1d(f, radii, axis=bad)
+
+
 def test_maximal_1d_spike_decay():
     spec = make_grid(1, 1.0, 64)
     vals = np.zeros(spec.shape)

@@ -96,6 +96,22 @@ def test_decay_constants_sweep_each_piece_once(monkeypatch):
     assert sorted(calls) == sorted(want)
 
 
+@pytest.mark.parametrize("builder, plateaus", [(dyadic_piece, 2), (tilde_piece, 4)])
+def test_a_piece_evaluation_computes_its_cutoff_once(monkeypatch, builder, plateaus):
+    # bump_l (l >= 1) is two plateau dilates, and its derivative two more
+    piece = builder(3, 2)
+    plateau = multiplier._plateau
+    calls = []
+
+    def counting(s, deriv=False):
+        calls.append(deriv)
+        return plateau(s, deriv)
+
+    monkeypatch.setattr(multiplier, "_plateau", counting)
+    piece(np.linspace(0.0, 10.0, 41))
+    assert len(calls) == plateaus
+
+
 @pytest.mark.parametrize("trig", [np.cos, np.sin])
 @pytest.mark.parametrize("n", [1, 2, 97, 100, 111])  # 111 = 11 * 10 + 1 with B = 11
 @pytest.mark.parametrize("n_x", [128, 1024])
