@@ -22,6 +22,7 @@ from .families import compact_bump_values
 from .grid import GridFunction, GridSpec, VectorField, _wrap, make_grid, node_coordinates, sample
 from .grushin import (
     GrushinPoint,
+    _scan_radii,
     grushin_maximal,
     iterated_maximal,
     koranyi_ball_volume,
@@ -552,10 +553,7 @@ def _grushin_domination(spec: GridSpec) -> tuple[float, float]:
     C_meas is attained where the smallest radii win and both operators
     return |f|, so it reads 1 and scaling either operator leaves its spread
     across d unchanged; the norm ratio moves with such a scaling."""
-    d = spec.d - 1
-    rk = RadiiSet(tuple(np.geomspace(0.9 * min_node_gap(spec), 1.2, 8)))
-    rx = RadiiSet(tuple(np.geomspace(spec.h, 2 * spec.L * math.sqrt(d), 16)))
-    ru = RadiiSet(tuple(np.geomspace(spec.h, 2 * spec.L, 16)))
+    rk, rx, ru = _scan_radii(spec, 16)
     F = VectorField(tuple(sample(spec, bump_fn) for bump_fn in _DOMINATION_BUMPS))
     c_meas = c_norm = 0.0
     for mk, it in zip(grushin_maximal(F, rk), iterated_maximal(F, rx, ru)):

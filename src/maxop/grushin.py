@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridFunction, GridSpec, PreconditionError, VectorField, _stack, _unstack
-from .maximal import _as_radii, _ball_max_values, _grid_limit, _interval_max_values
+from .maximal import RadiiSet, _as_radii, _ball_max_values, _grid_limit, _interval_max_values
 
 __all__ = [
     "GrushinPoint",
@@ -111,9 +111,19 @@ def min_node_gap(spec: GridSpec) -> float:
     return min(spec.h, gap_u)
 
 
-def _u_window(x_norm: float, r: float) -> float:
-    # |u' - u| <= (r^2 + 2 |x| |x'|)/2 <= (r^2 + 2 |x| (|x| + r))/2 on the ball
-    return 0.5 * (r * r + 2.0 * x_norm * (x_norm + r))
+def _koranyi_limit(spec: GridSpec) -> float:
+    """The largest Koranyi radius on ``spec``: sqrt(A^2 + 4 du^2) <= A + 2|du|, so on
+    the box d_K^2 <= |x - x'|^2 + 2|u - u'| <= 4 d L^2 + 4 L; the limit adds h."""
+    return 2.0 * math.sqrt(_x_dim(spec) * spec.L**2 + spec.L) + spec.h
+
+
+def _scan_radii(spec: GridSpec, K: int) -> tuple[RadiiSet, RadiiSet, RadiiSet]:
+    """The scans' Koranyi radii (at most 8, from below the node gap to 1.2), and
+    the iterated x- and u-radii (K each, from h to the x-cube diameter and 2L)."""
+    rk = RadiiSet(tuple(np.geomspace(0.9 * min_node_gap(spec), 1.2, min(K, 8))))
+    rx = RadiiSet(tuple(np.geomspace(spec.h, 2.0 * spec.L * math.sqrt(_x_dim(spec)), K)))
+    ru = RadiiSet(tuple(np.geomspace(spec.h, 2.0 * spec.L, K)))
+    return rk, rx, ru
 
 
 def _ball_lattice(spec: GridSpec, x: np.ndarray, u: float, r: float):
@@ -121,7 +131,9 @@ def _ball_lattice(spec: GridSpec, x: np.ndarray, u: float, r: float):
     enumerated lexicographically; returns (X, U, index_arrays)."""
     L, h = spec.L, spec.h
     centers = list(x) + [u]
-    reaches = [r] * x.size + [_u_window(float(np.linalg.norm(x)), r)]
+    # |u' - u| <= (r^2 + 2 |x| |x'|)/2 <= (r^2 + 2 |x| (|x| + r))/2 on the ball
+    xn = float(np.linalg.norm(x))
+    reaches = [r] * x.size + [0.5 * (r * r + 2.0 * xn * (xn + r))]
     ranges = []
     for c, w in zip(centers, reaches):
         lo = math.ceil((c - w + L) / h - 0.5 - 1e-12)
@@ -142,12 +154,13 @@ def _in_box(spec: GridSpec, idx: np.ndarray) -> np.ndarray:
 
 
 def koranyi_ball_volume(g: GrushinPoint, r: float, spec: GridSpec) -> float:
-    """Cell count times cell volume of the closed ball; the ball must sit
-    inside the box (any member node outside raises)."""
+    """Cell count times cell volume of the closed ball, which must sit inside
+    the box; r is checked before the enumeration, which grows like r^(d+2)."""
     if not (0 < r < math.inf):
         raise ValueError(f"radius must be positive and finite, got {r}")
     if g.d != _x_dim(spec):
         raise ValueError("point dimension does not match the grid")
+    _as_radii((r,), _koranyi_limit(spec))
     x = np.asarray(g.x)
     X, U, idx = _ball_lattice(spec, x, g.u, r)
     member = _dk_values(x, g.u, X, U) <= r
@@ -167,8 +180,7 @@ def grushin_maximal(f: GridFunction | VectorField, radii) -> GridFunction | Vect
     """
     spec = f.spec
     d = _x_dim(spec)
-    # sqrt(A^2 + 4 du^2) <= A + 2|du|, so on the box d_K^2 <= |x - x'|^2 + 2|u - u'| <= 4 d L^2 + 4 L
-    rs = _as_radii(radii, 2.0 * math.sqrt(d * spec.L**2 + spec.L) + spec.h)
+    rs = _as_radii(radii, _koranyi_limit(spec))
     vals = _stack(f)
     flat = np.abs(vals).reshape(vals.shape[0], -1)
     axis = spec.axis_nodes()

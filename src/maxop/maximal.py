@@ -19,9 +19,10 @@ Stencil engine
 :func:`hl_maximal`, :func:`weighted_maximal` and :func:`maximal_1d` take a
 GridFunction or a VectorField and return the same kind; all members go
 through one engine call with a leading member axis, and the Grushin iterated
-operator passes its u-slices the same way.
-Grids of at most 64 nodes per member take the quadratic per-node path, the
-bit-exact reference.  Larger grids take the FFT path: each distinct ball
+operator passes its u-slices the same way.  Interval averages are d = 1
+balls, every fiber a member of one call on the FFT path; other grids of at
+most 64 nodes per member take the quadratic per-node path, the bit-exact
+reference.  Larger grids take the FFT path: each distinct ball
 stencil is transformed once and applied to every member by zero-padded
 convolution, the padded shape growing with the stencil's reach.  The
 stencil is even in every axis, so its spectrum is computed from its
@@ -214,7 +215,8 @@ def _ball_max_fft(a, h, radii, k, denom):
                     mshape, spectra = shp, None  # drop the old spectra first
                     spectra = _member_spectra(a, mshape)
                 box = tuple(slice(0, R + 1) for R in reach)
-                half = _stencil(n2_full[box], t, k, h) * fold_full[box]
+                n2 = n2_full[box]
+                half = np.where(n2 <= t, (n2 * (h * h)) ** (k / 2.0), 0.0) * fold_full[box]
                 conv = _convolve(spectra, _even_spectrum(half, mshape), mshape, shape)
         np.maximum(out, conv / den, out=out)
         if t >= cover:
@@ -238,10 +240,6 @@ def _half_box(reach: tuple[int, ...], cover: int) -> tuple[np.ndarray, np.ndarra
         n2 = n2 + (off**2).astype(dtype).reshape(sh)
         fold = fold * np.where(off > 0, 2.0, 1.0).reshape(sh)
     return n2, fold
-
-
-def _stencil(n2: np.ndarray, t: int, k: int, h: float) -> np.ndarray:
-    return np.where(n2 <= t, (n2 * (h * h)) ** (k / 2.0), 0.0)
 
 
 def _padded_shape(shape: tuple[int, ...], reach) -> tuple[int, ...]:
@@ -344,23 +342,12 @@ def weighted_maximal(f: GridFunction | VectorField, k: int, radii) -> GridFuncti
 
 
 def _interval_max_values(vals: np.ndarray, h: float, radii: tuple[float, ...], axis: int) -> np.ndarray:
-    """Per-fiber 1-D centered interval averages maximized over radii."""
-    a = np.abs(np.asarray(vals, dtype=float))
-    n = a.shape[axis]
-    a_moved = np.moveaxis(a, axis, -1)
-    csum = np.concatenate(
-        [np.zeros(a_moved.shape[:-1] + (1,)), np.cumsum(a_moved, axis=-1)], axis=-1
-    )
-    i = np.arange(n)
-    out = np.zeros_like(a_moved)
-    for r in radii:
-        m = math.isqrt(_strict_bound(r, h))
-        den = 2 * m + 1
-        hi = np.minimum(i + m, n - 1) + 1
-        lo = np.maximum(i - m, 0)
-        win = np.take(csum, hi, axis=-1) - np.take(csum, lo, axis=-1)
-        np.maximum(out, win / den, out=out)
-    return np.moveaxis(out, -1, axis)
+    """Per-fiber 1-D centered interval averages maximized over radii: every
+    fiber along ``axis`` is a member of one d = 1 ball call on the FFT path."""
+    a = np.moveaxis(np.abs(np.asarray(vals, dtype=float)), axis, -1)
+    denom = _cumulative_weights(1, _strict_bound(radii[-1], h), 0, h)
+    out = _ball_max_fft(a.reshape(-1, a.shape[-1]), h, radii, 0, denom)
+    return np.moveaxis(out.reshape(a.shape), -1, axis)
 
 
 def maximal_1d(f: GridFunction | VectorField, radii, axis: int = 0) -> GridFunction | VectorField:

@@ -193,9 +193,9 @@ def _m(d: int, s, deriv: bool = False, tol: float = 1e-10) -> np.ndarray:
 
 def surface_multiplier(d: int) -> RadialProfile:
     """Radial transform of the normalized surface measure on S^(d-1); m(0) = 1."""
+    d = _integer(d, "sphere dimension d", 1)
     if d < 2:
         raise PreconditionError(f"surface multiplier needs d >= 2, got {d}")
-    d = _integer(d, "sphere dimension d", 2)
     return RadialProfile(fn=lambda s: _m(d, s), support=(0.0, math.inf), sup_bound=1.0)
 
 
@@ -517,9 +517,7 @@ def funk_hecke_kernel(l: int, d: int, x_norm, tol: float = 1e-9):
     on this path touches the FFT route it cross-checks.  ``x_norm`` of any
     shape is evaluated element-wise; a scalar gives a float.
     """
-    l = _integer(l, "dyadic index l", 0)
-    if d < 3:
-        raise ValueError("funk_hecke_kernel needs d >= 3 (Gegenbauer weight exponent)")
+    l, d = _integer(l, "dyadic index l", 0), _integer(d, "Funk-Hecke dimension d", 3)
     if not (0 < tol < math.inf):
         raise ValueError(f"tol must be finite and positive, got {tol}")
     arr = np.asarray(x_norm, dtype=float)

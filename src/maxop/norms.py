@@ -20,11 +20,11 @@ __all__ = [
 ]
 
 
-def _pvalue(p) -> float:
-    """p as a float, validated as an exponent with 1 < p < inf or p = inf."""
+def _pvalue(p, role: str) -> float:
+    """p as a float, validated as an exponent 1 < p <= inf; the error names ``role``."""
     v = float(p)
     if not (v > 1.0):
-        raise ValueError(f"exponent must satisfy p > 1 (or inf), got {v}")
+        raise ValueError(f"exponent must satisfy p > 1 (or inf), got {role} = {v}")
     return v
 
 
@@ -48,12 +48,12 @@ def _lq(arrays, qv: float) -> np.ndarray:
 
 def lp_norm(f: GridFunction, p) -> float:
     """(sum |f|^p h^d)^(1/p); max |f| for p = inf."""
-    return _lp(f.values, _pvalue(p), f.spec.cell_volume)
+    return _lp(f.values, _pvalue(p, "p"), f.spec.cell_volume)
 
 
 def lq_pointwise(F: VectorField, q) -> GridFunction:
     """Node-wise (sum_n |f_n|^q)^(1/q); q must be finite."""
-    return _wrap(F.spec, _lq([m.values for m in F], _pvalue(q)))
+    return _wrap(F.spec, _lq([m.values for m in F], _pvalue(q, "q")))
 
 
 def mixed_norm(F: VectorField, p, q) -> float:
@@ -66,5 +66,5 @@ def mixed_norm_values(arrays, p, q, cell_volume: float) -> float:
     reduction as :func:`mixed_norm`.  No package code calls it: the bench's
     layer trace spans it, so it goes when the package owns its counters, a
     change to the benchmark (see ROADMAP.md)."""
-    return _lp(_lq(arrays, _pvalue(q)), _pvalue(p), cell_volume)
+    return _lp(_lq(arrays, _pvalue(q, "q")), _pvalue(p, "p"), cell_volume)
 

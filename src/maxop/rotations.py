@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .grid import GridFunction, GridSpec, PreconditionError, VectorField, _integer, _stack, _unstack, _wrap
-from .maximal import _as_radii, _ball_max_values, _chunk, _inverse, _member_spectra
+from .maximal import _as_radii, _ball_max_values, _chunk, _grid_limit, _inverse, _member_spectra
 from .maximal import _padded_shape, _strict_bound
 from .norms import _pvalue
 from .quadrature import radial_power_rule
@@ -131,7 +131,7 @@ def descent_maximal(
     spec = f.spec
     if split.d != spec.d or rotation.d != spec.d:
         raise ValueError("rotation/split dimension does not match the grid")
-    rs = _as_radii(radii)
+    rs = _as_radii(radii, _grid_limit(spec))
     rng = np.random.default_rng(_integer(seed, "seed", 0))
     sphere = _sphere_points(rng, n_sphere, split.d_prime)
     rho, rho_w = radial_power_rule(n_radial, split.k + split.d_prime)
@@ -339,7 +339,7 @@ def lemma2_domination(
 def dimension_split(p: float, q: float) -> int:
     """The descent dimension d' = floor(max(2, p, q, p', q')) + 1, which
     satisfies d'/(d'-1) < min(p, q) and max(p, q) < d'."""
-    pv, qv = _pvalue(p), _pvalue(q)
+    pv, qv = _pvalue(p, "p"), _pvalue(q, "q")
     if math.isinf(pv) or math.isinf(qv):
         raise PreconditionError("dimension_split needs finite exponents")
     target = max(2.0, pv, qv, pv / (pv - 1.0), qv / (qv - 1.0))

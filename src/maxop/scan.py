@@ -26,7 +26,7 @@ import numpy as np
 
 from .families import FAMILIES, family_values
 from .grid import GridFunction, GridSpec, PreconditionError, VectorField, _integer, _wrap, node_coordinates
-from .grushin import cc_domination_note, grushin_maximal, iterated_maximal, min_node_gap
+from .grushin import _scan_radii, cc_domination_note, grushin_maximal, iterated_maximal
 from .maximal import RadiiSet, default_radii, hl_maximal, weighted_maximal
 from .multiplier import dyadic_piece, maximal_multiplier, spherical_maximal
 from .norms import _pvalue, mixed_norm
@@ -89,8 +89,8 @@ class ScanConfig:
             raise ValueError(f"unknown family {self.family!r}; choose from {FAMILIES}")
         d_range = tuple(_integer(d, "each dimension in d_range", 1) for d in self.d_range)
         object.__setattr__(self, "d_range", d_range)
-        object.__setattr__(self, "p_list", tuple(_pvalue(v) for v in self.p_list))
-        object.__setattr__(self, "q_list", tuple(_pvalue(v) for v in self.q_list))
+        object.__setattr__(self, "p_list", tuple(_pvalue(v, "p") for v in self.p_list))
+        object.__setattr__(self, "q_list", tuple(_pvalue(v, "q") for v in self.q_list))
         for name in ("d_range", "p_list", "q_list"):
             vals = getattr(self, name)
             if not vals or len(set(vals)) < len(vals):
@@ -202,15 +202,12 @@ def _apply_descent(cfg: ScanConfig, F: VectorField, d_prime) -> tuple[VectorFiel
 
 
 def _apply_mk(cfg: ScanConfig, F: VectorField, key) -> tuple[VectorField, str]:
-    rk = RadiiSet(tuple(np.geomspace(0.9 * min_node_gap(F.spec), 1.2, min(cfg.radii_K, 8))))
+    rk, _, _ = _scan_radii(F.spec, cfg.radii_K)
     return grushin_maximal(F, rk), f"cc_note={cc_domination_note()}"
 
 
 def _apply_mk_iter(cfg: ScanConfig, F: VectorField, key) -> tuple[VectorField, str]:
-    spec = F.spec
-    d = spec.d - 1
-    rx = RadiiSet(tuple(np.geomspace(spec.h, 2.0 * spec.L * math.sqrt(d), cfg.radii_K)))
-    ru = RadiiSet(tuple(np.geomspace(spec.h, 2.0 * spec.L, cfg.radii_K)))
+    _, rx, ru = _scan_radii(F.spec, cfg.radii_K)
     return iterated_maximal(F, rx, ru), f"cc_note={cc_domination_note()}"
 
 

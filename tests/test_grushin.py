@@ -69,6 +69,32 @@ def test_ball_volume_rejects_bad_radii(r):
         koranyi_ball_volume(GrushinPoint((0.0,), 0.0), r, make_grid(2, 1.0, 16))
 
 
+def test_ball_volume_checks_its_radius_before_enumerating(monkeypatch):
+    # criterion 9's d = 1 grid: at r = 100 the enumerated box would hold
+    # about 5e8 candidates
+    grid = make_grid(2, 3.0, 96)
+    bound = grushin._koranyi_limit(grid)
+    enumerate_ball = grushin._ball_lattice
+    calls = []
+
+    def enumerate_once(*args):
+        calls.append(args)
+        if len(calls) > 1:
+            raise AssertionError("a ball beyond the Koranyi bound was enumerated")
+        return enumerate_ball(*args)
+
+    monkeypatch.setattr(grushin, "_ball_lattice", enumerate_once)
+    center = GrushinPoint((0.0,), 0.0)
+    # r at the bound passes the radius rule and reaches the box check: every
+    # ball with r >= L + h holds a node outside the box
+    with pytest.raises(ValueError, match="exits the box"):
+        koranyi_ball_volume(center, bound, grid)
+    assert len(calls) == 1
+    for r in (math.nextafter(bound, math.inf), 100.0):
+        with pytest.raises(ValueError, match="max radius"):
+            koranyi_ball_volume(center, r, grid)
+
+
 def test_radii_beyond_the_box_are_rejected_before_any_work(monkeypatch):
     # at L = 0.3 nodes sit farther apart in d_K than the cube diameter plus h,
     # and within the Koranyi bound 2 sqrt(d L^2 + L) + h

@@ -392,6 +392,18 @@ def test_maximal_1d_per_fiber(rng):
         np.testing.assert_allclose(M[i], fiber, atol=1e-13)
 
 
+def test_maximal_1d_matches_the_oracle_on_long_fibers(rng):
+    # 96-node fibers along the first axis, every fiber a member of one FFT call
+    spec = make_grid(2, 3.0, 96)
+    vals = rng.standard_normal(spec.shape)
+    vals[60:] = 0.0  # a zero tail in every fiber
+    radii = RadiiSet(tuple(np.geomspace(spec.h, 2 * spec.L, 8)))
+    M = maximal_1d(GridFunction(spec, vals), radii, axis=0).values
+    for j in (0, 47, 95):
+        want = _oracle_hl(vals[:, j], spec.h, radii)
+        assert np.abs(M[:, j] - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_dimension_stability_probe():
     # ||M f||_2 / ||f||_2 for the unit gaussian stays below 3 across d=1..5
     ratios = []

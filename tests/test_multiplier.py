@@ -10,6 +10,7 @@ from maxop import multiplier
 from maxop.checks import _zonal_inverse
 from maxop.grid import (
     GridFunction,
+    PreconditionError,
     forward_transform,
     frequency_radii,
     inverse_transform,
@@ -160,6 +161,20 @@ def test_non_integral_sphere_dimensions_are_rejected():
     # integral floats are the same dimension
     np.testing.assert_array_equal(gegenbauer_rule(4.0, 16)[0], gegenbauer_rule(4, 16)[0])
     assert surface_multiplier(3.0)(0.25) == surface_multiplier(3)(0.25)
+
+
+def test_dimensions_follow_the_integer_rule_before_their_range():
+    for call in (
+        lambda: surface_multiplier("3"),
+        lambda: surface_multiplier(1.5),
+        lambda: funk_hecke_kernel(1, "3", 0.5),
+        lambda: funk_hecke_kernel(1, 2, 0.5),
+    ):
+        with pytest.raises(ValueError, match="integer"):
+            call()
+    # the text that the committed MULT_L rows at d = 1 carry
+    with pytest.raises(PreconditionError, match=r"^surface multiplier needs d >= 2, got 1$"):
+        surface_multiplier(1.0)
 
 
 @pytest.mark.parametrize("bad", [-1, 1.5, math.inf, math.nan])

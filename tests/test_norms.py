@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from maxop.grid import GridFunction, VectorField, make_grid
 from maxop.norms import lp_norm, lq_pointwise, mixed_norm, mixed_norm_values
 from maxop.rotations import dimension_split
+from maxop.scan import ScanConfig
 
 SPEC = make_grid(2, 1.0, 8)
 
@@ -32,6 +34,23 @@ def test_exponent_validation():
             with pytest.raises(ValueError, match=r"exponent must satisfy p > 1 \(or inf\)"):
                 call(bad)
     assert lp_norm(f, math.inf) == 1.0
+
+
+def test_exponent_errors_name_the_exponent_role():
+    f = _gf(np.ones(SPEC.shape))
+    F = VectorField((f,))
+    calls = (
+        (lambda: lp_norm(f, 0.5), "p"),
+        (lambda: lq_pointwise(F, 0.5), "q"),
+        (lambda: mixed_norm(F, 2.0, 0.5), "q"),
+        (lambda: mixed_norm(F, 0.5, 2.0), "p"),
+        (lambda: dimension_split(2.0, 0.5), "q"),
+        (lambda: ScanConfig(q_list=(0.5,)), "q"),
+        (lambda: ScanConfig(p_list=(0.5,)), "p"),
+    )
+    for call, role in calls:
+        with pytest.raises(ValueError, match=re.escape(f"exponent must satisfy p > 1 (or inf), got {role} = 0.5")):
+            call()
 
 
 def test_lp_norm_constant():

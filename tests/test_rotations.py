@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from maxop import maximal
+from maxop import maximal, rotations
 from maxop.checks import _oracle_descent, _oracle_shift_sum
 from maxop.grid import GridFunction, PreconditionError, VectorField, make_grid, sample
 from maxop.maximal import RadiiSet, hl_maximal
@@ -136,6 +136,19 @@ def test_shift_sums_match_ndimage_at_the_edges(rng):
     assert np.abs(half[0]).max() <= 1e-14 and np.abs(half[1:, :-1, 1:]).min() > 0.4
     assert np.abs(identity - a).max() <= 1e-14
     assert np.abs(past).max() <= 1e-14 and np.abs(past_int).max() <= 1e-14
+
+
+def test_descent_rejects_radii_beyond_the_box_before_any_work(monkeypatch):
+    # at r = 1e30 the int64 cast of the shifts overflows into bogus taps
+    spec = make_grid(3, 2.0, 8)
+    f = sample(spec, lambda p: np.exp(-np.sum(p**2, -1)))
+
+    def work(*args, **kwargs):
+        raise AssertionError("work began before the radii were checked")
+
+    monkeypatch.setattr(rotations, "_shift_max", work)
+    with pytest.raises(ValueError, match="max radius"):
+        descent_maximal(f, haar_rotation(3, 0), DescentSplit(3, 3), (0.5, 1e30))
 
 
 @pytest.mark.parametrize("n_radial,n_sphere", [(16, 0), (0, 64), (16, -2), (16, 2.5)])
