@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -205,8 +206,37 @@ def test_fft_path_is_bit_exact_across_batches(monkeypatch, rng, k):
     whole = weighted_maximal(F, k, radii)
     monkeypatch.setattr(maximal, "_BATCH_BYTES", 1)  # one member per batch
     assert maximal._chunk((64, 64)) == 1
+    sizes = []
+    spectra = maximal._member_spectra
+    monkeypatch.setattr(maximal, "_member_spectra", lambda a, mshape: sizes.append(len(a)) or spectra(a, mshape))
     for g, w in zip(weighted_maximal(F, k, radii), whole):
         assert np.array_equal(g.values, w.values)
+    # the sweep runs once per batch, so it holds one member's spectra at a time
+    assert sizes and max(sizes) == 1
+
+
+def test_fft_sweep_peak_memory_is_bounded_by_design(rng):
+    spec = make_grid(4, 4.0, 16)
+    spike = np.zeros(spec.shape)
+    spike[(0,) * 4] = 1.0  # keeps the far corner at 0, so no radius is skipped
+    F = VectorField((GridFunction(spec, spike), GridFunction(spec, rng.random(spec.shape))))
+    radii = default_radii(spec)
+    # The sweep ends on the widest padded shape (32^4).  Its design bound: both
+    # members' spectra there (2 x 8.9 MB), one streamed product group (one
+    # member: 8.9 MB), the stencil spectrum (a real array on the spectra's
+    # layout: 4.5 MB), and a margin of 8 arrays of both members on the grid
+    # (8 x 1.05 MB): the stacked input and its abs, the running max, the
+    # previous and the current convolution, one inverse's output, and the
+    # stencil's half-box arrays.
+    spectrum = 16 * 32**3 * 17
+    bound = 2 * spectrum + spectrum + spectrum // 2 + 8 * 2 * spec.size * 8
+    tracemalloc.start()
+    try:
+        hl_maximal(F, radii)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, (peak, bound)
 
 
 @pytest.mark.parametrize(
