@@ -283,8 +283,8 @@ def _zonal_inverse(
 
 @_criterion("criterion 2: brute-force oracles")
 def criterion_brute_force():
-    """Small-grid operators match independent naive loops bit-for-bit; norm
-    reductions match re-summation oracles to 1e-12."""
+    """Ball maxima match naive loops to 1e-14 and dominate |f|; the Koranyi one
+    matches bit for bit; norm reductions match re-summation oracles to 1e-12."""
     rng = np.random.default_rng(42)
     checks: list[tuple[str, bool]] = []
 
@@ -294,7 +294,8 @@ def criterion_brute_force():
         radii = RadiiSet((spec.h, 0.4, 0.9, 1.7))
         got = hl_maximal(f, radii).values
         want = _oracle_hl(f.values, spec.h, radii)
-        checks.append((f"hl d={d} bit-exact", np.array_equal(got, want)))
+        rel = np.abs(got - want).max() / np.abs(want).max()
+        checks.append((f"hl d={d} rel {rel:.1e}, dominates |f|", rel <= 1e-14 and np.all(got >= np.abs(f.values))))
 
     grid = make_grid(2, 1.0, 8)  # one x-axis and the u-axis
     fg = _wrap(grid, rng.standard_normal(grid.shape))

@@ -23,6 +23,7 @@ support of f well inside the cube.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from functools import lru_cache
@@ -91,8 +92,8 @@ class GridSpec:
 
     def __post_init__(self):
         d, N = _integer(self.d, "dimension d", 1), _integer(self.N, "N", 4)
-        if not (0.0 < float(self.L) < math.inf):
-            raise ValueError(f"half-width L must be finite and positive, got {self.L}")
+        if not (isinstance(self.L, numbers.Real) and 0.0 < self.L < math.inf):
+            raise ValueError(f"half-width L must be finite and positive, got {self.L!r}")
         if N % 2:
             raise ValueError(f"N must be an even integer >= 4, got {self.N}")
         for name, value in (("d", d), ("L", float(self.L)), ("N", N)):

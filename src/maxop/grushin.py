@@ -200,9 +200,9 @@ def grushin_maximal(f: GridFunction | VectorField, radii) -> GridFunction | Vect
         for r, count, prev in zip(rs, counts, [0] + counts):
             if count == prev:
                 continue
-            sel = flat_idx[dk_in <= r]
-            for m, best in zip(flat, out):
-                best[node] = max(best[node], float(np.sum(m[sel])) / count)
+            # C-ordered rows, so each member's sum is its own 1-D sum bit for bit
+            sums = np.take(flat, flat_idx[dk_in <= r], axis=1).sum(axis=1)
+            out[:, node] = np.maximum(out[:, node], sums / count)
     return _unstack(f, out.reshape((-1,) + spec.shape))
 
 

@@ -20,16 +20,15 @@ Stencil engine
 GridFunction or a VectorField and return the same kind; all members go
 through one engine call with a leading member axis, and the Grushin iterated
 operator passes its u-slices the same way.  Interval averages are d = 1
-balls, every fiber a member of one call on the FFT path; other grids of at
-most 64 nodes per member take the quadratic per-node path, the bit-exact
-reference.  Larger grids take the FFT path: each distinct ball
-stencil is transformed once per member batch and applied to every member
-of the batch by zero-padded convolution, the padded shape growing with the
-stencil's reach.  The stencil is even in every axis, so its spectrum is
-computed from its nonnegative-offset part.  The center-only radius is taken
-exactly.  The first radius whose ball holds every in-grid offset ends the
-sweep: for k = 0 its numerator is each member's mass, and every larger
-radius has the same numerator over a denominator no smaller.
+balls, every fiber a member of one call.  Every grid takes the one FFT
+sweep: each distinct ball stencil is transformed once per member batch and
+applied to every member of the batch by zero-padded convolution, the padded
+shape growing with the stencil's reach.  The stencil is even in every axis,
+so its spectrum is computed from its nonnegative-offset part.  The
+center-only radius is taken exactly, so Mf >= |f| holds without rounding.
+The first radius whose ball holds every in-grid offset ends the sweep: for
+k = 0 its numerator is each member's mass, and every larger radius has the
+same numerator over a denominator no smaller.
 
 A radius is skipped when it cannot raise the max.  The values are |f| >= 0
 and every weight of the ball |delta|^2 <= T is at most (T h^2)^(k/2) (1 for
@@ -66,8 +65,6 @@ from .grid import GridFunction, GridSpec, VectorField, _integer, _stack, _unstac
 
 __all__ = ["RadiiSet", "default_radii", "hl_maximal", "weighted_maximal", "maximal_1d"]
 
-# the largest grid the brute-force check compares bit for bit (8 x 8)
-_EXACT_PATH_MAX_NODES = 64
 # bytes of padded member spectra the radius sweep holds at once; at d = 5 on
 # the default grid a single member already exceeds it
 _BATCH_BYTES = 1 << 26
@@ -145,21 +142,9 @@ def _cumulative_weights(d: int, tmax: int, k: int, h: float) -> np.ndarray:
     return np.cumsum(hist * (np.arange(tmax + 1, dtype=float) * h * h) ** (k / 2.0))
 
 
-def _ball_max_values(vals: np.ndarray, h: float, radii: tuple[float, ...], k: int) -> np.ndarray:
-    """max over r of weighted lattice-ball averages of |vals| (zero-extended),
-    for each member along the leading axis of ``vals`` (shape ``(n, *grid)``)."""
-    a = np.abs(np.asarray(vals, dtype=float))
-    d = a.ndim - 1
-    tmax = _strict_bound(radii[-1], h)
-    denom = _cumulative_weights(d, tmax, k, h)
-    if a[0].size <= _EXACT_PATH_MAX_NODES:
-        return _ball_max_exact(a, h, radii, k, denom)
-    return _ball_max_fft(a, h, radii, k, denom)
-
-
 def _ball_max_exact(a, h, radii, k, denom):
-    # quadratic-cost reference path; numerators are per-node sums over each
-    # member's masked flat array in linear index order
+    """Quadratic-cost reference for the tests, called by no operator: numerators
+    are per-node sums of each member's masked flat array in linear index order."""
     shape = a.shape[1:]
     idx = np.indices(shape).reshape(len(shape), -1)
     d2 = sum((i[:, None] - i[None, :]) ** 2 for i in idx)
@@ -179,18 +164,17 @@ def _ball_max_exact(a, h, radii, k, denom):
     return out.reshape(a.shape)
 
 
-def _ball_max_fft(a, h, radii, k, denom):
-    # The stencil of radius r is the ball's (weighted) indicator, even in
-    # every axis.  It is applied to every member by zero-padded FFT
-    # convolution on a per-reach padded shape.  Radii increase, so only the
-    # current shape's member spectra and the last distinct convolution are
-    # kept; members whose spectra at the widest shape outgrow one batch are
-    # swept one batch at a time.
+def _ball_max_values(vals: np.ndarray, h: float, radii: tuple[float, ...], k: int) -> np.ndarray:
+    """max over r of weighted lattice-ball averages of |vals| (zero-extended),
+    for each member along the leading axis of ``vals`` (shape ``(n, *grid)``)."""
+    a = np.abs(np.asarray(vals, dtype=float))
     shape = a.shape[1:]
-    full = tuple(min(math.isqrt(_strict_bound(radii[-1], h)), m - 1) for m in shape)
+    tmax = _strict_bound(radii[-1], h)
+    full = tuple(min(math.isqrt(tmax), m - 1) for m in shape)
     c = _chunk(_padded_shape(shape, full))
     if a.shape[0] > c:
-        return np.concatenate([_ball_max_fft(a[lo : lo + c], h, radii, k, denom) for lo in range(0, a.shape[0], c)])
+        return np.concatenate([_ball_max_values(a[lo : lo + c], h, radii, k) for lo in range(0, a.shape[0], c)])
+    denom = _cumulative_weights(len(shape), tmax, k, h)
     axes = tuple(range(1, a.ndim))
     cover = sum((m - 1) ** 2 for m in shape)  # |delta|^2 of the farthest in-grid offset
     n2_full, fold_full = _half_box(full, cover)
@@ -352,10 +336,9 @@ def weighted_maximal(f: GridFunction | VectorField, k: int, radii) -> GridFuncti
 
 def _interval_max_values(vals: np.ndarray, h: float, radii: tuple[float, ...], axis: int) -> np.ndarray:
     """Per-fiber 1-D centered interval averages maximized over radii: every
-    fiber along ``axis`` is a member of one d = 1 ball call on the FFT path."""
-    a = np.moveaxis(np.abs(np.asarray(vals, dtype=float)), axis, -1)
-    denom = _cumulative_weights(1, _strict_bound(radii[-1], h), 0, h)
-    out = _ball_max_fft(a.reshape(-1, a.shape[-1]), h, radii, 0, denom)
+    fiber along ``axis`` is a member of one d = 1 ball call."""
+    a = np.moveaxis(np.asarray(vals, dtype=float), axis, -1)
+    out = _ball_max_values(a.reshape(-1, a.shape[-1]), h, radii, 0)
     return np.moveaxis(out.reshape(a.shape), -1, axis)
 
 

@@ -22,7 +22,10 @@ __all__ = [
 
 def _pvalue(p, role: str) -> float:
     """p as a float, validated as an exponent 1 < p <= inf; the error names ``role``."""
-    v = float(p)
+    try:
+        v = float(p)
+    except (TypeError, ValueError):
+        raise ValueError(f"exponent {role} must be a number, got {p!r}") from None
     if not (v > 1.0):
         raise ValueError(f"exponent must satisfy p > 1 (or inf), got {role} = {v}")
     return v

@@ -257,6 +257,7 @@ def rotation_average_check(
     d'-plane averages; they agree up to MC error and O(h) interpolation."""
     n_mc, seed = _integer(n_mc, "n_mc", 2), _integer(seed, "seed", 0)
     spec = f.spec
+    (r,) = _as_radii((r,), _grid_limit(spec))
     if split.d != spec.d:
         raise ValueError("split dimension does not match the grid")
     x_index = tuple(x_index)

@@ -83,10 +83,13 @@ class ScanConfig:
     def __post_init__(self):
         # plain arithmetic only, so building a config stays cheap: no grid,
         # radii or profile is built here
-        if self.operator not in OPERATORS:
+        if not isinstance(self.operator, str) or self.operator not in OPERATORS:
             raise ValueError(f"unknown operator {self.operator!r}; choose from {tuple(OPERATORS)}")
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; choose from {FAMILIES}")
+        for name in ("d_range", "p_list", "q_list"):
+            if not isinstance(getattr(self, name), (list, tuple)):
+                raise ValueError(f"{name} must be a list, got {getattr(self, name)!r}")
         d_range = tuple(_integer(d, "each dimension in d_range", 1) for d in self.d_range)
         object.__setattr__(self, "d_range", d_range)
         object.__setattr__(self, "p_list", tuple(_pvalue(v, "p") for v in self.p_list))
@@ -96,8 +99,9 @@ class ScanConfig:
             if not vals or len(set(vals)) < len(vals):
                 raise ValueError(f"{name} must be nonempty without repeats, got {vals}")
         if self.grid is not None:
-            L, N = self.grid
-            spec = GridSpec(1, L, N)
+            if not (isinstance(self.grid, (list, tuple)) and len(self.grid) == 2):
+                raise ValueError(f"grid must be a pair L, N, got {self.grid!r}")
+            spec = GridSpec(1, *self.grid)
             object.__setattr__(self, "grid", (spec.L, spec.N))
         if math.inf in self.q_list:
             raise ValueError(f"exponents q must be finite, got {self.q_list}")
@@ -110,6 +114,8 @@ class ScanConfig:
     def from_json(cls, path: str) -> "ScanConfig":
         with open(path) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError(f"a config must be a JSON object, got {data!r}")
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:

@@ -162,10 +162,9 @@ def test_iterated_constant_and_separable(rng):
 
 
 def test_iterated_matches_per_slice_exact_reference(rng):
-    # 10 x 10 u-slices take the batched FFT route; the reference runs the
-    # quadratic exact path slice by slice
+    # 10 x 10 u-slices take the batched FFT sweep; the reference runs the
+    # quadratic _ball_max_exact slice by slice
     from maxop.maximal import (
-        _EXACT_PATH_MAX_NODES,
         _ball_max_exact,
         _cumulative_weights,
         _interval_max_values,
@@ -173,7 +172,6 @@ def test_iterated_matches_per_slice_exact_reference(rng):
     )
 
     grid = make_grid(3, 3.0, 10)
-    assert grid.N ** 2 > _EXACT_PATH_MAX_NODES
     f = GridFunction(grid, rng.standard_normal(grid.shape))
     rx = RadiiSet(tuple(np.geomspace(grid.h, 2 * grid.L * math.sqrt(2), 12)))
     ru = RadiiSet(tuple(np.geomspace(grid.h, 2 * grid.L, 12)))

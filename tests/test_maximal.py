@@ -10,7 +10,6 @@ from maxop.checks import _oracle_hl
 from maxop.grid import GridFunction, VectorField, make_grid, sample
 from maxop.grushin import grushin_maximal, iterated_maximal, min_node_gap
 from maxop.maximal import (
-    _EXACT_PATH_MAX_NODES,
     RadiiSet,
     _ball_max_exact,
     _cumulative_weights,
@@ -109,7 +108,6 @@ def test_interval_indicator_matches_continuum_sup():
 )
 def test_fft_path_matches_exact_path(rng, d, N, k):
     spec = make_grid(d, 2.0, N)
-    assert spec.size > _EXACT_PATH_MAX_NODES  # the FFT route
     vals = rng.standard_normal(spec.shape)
     # default radii end at the cube diameter, past the first radius whose ball
     # covers every in-grid offset
@@ -157,7 +155,6 @@ _CUTOFF_SPEC = make_grid(2, 6.0, 12)
 @pytest.mark.parametrize("member", ["gaussian", "corner"])
 def test_radius_cutoff_is_exact(member, k):
     spec = _CUTOFF_SPEC
-    assert spec.size > _EXACT_PATH_MAX_NODES
     vals = _cutoff_members(spec)[member]
     radii = default_radii(spec)
     f = GridFunction(spec, vals)
@@ -264,8 +261,7 @@ def test_even_spectrum_mirror_matches_the_gather(rng, mshape):
 
 
 def test_fft_path_matches_naive_oracle(rng):
-    spec = make_grid(2, 1.5, 12)  # 144 nodes: the FFT route
-    assert spec.size > _EXACT_PATH_MAX_NODES
+    spec = make_grid(2, 1.5, 12)
     vals = rng.standard_normal(spec.shape)
     radii = RadiiSet((spec.h, 0.3, 0.55, 1.0, 1.9, 4.2))
     got = hl_maximal(GridFunction(spec, vals), radii).values
@@ -275,6 +271,19 @@ def test_fft_path_matches_naive_oracle(rng):
     assert np.all(got >= np.abs(vals))
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_exact_reference_is_the_naive_loop_bit_for_bit(rng, d):
+    # on criterion 2's grids and radii the k-aware reference, which the
+    # k >= 1 tests compare against, sums exactly like the naive loop
+    spec = make_grid(d, 1.0, 8)
+    vals = rng.standard_normal(spec.shape)
+    radii = (spec.h, 0.4, 0.9, 1.7)
+    denom = _cumulative_weights(d, _strict_bound(radii[-1], spec.h), 0, spec.h)
+    got = _ball_max_exact(np.abs(vals)[None], spec.h, radii, 0, denom)[0]
+    assert np.array_equal(got, _oracle_hl(vals, spec.h, radii))
+
+
+# the ids name two grid sizes, 64 and 144 nodes; both take the FFT sweep
 @pytest.mark.parametrize("N", [8, 12], ids=["exact", "fft"])
 def test_vector_field_matches_per_member_calls(rng, N):
     spec = make_grid(2, 2.0, N)
@@ -297,7 +306,8 @@ def test_vector_field_matches_per_member_calls(rng, N):
 
 
 # the lattice operators outside the stencil engine, each on a small grid of
-# its own; iterated-fft has u-slices above the exact-path size
+# its own; the iterated ids name two u-slice sizes, 8 and 10 x 10 nodes,
+# both on the FFT sweep
 _LATTICE_OPERATORS = {
     "descent": (
         make_grid(3, 2.0, 8),

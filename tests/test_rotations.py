@@ -249,6 +249,21 @@ def test_rotation_average_stencil_guard():
         rotation_average_check(one, DescentSplit(3, 3), r=1.5, x_index=(0, 6, 6), n_mc=8, seed=1)
 
 
+@pytest.mark.parametrize("r", [-0.7, 0.0, math.inf, math.nan])
+def test_rotation_average_applies_the_radius_rule(monkeypatch, r):
+    # a negative radius would average the ball of radius |r|, and r = 0 the
+    # center alone, whose zero error bar no gap can exceed
+    spec = make_grid(3, 2.0, 12)
+    one = GridFunction(spec, np.ones(spec.shape))
+
+    def work(*args, **kwargs):
+        raise AssertionError("work began before the radius was checked")
+
+    monkeypatch.setattr(rotations, "_ball_average_at_node", work)
+    with pytest.raises(ValueError, match="radii must be"):
+        rotation_average_check(one, DescentSplit(3, 3), r=r, x_index=(6, 6, 6), n_mc=4, seed=1)
+
+
 @pytest.mark.parametrize("index", [(8, 8), (8, 8, 8, 8), (8.5, 8, 8)])
 def test_rotation_average_needs_one_integer_index_per_axis(index):
     spec = make_grid(3, 2.0, 16)

@@ -280,6 +280,30 @@ def test_cli_rejects_bad_config_up_front(tmp_path, monkeypatch, capsys, flags, e
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "config,named",
+    [
+        ([1, 2], "JSON object"),
+        (None, "JSON object"),
+        ({"p_list": 2}, "p_list"),
+        ({"d_range": 2}, "d_range"),
+        ({"grid": 5}, "grid"),
+        ({"grid": [[4.0], 8]}, "half-width L"),
+        ({"operator": ["HL"]}, "operator"),
+        ({"q_list": [[2]]}, "exponent q"),
+    ],
+    ids=["list", "null", "p_list", "d_range", "grid", "grid-L", "operator", "q_list"],
+)
+def test_cli_rejects_malformed_json_config(tmp_path, capsys, config, named):
+    # a wrong-typed field is a usage error that names the field, not a traceback
+    path, out = tmp_path / "cfg.json", tmp_path / "scan.csv"
+    path.write_text(json.dumps(config))
+    assert main(["scan", "--config", str(path), "--out", str(out)]) == 1
+    assert not out.exists()
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("maxop: error:")]
+    assert len(errors) == 1 and named in errors[0]
+
+
 @pytest.mark.parametrize("flags", [["--d", "2"], ["--l_max", "1"]])
 def test_cli_rejects_bad_decay_range_up_front(tmp_path, capsys, flags):
     out = tmp_path / "decay.csv"
