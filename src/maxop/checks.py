@@ -151,31 +151,31 @@ def criterion_identity_suite():
 # -- criterion 2 -------------------------------------------------------------
 
 
-def _oracle_hl(values: np.ndarray, h: float, radii) -> np.ndarray:
-    """Naive triple-loop Hardy-Littlewood: strict lattice balls, in-cube
-    numerators in linear index order, infinite-lattice denominators."""
-    absf = np.abs(values)
-    flat = absf.reshape(-1)
+def _oracle_hl(values: np.ndarray, h: float, radii, k: int = 0) -> np.ndarray:
+    """Naive ball maximal function against the weight |y|^k (k = 0: Hardy-
+    Littlewood): strict lattice balls, per-node masked sums in linear index
+    order over the node-pair distance matrix, denominators summed over the
+    offset box.  A ball whose denominator is 0 (the center alone, k >= 1)
+    contributes nothing."""
+    flat = np.abs(values).reshape(-1)
     d = values.ndim
     idx = np.indices(values.shape).reshape(d, -1)
+    d2 = sum((i[:, None] - i[None, :]) ** 2 for i in idx)  # node-pair |delta|^2
+    w = (d2 * (h * h)) ** (k / 2.0)
     out = np.zeros(flat.size)
-    for i in range(flat.size):
-        best = 0.0
-        for r in radii:
-            t = 0
-            while (t + 1) * h * h < r * r:
-                t += 1
-            m = math.isqrt(t)
-            count = 0
-            for offs in np.ndindex(*([2 * m + 1] * d)):
-                if sum((o - m) ** 2 for o in offs) <= t:
-                    count += 1
-            mask = np.zeros(flat.size, dtype=bool)
-            for j in range(flat.size):
-                if sum(int(idx[ax, j] - idx[ax, i]) ** 2 for ax in range(d)) <= t:
-                    mask[j] = True
-            best = max(best, float(np.sum(flat[mask])) / count)
-        out[i] = best
+    for r in radii:
+        t = 0
+        while (t + 1) * h * h < r * r:
+            t += 1
+        m = math.isqrt(t)
+        offs = np.indices((2 * m + 1,) * d).reshape(d, -1) - m
+        n2 = np.sum(offs**2, axis=0)
+        den = float(np.sum((n2[n2 <= t] * (h * h)) ** (k / 2.0)))
+        if den <= 0:
+            continue
+        for i, row in enumerate(d2):
+            mask = row <= t
+            out[i] = max(out[i], float(np.sum(flat[mask] * w[i][mask])) / den)
     return out.reshape(values.shape)
 
 
@@ -283,8 +283,9 @@ def _zonal_inverse(
 
 @_criterion("criterion 2: brute-force oracles")
 def criterion_brute_force():
-    """Ball maxima match naive loops to 1e-14 and dominate |f|; the Koranyi one
-    matches bit for bit; norm reductions match re-summation oracles to 1e-12."""
+    """Ball maxima (HL, and the |y|^k-weighted ones at k = 1, 2) match naive
+    loops to 1e-14 and HL dominates |f|; the Koranyi one matches bit for bit;
+    norm reductions match re-summation oracles to 1e-12."""
     rng = np.random.default_rng(42)
     checks: list[tuple[str, bool]] = []
 
@@ -296,6 +297,11 @@ def criterion_brute_force():
         want = _oracle_hl(f.values, spec.h, radii)
         rel = np.abs(got - want).max() / np.abs(want).max()
         checks.append((f"hl d={d} rel {rel:.1e}, dominates |f|", rel <= 1e-14 and np.all(got >= np.abs(f.values))))
+        for k in (1, 2):
+            got = weighted_maximal(f, k, radii).values
+            want = _oracle_hl(f.values, spec.h, radii, k)
+            rel = np.abs(got - want).max() / np.abs(want).max()
+            checks.append((f"weighted k={k} d={d} rel {rel:.1e}", rel <= 1e-14))
 
     grid = make_grid(2, 1.0, 8)  # one x-axis and the u-axis
     fg = _wrap(grid, rng.standard_normal(grid.shape))

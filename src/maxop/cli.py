@@ -8,6 +8,7 @@ Exit codes: 0 on success, 1 on usage errors, 2 on any failed contract
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import fields, replace
 
@@ -84,23 +85,37 @@ def _run_and_emit(cfg: ScanConfig, out: str, plotdata: str | None) -> int:
     return CONTRACT_EXIT if violations else 0
 
 
+def _suffixed(path: str, name: str, default_ext: str = "") -> str:
+    """``path`` with ``_name`` before its extension (``default_ext`` if it has none)."""
+    base, ext = os.path.splitext(path)
+    return f"{base}_{name}{ext or default_ext}"
+
+
 def _scan_jobs(args) -> list[tuple[ScanConfig, str, str | None]]:
     """(config, CSV path, plot-data path) of each scan the command runs; every
     config is validated before the first scan starts."""
     if args.command == "scan":
         return [(_config_from_args(args), args.out, args.plotdata)]
     if args.command == "grushin":
-        base, ext = args.out.rsplit(".", 1) if "." in args.out else (args.out, "csv")
         return [
             (
                 _config_from_args(args, operator=name),
-                f"{base}_{name.lower()}.{ext}",
-                f"{args.plotdata}_{name.lower()}" if args.plotdata else None,
+                _suffixed(args.out, name.lower(), ".csv"),
+                _suffixed(args.plotdata, name.lower()) if args.plotdata else None,
             )
             for name, op in OPERATORS.items()
             if op.u_axis
         ]
     return []
+
+
+def _check_out_path(path: str) -> None:
+    """Reject an output path that names a directory or whose directory does
+    not exist, before any work."""
+    if os.path.isdir(path) or not os.path.basename(path):
+        raise ValueError(f"output path {path!r} names a directory")
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise ValueError(f"the directory of output path {path!r} does not exist")
 
 
 def main(argv=None) -> int:
@@ -129,6 +144,11 @@ def main(argv=None) -> int:
         jobs = _scan_jobs(args)
         if args.command == "decay":
             _check_decay_range(args.d, args.l_max)
+        # the given output paths, and the per-operator ones of grushin
+        given = [getattr(args, "out", None), getattr(args, "plotdata", None)]
+        for path in given + [p for _, out, plot in jobs for p in (out, plot)]:
+            if path:
+                _check_out_path(path)
     except (ValueError, OSError) as exc:  # OSError: an unreadable --config file
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return USAGE_EXIT

@@ -156,11 +156,9 @@ def _in_box(spec: GridSpec, idx: np.ndarray) -> np.ndarray:
 def koranyi_ball_volume(g: GrushinPoint, r: float, spec: GridSpec) -> float:
     """Cell count times cell volume of the closed ball, which must sit inside
     the box; r is checked before the enumeration, which grows like r^(d+2)."""
-    if not (0 < r < math.inf):
-        raise ValueError(f"radius must be positive and finite, got {r}")
     if g.d != _x_dim(spec):
         raise ValueError("point dimension does not match the grid")
-    _as_radii((r,), _koranyi_limit(spec))
+    (r,) = _as_radii((r,), _koranyi_limit(spec))
     x = np.asarray(g.x)
     X, U, idx = _ball_lattice(spec, x, g.u, r)
     member = _dk_values(x, g.u, X, U) <= r

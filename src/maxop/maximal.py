@@ -26,9 +26,9 @@ applied to every member of the batch by zero-padded convolution, the padded
 shape growing with the stencil's reach.  The stencil is even in every axis,
 so its spectrum is computed from its nonnegative-offset part.  The
 center-only radius is taken exactly, so Mf >= |f| holds without rounding.
-The first radius whose ball holds every in-grid offset ends the sweep: for
-k = 0 its numerator is each member's mass, and every larger radius has the
-same numerator over a denominator no smaller.
+Balls that hold every in-grid offset share one numerator, so past the first
+of them no radius adds a convolution (for k = 0 that numerator is each
+member's mass, taken without one).
 
 A radius is skipped when it cannot raise the max.  The values are |f| >= 0
 and every weight of the ball |delta|^2 <= T is at most (T h^2)^(k/2) (1 for
@@ -36,7 +36,9 @@ k = 0), so no in-grid numerator exceeds mass * (T h^2)^(k/2), and no
 average exceeds that over the denominator.  When every node's running max
 of a member is already at least that bound, for every member, the radius
 leaves the max unchanged in exact arithmetic, and its convolution is not
-computed.
+computed.  This cutoff is the sweep's one exit: the first skipped radius
+whose ball holds every in-grid offset ends it, since every larger radius
+has the same numerator over a denominator no smaller.
 
 Across radii the sweep holds only the members' spectra on the current
 padded shape.  Per radius, their products with the stencil spectrum stream
@@ -82,10 +84,11 @@ class RadiiSet:
         radii = tuple(float(r) for r in self.radii)
         if not radii:
             raise ValueError("RadiiSet must be nonempty")
-        if not all(math.isfinite(r) for r in radii):
-            raise ValueError(f"radii must be finite, got {radii}")
-        if radii[0] <= 0 or any(b <= a for a, b in zip(radii, radii[1:])):
-            raise ValueError("radii must be positive and strictly increasing")
+        for r in radii:
+            if not 0 < r < math.inf:
+                raise ValueError(f"radii must be positive and finite, got radius {r}")
+        if any(b <= a for a, b in zip(radii, radii[1:])):
+            raise ValueError("radii must be strictly increasing")
         object.__setattr__(self, "radii", radii)
 
     def __iter__(self):
@@ -142,28 +145,6 @@ def _cumulative_weights(d: int, tmax: int, k: int, h: float) -> np.ndarray:
     return np.cumsum(hist * (np.arange(tmax + 1, dtype=float) * h * h) ** (k / 2.0))
 
 
-def _ball_max_exact(a, h, radii, k, denom):
-    """Quadratic-cost reference for the tests, called by no operator: numerators
-    are per-node sums of each member's masked flat array in linear index order."""
-    shape = a.shape[1:]
-    idx = np.indices(shape).reshape(len(shape), -1)
-    d2 = sum((i[:, None] - i[None, :]) ** 2 for i in idx)
-    w2 = (d2.astype(float) * (h * h)) ** (k / 2.0)
-    flat = a.reshape(a.shape[0], -1)
-    out = np.zeros(flat.shape)
-    for r in radii:
-        t = _strict_bound(r, h)
-        den = denom[t]
-        if den <= 0:
-            continue
-        for i, row in enumerate(d2):
-            mask = row <= t
-            w = w2[i][mask]
-            for m, vals in enumerate(flat):
-                out[m, i] = max(out[m, i], float(np.sum(vals[mask] * w)) / den)
-    return out.reshape(a.shape)
-
-
 def _ball_max_values(vals: np.ndarray, h: float, radii: tuple[float, ...], k: int) -> np.ndarray:
     """max over r of weighted lattice-ball averages of |vals| (zero-extended),
     for each member along the leading axis of ``vals`` (shape ``(n, *grid)``)."""
@@ -198,7 +179,7 @@ def _ball_max_values(vals: np.ndarray, h: float, radii: tuple[float, ...], k: in
             # the ball holds every in-grid offset from every node, so the
             # numerator is each member's mass
             np.maximum(out, mass / den, out=out)
-            break
+            continue
         # balls with the same largest in-grid |delta|^2 <= t hold the same
         # offsets and share one stencil
         new_key = norms[np.searchsorted(norms, t, side="right") - 1]
@@ -219,11 +200,7 @@ def _ball_max_values(vals: np.ndarray, h: float, radii: tuple[float, ...], k: in
                 half = np.where(n2 <= t, (n2 * (h * h)) ** (k / 2.0), 0.0) * fold_full[box]
                 conv = _convolve(spectra, _even_spectrum(half, mshape), mshape, shape)
         np.maximum(out, conv / den, out=out)
-        if t >= cover:
-            # every larger radius has the same numerator and a denominator no
-            # smaller, so it cannot raise the max
-            break
-    return np.maximum(out, 0.0)
+    return out
 
 
 def _half_box(reach: tuple[int, ...], cover: int) -> tuple[np.ndarray, np.ndarray]:

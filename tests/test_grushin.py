@@ -163,13 +163,9 @@ def test_iterated_constant_and_separable(rng):
 
 def test_iterated_matches_per_slice_exact_reference(rng):
     # 10 x 10 u-slices take the batched FFT sweep; the reference runs the
-    # quadratic _ball_max_exact slice by slice
-    from maxop.maximal import (
-        _ball_max_exact,
-        _cumulative_weights,
-        _interval_max_values,
-        _strict_bound,
-    )
+    # naive ball loop of the brute-force check slice by slice
+    from maxop.checks import _oracle_hl
+    from maxop.maximal import _interval_max_values
 
     grid = make_grid(3, 3.0, 10)
     f = GridFunction(grid, rng.standard_normal(grid.shape))
@@ -177,10 +173,7 @@ def test_iterated_matches_per_slice_exact_reference(rng):
     ru = RadiiSet(tuple(np.geomspace(grid.h, 2 * grid.L, 12)))
     got = iterated_maximal(f, rx, ru).values
     stage1 = _interval_max_values(f.values, grid.h, ru.radii, axis=2)
-    denom = _cumulative_weights(2, _strict_bound(rx.radii[-1], grid.h), 0, grid.h)
-    want = np.stack(
-        [_ball_max_exact(stage1[None, ..., iu], grid.h, rx.radii, 0, denom)[0] for iu in range(grid.N)], axis=-1
-    )
+    want = np.stack([_oracle_hl(stage1[..., iu], grid.h, rx) for iu in range(grid.N)], axis=-1)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 

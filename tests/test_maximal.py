@@ -11,8 +11,6 @@ from maxop.grid import GridFunction, VectorField, make_grid, sample
 from maxop.grushin import grushin_maximal, iterated_maximal, min_node_gap
 from maxop.maximal import (
     RadiiSet,
-    _ball_max_exact,
-    _cumulative_weights,
     _even_spectrum,
     _strict_bound,
     default_radii,
@@ -113,10 +111,7 @@ def test_fft_path_matches_exact_path(rng, d, N, k):
     # covers every in-grid offset
     radii = default_radii(spec, 10)
     got = weighted_maximal(GridFunction(spec, vals), k, radii).values
-    tmax = _strict_bound(radii.radii[-1], spec.h)
-    want = _ball_max_exact(
-        np.abs(vals)[None], spec.h, radii.radii, k, _cumulative_weights(d, tmax, k, spec.h)
-    )[0]
+    want = _oracle_hl(vals, spec.h, radii, k)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
@@ -129,9 +124,7 @@ def test_covering_radius_reaches_the_far_corner(k):
     vals[0, 0] = 1.0
     radii = default_radii(spec, 8)
     got = weighted_maximal(GridFunction(spec, vals), k, radii).values
-    tmax = _strict_bound(radii.radii[-1], spec.h)
-    denom = _cumulative_weights(2, tmax, k, spec.h)
-    want = _ball_max_exact(vals[None], spec.h, radii.radii, k, denom)[0]
+    want = _oracle_hl(vals, spec.h, radii, k)
     assert want[-1, -1] > 0
     assert got[-1, -1] == pytest.approx(want[-1, -1], rel=1e-12)
     assert np.abs(got - want).max() <= 1e-12 * want.max()
@@ -159,8 +152,7 @@ def test_radius_cutoff_is_exact(member, k):
     radii = default_radii(spec)
     f = GridFunction(spec, vals)
     got = (hl_maximal(f, radii) if k == 0 else weighted_maximal(f, k, radii)).values
-    denom = _cumulative_weights(2, _strict_bound(radii.radii[-1], spec.h), k, spec.h)
-    want = _ball_max_exact(vals[None], spec.h, radii.radii, k, denom)[0]
+    want = _oracle_hl(vals, spec.h, radii, k)
     assert np.abs(got - want).max() <= 1e-13 * want.max()
     if member == "corner":
         # the winning radius at the far corner is the covering one
@@ -269,18 +261,6 @@ def test_fft_path_matches_naive_oracle(rng):
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     # the center-only radius is exact, so domination holds without rounding
     assert np.all(got >= np.abs(vals))
-
-
-@pytest.mark.parametrize("d", [1, 2])
-def test_exact_reference_is_the_naive_loop_bit_for_bit(rng, d):
-    # on criterion 2's grids and radii the k-aware reference, which the
-    # k >= 1 tests compare against, sums exactly like the naive loop
-    spec = make_grid(d, 1.0, 8)
-    vals = rng.standard_normal(spec.shape)
-    radii = (spec.h, 0.4, 0.9, 1.7)
-    denom = _cumulative_weights(d, _strict_bound(radii[-1], spec.h), 0, spec.h)
-    got = _ball_max_exact(np.abs(vals)[None], spec.h, radii, 0, denom)[0]
-    assert np.array_equal(got, _oracle_hl(vals, spec.h, radii))
 
 
 # the ids name two grid sizes, 64 and 144 nodes; both take the FFT sweep

@@ -339,6 +339,49 @@ def test_cli_grushin(tmp_path):
     assert (tmp_path / "gr_mk_iter.csv").exists()
 
 
+def test_cli_grushin_suffixes_the_file_name_only(tmp_path):
+    # the _mk and _mk_iter suffixes go before the file's own extension, not
+    # after a dot in a directory name
+    run = tmp_path / "run.1"
+    run.mkdir()
+    rc = main(
+        [
+            "grushin",
+            "--d_range", "1",
+            "--n_members", "2",
+            "--grid", "2,8",
+            "--radii_K", "4",
+            "--out", str(run / "grushin"),
+            "--plotdata", str(run / "g.dat"),
+        ]
+    )
+    assert rc == 0
+    assert sorted(p.name for p in run.iterdir()) == ["g_mk.dat", "g_mk_iter.dat", "grushin_mk.csv", "grushin_mk_iter.csv"]
+
+
+@pytest.mark.parametrize("where", ["missing", "directory"])
+@pytest.mark.parametrize(
+    "command,flag",
+    [("scan", "--out"), ("scan", "--plotdata"), ("grushin", "--out"), ("grushin", "--plotdata"), ("decay", "--out")],
+)
+def test_cli_rejects_bad_output_path_up_front(tmp_path, monkeypatch, capsys, command, flag, where):
+    def work(*args, **kwargs):
+        raise AssertionError("work began before the output path was checked")
+
+    monkeypatch.setattr(cli, "run_scan", work)
+    monkeypatch.setattr(cli, "decay_constants", work)
+    (tmp_path / "existing").mkdir()
+    bad = tmp_path / "missing" / "x.csv" if where == "missing" else tmp_path / "existing"
+    paths = {"--out": str(tmp_path / "ok.csv"), flag: str(bad)}
+    argv = [command] + [v for item in paths.items() for v in item]
+    if command != "decay":
+        argv += ["--d_range", "1", "--grid", "2,8"]
+    assert main(argv) == 1
+    assert "maxop: error:" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["existing"]
+    assert not any((tmp_path / "existing").iterdir())
+
+
 def test_maxop_threads_env(monkeypatch):
     from maxop.grid import fft_workers
 
