@@ -285,7 +285,8 @@ def _zonal_inverse(
 def criterion_brute_force():
     """Ball maxima (HL, and the |y|^k-weighted ones at k = 1, 2) match naive
     loops to 1e-14 and HL dominates |f|; the Koranyi one matches bit for bit;
-    norm reductions match re-summation oracles to 1e-12."""
+    norm reductions match re-summation oracles, and the descent operator its
+    per-offset shift oracle, to 1e-12."""
     rng = np.random.default_rng(42)
     checks: list[tuple[str, bool]] = []
 
@@ -320,6 +321,14 @@ def criterion_brute_force():
     got = lq_pointwise(F, 3.0).values
     want = sum(np.abs(m.values) ** 3.0 for m in F) ** (1.0 / 3.0)
     checks.append(("lq pointwise", np.max(np.abs(got - want)) <= 1e-12 * np.max(want)))
+
+    spec = make_grid(3, 1.0, 8)
+    f = _wrap(spec, rng.standard_normal(spec.shape))
+    args = (haar_rotation(3, 5), DescentSplit(3, 3), RadiiSet((spec.h, 0.4, 0.7)))
+    got = descent_maximal(f, *args, n_radial=4, n_sphere=8, seed=1).values
+    want = _oracle_descent(f, *args, n_radial=4, n_sphere=8, seed=1)
+    rel = np.abs(got - want).max() / np.abs(want).max()
+    checks.append((f"descent d=3 rel {rel:.1e}", rel <= 1e-12))
     return checks, ""
 
 

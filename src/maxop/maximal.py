@@ -24,11 +24,12 @@ balls, every fiber a member of one call.  Every grid takes the one FFT
 sweep: each distinct ball stencil is transformed once per member batch and
 applied to every member of the batch by zero-padded convolution, the padded
 shape growing with the stencil's reach.  The stencil is even in every axis,
-so its spectrum is computed from its nonnegative-offset part.  The
-center-only radius is taken exactly, so Mf >= |f| holds without rounding.
-Balls that hold every in-grid offset share one numerator, so past the first
-of them no radius adds a convolution (for k = 0 that numerator is each
-member's mass, taken without one).
+so its spectrum is computed from its nonnegative-offset part.  Radii whose
+balls hold the same in-grid offsets share one stencil, of three kinds: the
+center alone, taken as |f| so that Mf >= |f| holds without rounding; for
+k = 0, every in-grid offset, whose numerator is each member's mass; else an
+FFT stencil.  Past the first ball that holds every in-grid offset no radius
+adds a convolution.
 
 A radius is skipped when it cannot raise the max.  The values are |f| >= 0
 and every weight of the ball |delta|^2 <= T is at most (T h^2)^(k/2) (1 for
@@ -175,20 +176,18 @@ def _ball_max_values(vals: np.ndarray, h: float, radii: tuple[float, ...], k: in
             if t >= cover:
                 break
             continue
-        if k == 0 and t >= cover:
-            # the ball holds every in-grid offset from every node, so the
-            # numerator is each member's mass
-            np.maximum(out, mass / den, out=out)
-            continue
         # balls with the same largest in-grid |delta|^2 <= t hold the same
         # offsets and share one stencil
         new_key = norms[np.searchsorted(norms, t, side="right") - 1]
         if new_key != key:
             key = new_key
-            if t == 0:
+            if key == 0:
                 # the center alone (k = 0; for k >= 1 its denominator is 0),
                 # taken exactly so that Mf >= |f| holds without rounding
                 conv = a
+            elif k == 0 and key == cover:
+                # every in-grid offset from every node: each member's mass
+                conv = mass
             else:
                 reach = tuple(min(math.isqrt(t), m - 1) for m in shape)
                 shp = _padded_shape(shape, reach)

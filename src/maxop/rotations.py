@@ -32,7 +32,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .grid import GridFunction, GridSpec, PreconditionError, VectorField, _integer, _stack, _unstack, _wrap
+from .grid import GridFunction, PreconditionError, VectorField, _integer, _stack, _unstack, _wrap
 from .maximal import _as_radii, _ball_max_values, _chunk, _grid_limit, _inverse, _member_spectra
 from .maximal import _padded_shape, _strict_bound
 from .norms import _pvalue
@@ -110,11 +110,6 @@ def _sphere_points(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
     return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
-def _index_coords(spec: GridSpec, points: np.ndarray) -> np.ndarray:
-    # physical coordinates -> fractional array indices (cell-centered nodes)
-    return (points + spec.L) / spec.h - 0.5
-
-
 def descent_maximal(
     f: GridFunction | VectorField,
     rotation: RotationMatrix,
@@ -155,28 +150,30 @@ def _shift_max(a: np.ndarray, shifts: list[np.ndarray], coeff: np.ndarray) -> np
     never node 0 and the second never node N - 1.  So a group's sum is, over
     the 2^d corners c, a sparse stencil with taps at k + c applied to a copy
     of ``a`` with those boundary nodes zeroed.  An axis with t = 0 has a
-    single tap that may read both boundary nodes.  Members go in batches
-    that keep one spectrum per group beside the masked members' spectra.
+    single tap that may read both boundary nodes.  A tap's mask row holds,
+    per axis, the corner's c or 2 where t = 0 (0 zeroes node 0, 1 node N - 1,
+    2 nothing); taps are grouped by mask row, and each mask row's masked
+    copy is transformed once per batch.  Members go in batches that keep one
+    spectrum per group beside the masked members' spectra.
     """
     shape = a.shape[1:]
     reach = np.zeros(len(shape), dtype=np.int64)
-    # per axis, mask state 0 zeroes node 0, 1 zeroes node N - 1, 2 nothing
-    taps = {}  # mask state -> [(group, offsets, weights)]
+    taps = {}  # mask row -> [(group, offsets, weights)]
     for g, s in enumerate(shifts):
         t = s - np.floor(s)
         k = np.floor(s).astype(np.int64)
         exact = t == 0
+        patterns = set(map(tuple, exact.tolist()))  # the rows' sets of axes with t = 0
         for corner in itertools.product((0, 1), repeat=len(shape)):
             c = np.array(corner)
             off = k + c
             # drop the taps of weight 0 (c = 1 where t = 0) and those off the grid
             live = ~np.any(exact & (c == 1), axis=1) & np.all(np.abs(off) < shape, axis=1)
             w = coeff * np.prod(np.where(c == 1, t, 1.0 - t), axis=1)
-            states = np.where(exact, 2, c)
-            code = states @ 3 ** np.arange(len(shape))  # base-3 code of each row's states
-            for key in np.unique(code[live]):
-                sel = live & (code == key)
-                taps.setdefault(tuple(states[sel][0].tolist()), []).append((g, off[sel], w[sel]))
+            for p in patterns:
+                sel = live & np.all(exact == p, axis=1)
+                if sel.any():
+                    taps.setdefault(tuple(np.where(p, 2, c).tolist()), []).append((g, off[sel], w[sel]))
             reach = np.maximum(reach, np.abs(off[live]).max(axis=0, initial=0))
     mshape = _padded_shape(shape, reach)
     n, step = a.shape[0], max(1, _chunk(mshape) // (len(shifts) + 1))
@@ -196,28 +193,6 @@ def _shift_max(a: np.ndarray, shifts: list[np.ndarray], coeff: np.ndarray) -> np
                 acc[g] += spectra * _member_spectra(dense[None], mshape)[0]
         out[lo : lo + step] = functools.reduce(np.maximum, (_inverse(y, mshape, shape) for y in acc))
     return out
-
-
-def _point_weighted_average(
-    absf: np.ndarray,
-    spec: GridSpec,
-    x: np.ndarray,
-    rotation: np.ndarray,
-    split: DescentSplit,
-    r: float,
-    sphere: np.ndarray,
-    rho: np.ndarray,
-    rho_w: np.ndarray,
-) -> float:
-    from scipy import ndimage
-
-    units = sphere @ rotation[:, : split.d_prime].T
-    pts = x[None, None, :] - r * rho[:, None, None] * units[None, :, :]
-    coords = _index_coords(spec, pts.reshape(-1, spec.d))
-    vals = ndimage.map_coordinates(
-        absf, coords.T, order=1, mode="constant", cval=0.0, prefilter=False
-    ).reshape(rho.size, sphere.shape[0])
-    return float(np.sum(rho_w * vals.mean(axis=1)))
 
 
 def _ball_average_at_node(f: GridFunction, index: tuple[int, ...], r: float) -> float:
@@ -255,6 +230,8 @@ def rotation_average_check(
 ) -> MCComparison:
     """Ball average at one node vs the Haar-rotation average of weighted
     d'-plane averages; they agree up to MC error and O(h) interpolation."""
+    from scipy import ndimage
+
     n_mc, seed = _integer(n_mc, "n_mc", 2), _integer(seed, "seed", 0)
     spec = f.spec
     (r,) = _as_radii((r,), _grid_limit(spec))
@@ -268,13 +245,16 @@ def rotation_average_check(
     x = np.array([spec.axis_nodes()[i] for i in x_index])
     absf = np.abs(f.values)
     rho, rho_w = radial_power_rule(n_radial, split.k + split.d_prime)
-    children = np.random.SeedSequence(seed).spawn(n_mc)
     samples = np.empty(n_mc)
-    for i, child in enumerate(children):
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(n_mc)):
         rng = np.random.default_rng(child)
         theta = _haar_matrix(rng, spec.d)
-        sphere = _sphere_points(rng, n_sphere, split.d_prime)
-        samples[i] = _point_weighted_average(absf, spec, x, theta, split, r, sphere, rho, rho_w)
+        units = _sphere_points(rng, n_sphere, split.d_prime) @ theta[:, : split.d_prime].T
+        pts = x - r * rho[:, None, None] * units
+        # physical coordinates -> fractional array indices (cell-centered nodes)
+        coords = (pts.reshape(-1, spec.d) + spec.L) / spec.h - 0.5
+        vals = ndimage.map_coordinates(absf, coords.T, order=1, mode="constant", cval=0.0, prefilter=False)
+        samples[i] = float(np.sum(rho_w * vals.reshape(rho.size, -1).mean(axis=1)))
     return MCComparison(lhs=lhs, rhs=float(samples.mean()), stderr=float(_batch_stderr(samples)))
 
 
@@ -292,12 +272,11 @@ def sphere_identity_check(
     pts = _sphere_points(np.random.default_rng(lhs), n_mc, split.d)
     lhs_samples = np.asarray(f1(pts), dtype=float)
     rhs_rng = np.random.default_rng(rhs)
-    rhs_samples = np.empty(n_mc)
+    lifted = np.empty((n_mc, split.d))
     for i in range(n_mc):
         theta = _haar_matrix(rhs_rng, split.d)
-        y = _sphere_points(rhs_rng, 1, split.d_prime)[0]
-        lifted = theta[:, : split.d_prime] @ y
-        rhs_samples[i] = float(np.asarray(f1(lifted[None, :]))[0])
+        lifted[i] = theta[:, : split.d_prime] @ _sphere_points(rhs_rng, 1, split.d_prime)[0]
+    rhs_samples = np.asarray(f1(lifted), dtype=float)
     se = math.hypot(
         float(lhs_samples.std(ddof=1) / math.sqrt(n_mc)),
         float(rhs_samples.std(ddof=1) / math.sqrt(n_mc)),

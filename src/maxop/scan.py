@@ -103,6 +103,9 @@ class ScanConfig:
                 raise ValueError(f"grid must be a pair L, N, got {self.grid!r}")
             spec = GridSpec(1, *self.grid)
             object.__setattr__(self, "grid", (spec.L, spec.N))
+        if self.operator == "DESCENT" and self.grid is not None and self.grid[1] <= 4:
+            # its radii run from h = 2L/N up to L/2
+            raise ValueError(f"DESCENT needs N > 4, got grid N={self.grid[1]}")
         if math.inf in self.q_list:
             raise ValueError(f"exponents q must be finite, got {self.q_list}")
         # the dyadic index l is >= 1 for SQFN
@@ -254,6 +257,9 @@ def _field(cfg: ScanConfig, op: Operator, d: int) -> VectorField:
     L, N = cfg.grid if cfg.grid is not None else op.default_grid(d)
     spec = GridSpec(d + 1 if op.u_axis else d, L, N)
     vals = family_values(cfg.family, node_coordinates(spec), cfg.n_members, cfg.seed, L)
+    if not any(np.any(v) for v in vals):
+        # its norm is 0, so no ratio exists
+        raise PreconditionError(f"every {cfg.family} member is zero on the grid L={L} N={N}")
     return VectorField(tuple(_wrap(spec, v) for v in vals))
 
 

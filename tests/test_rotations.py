@@ -136,6 +136,10 @@ def test_shift_sums_match_ndimage_at_the_edges(rng):
     assert np.abs(half[0]).max() <= 1e-14 and np.abs(half[1:, :-1, 1:]).min() > 0.4
     assert np.abs(identity - a).max() <= 1e-14
     assert np.abs(past).max() <= 1e-14 and np.abs(past_int).max() <= 1e-14
+    # one group whose rows zero different boundary nodes at each corner
+    pair = [cases["integer axis"], cases["half cell"]]
+    g = _shift_max(a[None], [np.array(pair)], np.array([0.25, 0.75]))[0]
+    assert np.abs(g - _oracle_shift_sum(a, pair, [0.25, 0.75])).max() <= 1e-12 * a.max()
 
 
 def test_descent_rejects_radii_beyond_the_box_before_any_work(monkeypatch):

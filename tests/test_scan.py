@@ -149,6 +149,25 @@ def test_error_rows_do_not_abort():
     assert report_violations(rep) == []
 
 
+@pytest.mark.parametrize(
+    "kw",
+    [
+        # no node of the 4-node grid lies in the unit ball
+        dict(family="remark_bump", d_range=(1, 2), grid=(4.0, 4)),
+        dict(operator="MK", family="remark_bump", d_range=(1,), grid=(4.0, 4)),
+        # nor of the 8-node grid at d = 2 in the radius-0.6 ball
+        dict(family="ball_indicator", n_members=1, d_range=(2,), grid=(4.0, 8)),
+    ],
+    ids=["remark_bump", "remark_bump-MK", "ball_indicator"],
+)
+def test_all_zero_field_is_an_error_row(kw):
+    # its input norm is 0, so the ratio does not exist
+    rep = run_scan(_small_cfg(**kw))
+    assert all(r.extra.startswith("error=") and "is zero on the grid" in r.extra for r in rep.rows)
+    assert all(math.isnan(r.ratio) for r in rep.rows)
+    assert report_violations(rep) == []
+
+
 def test_only_declared_preconditions_become_error_rows(monkeypatch):
     # a malformed MAXOP_THREADS is a fault of the caller, not a precondition
     # of the operator: a direct call raises instead of writing an error row
@@ -266,6 +285,8 @@ def test_cli_scan_and_exit_codes(tmp_path, capsys):
         (["--q_list", "2,2"], None),
         ([], "0"),
         ([], "-2"),
+        # DESCENT on N = 4: its radii would run from h = L/2 to L/2
+        (["--operator", "DESCENT", "--d_range", "3", "--grid", "4,4"], None),
     ],
 )
 def test_cli_rejects_bad_config_up_front(tmp_path, monkeypatch, capsys, flags, env):
