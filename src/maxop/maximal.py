@@ -24,8 +24,9 @@ balls, every fiber a member of one call.  Every grid takes the one FFT
 sweep: each distinct ball stencil is transformed once per member batch and
 applied to every member of the batch by zero-padded convolution, the padded
 shape growing with the stencil's reach.  The stencil is even in every axis,
-so its spectrum is computed from its nonnegative-offset part.  Radii whose
-balls hold the same in-grid offsets share one stencil, of three kinds: the
+so its spectrum is computed from its nonnegative-offset part, on the
+nonnegative frequencies, and mirrored inside the one array it fills.  Radii
+whose balls hold the same in-grid offsets share one stencil, of three kinds: the
 center alone, taken as |f| so that Mf >= |f| holds without rounding; for
 k = 0, every in-grid offset, whose numerator is each member's mass; else an
 FFT stencil.  Past the first ball that holds every in-grid offset no radius
@@ -49,7 +50,8 @@ widest padded shape would exceed 64 MiB; then the sweep runs once per batch
 of as many members as fit there (at least one), and each batch skips radii
 by its own members' bound, which is exact as above.  Measured peaks: HL on
 two members of 16^4 traces 39 MB of arrays; the HL scan row at d = 5 (16^5,
-four members, one per batch) reaches 970 MB RSS.
+four members, one per batch) reaches 967 MB RSS, set while one member's
+spectra, the stencil spectrum and one streamed product are live.
 
 The descent operator (:mod:`maxop.rotations`) applies its corner stencils
 with the same FFT helpers: padded shapes, member spectra, batching and
@@ -247,16 +249,37 @@ def _even_spectrum(half: np.ndarray, mshape: tuple[int, ...]) -> np.ndarray:
 
     Per axis the transform of an even sequence is the real part of the
     transform of its folded half, and it is even in the frequency, so only
-    frequencies 0..m//2 are computed and frequencies m//2+1..m-1 are the
-    mirror image of 1..m - m//2 - 1.
+    frequencies 0..m//2 are computed, into the returned array, and
+    frequencies m//2+1..m-1 are copied in place from 1..m - m//2 - 1.
     """
     s = half
     for ax, m in enumerate(mshape):
         s = _fft.rfftn(s, s=(m,), axes=(ax,), workers=fft_workers()).real
-    for ax, m in enumerate(mshape[:-1]):
-        mirror = np.flip(s[(slice(None),) * ax + (slice(1, m - m // 2),)], axis=ax)
-        s = np.concatenate((s, mirror), axis=ax)
-    return s
+    # the last transform's complex half box is freed before the output exists
+    s = s.copy()
+    out = np.empty(mshape[:-1] + s.shape[-1:])
+    filled = tuple(slice(0, m // 2 + 1) for m in mshape[:-1]) + (slice(None),)
+    out[filled] = s
+    del s
+    _mirror(out, filled, [(slice(m // 2 + 1, m), slice(m - m // 2 - 1, 0, -1)) for m in mshape[:-1]])
+    return out
+
+
+def _mirror(a: np.ndarray, filled: tuple[slice, ...], spans) -> None:
+    """Fill ``a`` in place from its block ``a[filled]``: along each leading
+    axis ax < len(spans) in turn, where ``spans[ax]`` is a pair (dst, src) of
+    equally long index ranges, copy range src onto range dst over the part
+    filled so far.  Inner axes go one leading index at a time, since there
+    the two ranges interleave in memory and numpy copies an overlapping
+    source first; the leading axis goes last, in one copy of a disjoint range
+    that needs no temporary."""
+    box = list(filled)
+    for ax, (dst, src) in enumerate(spans[1:], 1):
+        for i in range(a.shape[0])[box[0]]:
+            a[(i, *box[1:ax], dst, *box[ax + 1 :])] = a[(i, *box[1:ax], src, *box[ax + 1 :])]
+        box[ax] = slice(None)
+    for dst, src in spans[:1]:
+        a[(dst, *box[1:])] = a[(src, *box[1:])]
 
 
 def _convolve(spectra, sfft, mshape, shape) -> np.ndarray:

@@ -42,7 +42,7 @@ from .grid import (
     _wrap,
     fft_workers,
 )
-from .maximal import _as_radii
+from .maximal import _as_radii, _mirror
 from .quadrature import gegenbauer_rule, gegenbauer_weight_mass, refine_until_stationary
 
 __all__ = [
@@ -367,8 +367,10 @@ def kernel(profile: RadialProfile, spec: GridSpec) -> GridFunction:
     frequency octant.  The samples are even in every axis and the nodes sit
     at (n + 1/2) h, so per axis that real part, g_0 + 2 sum_{k >= 1} g_k
     cos(pi k (2n + 1) / N) for n, k < N/2, is scipy's unnormalized DCT-III of
-    length N/2, copied reversed onto x < 0.  The returned array is the only
-    full-size allocation: peak memory is the output plus one octant.
+    length N/2, copied reversed onto x < 0.  The octant is computed in place
+    in the output's x > 0 orthant and mirrored inside the output, which is
+    the only full-size allocation: peak memory is the output plus the
+    octant's int32 shell index (1 + 2^-(d+1) times the output's bytes).
 
     Rejects profiles whose radial support exceeds the per-axis frequency
     extent N/(4L): such samples would alias.  The result equals the
@@ -383,19 +385,27 @@ def kernel(profile: RadialProfile, spec: GridSpec) -> GridFunction:
             "enlarge N or shrink L"
         )
     N, d = spec.N, spec.d
+    n = N // 2
     # The -N/2 bins can hold weight only on the axes (the support stays within
     # the extent), and there their term is purely imaginary, so dropping them
     # leaves the real part exact.
-    radii, index = _shells(spec, [np.arange(N // 2, dtype=np.int32)] * d)
-    octant = profile(radii)[index]
+    radii, index = _shells(spec, [np.arange(n, dtype=np.int32)] * d)
+    shell_values = profile(radii)
+    out = np.empty(spec.shape)
+    orthant = (slice(n, None),) * d
+    octant = out[orthant]
+    # slab by slab, so no gather buffer or intp copy of the index is full-size
+    for i in range(n):
+        octant[i] = shell_values[index[i]]
     del index
-    octant = _fft.dctn(octant, type=3, overwrite_x=True, workers=fft_workers())
+    # overwrite_x lets scipy transform the view in place, but does not make it
+    dct = _fft.dctn(octant, type=3, overwrite_x=True, workers=fft_workers())
+    if not np.shares_memory(dct, octant):
+        octant[...] = dct
+    del dct
     octant *= spec.freq_step**d
     # each orthant of the output is the octant reversed on its axes with x < 0
-    out = np.empty(spec.shape)
-    for neg in np.ndindex((2,) * d):
-        dest = tuple(slice(None, N // 2) if n else slice(N // 2, None) for n in neg)
-        out[dest] = np.flip(octant, [a for a in range(d) if neg[a]])
+    _mirror(out, orthant, [(slice(None, n), slice(N - 1, n - 1, -1))] * d)
     return _wrap(spec, out)
 
 

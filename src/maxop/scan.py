@@ -267,8 +267,10 @@ def run_scan(cfg: ScanConfig) -> ScanReport:
     """Execute the sweep; a failed declared precondition (PreconditionError)
     becomes an error-tagged row, and any other exception propagates.
 
-    A row's wall_ms is the time of the field sampling and operator evaluation
-    it shares, repeated on every row that shares it, plus its own norm time.
+    The field sampling and operator evaluation, or the precondition failure,
+    of a dimension are shared by every row with the same pq key.  A row's
+    wall_ms is the time of that shared work, repeated on every row that
+    shares it, plus its own norm time.
     """
     op = OPERATORS[cfg.operator]
     rows: list[ScanRow] = []
@@ -281,12 +283,19 @@ def run_scan(cfg: ScanConfig) -> ScanReport:
                 try:
                     key = op.pq_key(p, q)
                     if key not in cache:
-                        F = _field(cfg, op, d)
-                        G, extra = op.apply(cfg, F, key)
+                        try:
+                            F = _field(cfg, op, d)
+                            shared = (F, *op.apply(cfg, F, key))
+                        except PreconditionError as exc:
+                            # without its traceback, which holds the failed call's arrays
+                            shared = exc.with_traceback(None)
                         op_ms = (time.perf_counter() - t0) * 1000.0
                         t0 = time.perf_counter()
-                        cache[key] = (F, G, extra, op_ms)
-                    F, G, extra, op_ms = cache[key]
+                        cache[key] = (shared, op_ms)
+                    shared, op_ms = cache[key]
+                    if isinstance(shared, PreconditionError):
+                        raise shared
+                    F, G, extra = shared
                     inn = mixed_norm(F, p, q)
                     out = mixed_norm(G, p, q)
                     values = dict(input_norm=inn, output_norm=out, ratio=out / inn, extra=extra)

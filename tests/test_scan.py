@@ -168,6 +168,28 @@ def test_all_zero_field_is_an_error_row(kw):
     assert report_violations(rep) == []
 
 
+@pytest.mark.parametrize(
+    "kw, text",
+    [
+        # the field fails its precondition
+        (dict(family="remark_bump", grid=(4.0, 4)), "every remark_bump member is zero on the grid L=4.0 N=4"),
+        # the field is sampled, then the operator fails its precondition
+        (dict(operator="MULT_L", grid=(2.0, 16), radii_K=4), "surface multiplier needs d >= 2, got 1"),
+    ],
+    ids=["field", "operator"],
+)
+def test_a_failed_dimension_is_sampled_once(monkeypatch, kw, text):
+    # a precondition failure is shared by the (p, q) rows of its dimension,
+    # as a successful evaluation is
+    calls = []
+    sample = scan.family_values
+    monkeypatch.setattr(scan, "family_values", lambda *a: calls.append(a) or sample(*a))
+    rep = run_scan(_small_cfg(d_range=(1,), p_list=(2.0, 3.0), q_list=(1.5, 2.0), **kw))
+    assert len(rep.rows) == 4 and len(calls) == 1
+    assert [r.extra for r in rep.rows] == [f"error={text}"] * 4
+    assert all(math.isnan(r.ratio) for r in rep.rows)
+
+
 def test_only_declared_preconditions_become_error_rows(monkeypatch):
     # a malformed MAXOP_THREADS is a fault of the caller, not a precondition
     # of the operator: a direct call raises instead of writing an error row
