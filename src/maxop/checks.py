@@ -31,8 +31,6 @@ from .grushin import (
 )
 from .maximal import RadiiSet, default_radii, hl_maximal, maximal_1d, weighted_maximal
 from .multiplier import (
-    RadialProfile,
-    _m,
     bump,
     dyadic_piece,
     funk_hecke_kernel,
@@ -42,10 +40,9 @@ from .multiplier import (
     surface_multiplier,
     tilde_piece,
     decay_constants,
-    sphere_area,
 )
 from .norms import lp_norm, lq_pointwise, mixed_norm
-from .quadrature import gegenbauer_rule, gegenbauer_weight_mass, radial_power_rule, refine_until_stationary
+from .quadrature import gegenbauer_rule, gegenbauer_weight_mass, radial_power_rule
 from .rotations import (
     DescentSplit,
     RotationMatrix,
@@ -252,41 +249,13 @@ def _oracle_shift_sum(values: np.ndarray, shifts, coeff) -> np.ndarray:
     return out
 
 
-def _zonal_inverse(
-    profile: RadialProfile, d: int, rho: np.ndarray, tol: float = 1e-10, m_tol: float = 1e-12
-) -> np.ndarray:
-    """Radial profile of the d-dim inverse transform of a compactly supported
-    radial function: area(S^(d-1)) * int profile(s) m(s rho) s^(d-1) ds.
-
-    Every m value is a direct Gegenbauer quadrature to ``m_tol`` stationarity
-    (``maxop.multiplier._m``), point by point and never through the
-    angle-addition sums of the production sweeps, so this is accurate but
-    expensive; bulk sweeps go through ``maxop.multiplier._CosineTransform``
-    instead, and the two paths cross-check each other in the test suite.
-    """
-    a, b = profile.support
-    if not math.isfinite(b):
-        raise ValueError("zonal inverse transform needs compact support")
-    rho = np.asarray(rho, dtype=float)
-    rmax = float(np.max(rho)) if rho.size else 0.0
-
-    def with_rule(n: int) -> np.ndarray:
-        t, w = gegenbauer_rule(3, n)  # plain Legendre nodes for the radial leg
-        s = a + (b - a) * (t + 1.0) / 2.0
-        dens = profile(s) * s ** (d - 1) * (w * (b - a) / 2.0)
-        vals = _m(d, np.outer(rho.reshape(-1), s), tol=m_tol)
-        return vals @ dens
-
-    out = refine_until_stationary(with_rule, max_arg=(b - a) * max(rmax, 1.0), tol=tol)
-    return sphere_area(d) * out.reshape(rho.shape)
-
-
 @_criterion("criterion 2: brute-force oracles")
 def criterion_brute_force():
     """Ball maxima (HL, and the |y|^k-weighted ones at k = 1, 2) match naive
-    loops to 1e-14 and HL dominates |f|; the Koranyi one matches bit for bit;
-    norm reductions match re-summation oracles, and the descent operator its
-    per-offset shift oracle, to 1e-12."""
+    loops to 1e-14, on random fields and on a corner spike that only the
+    covering ball carries across, and HL dominates |f|; the Koranyi one
+    matches bit for bit; norm reductions match re-summation oracles, and the
+    descent operator its per-offset shift oracle, to 1e-12."""
     rng = np.random.default_rng(42)
     checks: list[tuple[str, bool]] = []
 
@@ -303,6 +272,17 @@ def criterion_brute_force():
             want = _oracle_hl(f.values, spec.h, radii, k)
             rel = np.abs(got - want).max() / np.abs(want).max()
             checks.append((f"weighted k={k} d={d} rel {rel:.1e}", rel <= 1e-14))
+    # a corner spike reaches the far corner only through the covering ball,
+    # an FFT stencil: |delta|^2 <= 108 at r = 2.6 holds every offset (<= 98)
+    spec = make_grid(2, 1.0, 8)
+    spike = np.zeros(spec.shape)
+    spike[0, 0] = 1.0
+    radii = RadiiSet((spec.h, 0.4, 0.9, 1.7, 2.6))
+    for k in (0, 1, 2):
+        got = weighted_maximal(_wrap(spec, spike), k, radii).values
+        want = _oracle_hl(spike, spec.h, radii, k)
+        rel = np.abs(got - want).max() / np.abs(want).max()
+        checks.append((f"corner spike k={k} rel {rel:.1e}", rel <= 1e-14))
 
     grid = make_grid(2, 1.0, 8)  # one x-axis and the u-axis
     fg = _wrap(grid, rng.standard_normal(grid.shape))

@@ -41,7 +41,6 @@ __all__ = [
     "forward_transform",
     "inverse_transform",
     "node_coordinates",
-    "frequency_radii",
     "fft_workers",
     "PreconditionError",
 ]
@@ -128,10 +127,6 @@ class GridSpec:
     def axis_nodes(self) -> np.ndarray:
         return -self.L + (np.arange(self.N) + 0.5) * self.h
 
-    def axis_freqs(self) -> np.ndarray:
-        """Frequencies in ascending order, (j - N/2)/(2L) for j = 0..N-1."""
-        return (np.arange(self.N) - self.N // 2) * self.freq_step
-
 
 def make_grid(d: int, L: float, N: int) -> GridSpec:
     """Validate and build a GridSpec (h = 2L/N)."""
@@ -148,13 +143,6 @@ def node_coordinates(spec: GridSpec) -> np.ndarray:
     """Node coordinates, shape spec.shape + (d,)."""
     axes = np.meshgrid(*([spec.axis_nodes()] * spec.d), indexing="ij")
     return _readonly(np.stack(axes, axis=-1))
-
-
-def frequency_radii(spec: GridSpec) -> np.ndarray:
-    """|xi| on the ascending frequency lattice of :func:`forward_transform`."""
-    ax = spec.axis_freqs()
-    grids = np.meshgrid(*([ax] * spec.d), indexing="ij")
-    return _readonly(np.sqrt(sum(g**2 for g in grids)))
 
 
 @dataclass(frozen=True)

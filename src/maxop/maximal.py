@@ -25,22 +25,25 @@ sweep: each distinct ball stencil is transformed once per member batch and
 applied to every member of the batch by zero-padded convolution, the padded
 shape growing with the stencil's reach.  The stencil is even in every axis,
 so its spectrum is computed from its nonnegative-offset part, on the
-nonnegative frequencies, and mirrored inside the one array it fills.  Radii
-whose balls hold the same in-grid offsets share one stencil, of three kinds: the
-center alone, taken as |f| so that Mf >= |f| holds without rounding; for
-k = 0, every in-grid offset, whose numerator is each member's mass; else an
-FFT stencil.  Past the first ball that holds every in-grid offset no radius
-adds a convolution.
+nonnegative frequencies, and mirrored inside the one array it fills.
+
+Radii whose balls hold the same in-grid offsets share one stencil.  A ball
+that holds only the center (r <= h) averages |f| itself for k = 0 and is
+empty for k >= 1, so such radii seed the max with |f|, taken exactly so that
+Mf >= |f| holds without rounding, or with 0.  Every larger radius takes the
+one FFT path, the covering ball that holds every in-grid offset included:
+it costs one convolution when the sweep reaches it without skipping it.
 
 A radius is skipped when it cannot raise the max.  The values are |f| >= 0
-and every weight of the ball |delta|^2 <= T is at most (T h^2)^(k/2) (1 for
-k = 0), so no in-grid numerator exceeds mass * (T h^2)^(k/2), and no
-average exceeds that over the denominator.  When every node's running max
-of a member is already at least that bound, for every member, the radius
-leaves the max unchanged in exact arithmetic, and its convolution is not
-computed.  This cutoff is the sweep's one exit: the first skipped radius
-whose ball holds every in-grid offset ends it, since every larger radius
-has the same numerator over a denominator no smaller.
+and every in-grid weight of the ball is at most (K h^2)^(k/2) (1 for k = 0),
+K the largest |delta|^2 an in-grid offset of the ball takes, so no numerator
+exceeds mass * (K h^2)^(k/2), and no average exceeds that over the
+denominator.  When every node's running max of a member is already at least
+that bound, for every member, the radius leaves the max unchanged in exact
+arithmetic, and its convolution is not computed.  The cutoff only skips
+radii and never ends the sweep: past the covering ball K is fixed and the
+denominator only grows, so once a radius there is skipped every larger one
+is too, each at the cost of its bound.
 
 Across radii the sweep holds only the members' spectra on the current
 padded shape.  Per radius, their products with the stencil spectrum stream
@@ -160,55 +163,44 @@ def _ball_max_values(vals: np.ndarray, h: float, radii: tuple[float, ...], k: in
         return np.concatenate([_ball_max_values(a[lo : lo + c], h, radii, k) for lo in range(0, a.shape[0], c)])
     denom = _cumulative_weights(len(shape), tmax, k, h)
     axes = tuple(range(1, a.ndim))
-    cover = sum((m - 1) ** 2 for m in shape)  # |delta|^2 of the farthest in-grid offset
-    n2_full, fold_full = _half_box(full, cover)
+    n2_full, fold_full = _half_box(full)
     norms = np.flatnonzero(np.bincount(n2_full.ravel()))  # the |delta|^2 in-grid offsets take
     mass = a.sum(axis=axes, keepdims=True)
-    out = np.zeros_like(a)
-    mshape = spectra = key = conv = None
+    # radii <= h: the center alone, |f| exactly for k = 0 and empty for k >= 1
+    out = a.copy() if k == 0 and _strict_bound(radii[0], h) == 0 else np.zeros_like(a)
+    mshape = spectra = skey = conv = None
     for r in radii:
         t = _strict_bound(r, h)
-        den = denom[t]
-        if den <= 0:
-            continue
-        # no average of this radius exceeds the member's mass times the
-        # ball's largest weight over den; skip the radius when that bound
-        # cannot raise any node's max (key and conv stay those of one stencil)
-        if np.all(out.min(axis=axes, keepdims=True) >= mass * (t * (h * h)) ** (k / 2.0) / den):
-            if t >= cover:
-                break
+        if t == 0:
             continue
         # balls with the same largest in-grid |delta|^2 <= t hold the same
-        # offsets and share one stencil
-        new_key = norms[np.searchsorted(norms, t, side="right") - 1]
-        if new_key != key:
-            key = new_key
-            if key == 0:
-                # the center alone (k = 0; for k >= 1 its denominator is 0),
-                # taken exactly so that Mf >= |f| holds without rounding
-                conv = a
-            elif k == 0 and key == cover:
-                # every in-grid offset from every node: each member's mass
-                conv = mass
-            else:
-                reach = tuple(min(math.isqrt(t), m - 1) for m in shape)
-                shp = _padded_shape(shape, reach)
-                if shp != mshape:
-                    mshape, spectra = shp, None  # drop the old spectra first
-                    spectra = _member_spectra(a, mshape)
-                box = tuple(slice(0, R + 1) for R in reach)
-                n2 = n2_full[box]
-                half = np.where(n2 <= t, (n2 * (h * h)) ** (k / 2.0), 0.0) * fold_full[box]
-                conv = _convolve(spectra, _even_spectrum(half, mshape), mshape, shape)
+        # offsets and share one stencil; no average of the radius exceeds the
+        # member's mass times the stencil's largest weight, (key h^2)^(k/2),
+        # over den, so skip the radius when that cannot raise any node's max
+        key = norms[np.searchsorted(norms, t, side="right") - 1]
+        den = denom[t]
+        if np.all(out.min(axis=axes, keepdims=True) >= mass * (key * (h * h)) ** (k / 2.0) / den):
+            continue
+        if key != skey:  # skey and conv are those of one stencil
+            skey = key
+            reach = tuple(min(math.isqrt(key), m - 1) for m in shape)
+            shp = _padded_shape(shape, reach)
+            if shp != mshape:
+                mshape, spectra = shp, None  # drop the old spectra first
+                spectra = _member_spectra(a, mshape)
+            box = tuple(slice(0, R + 1) for R in reach)
+            n2 = n2_full[box]
+            half = np.where(n2 <= key, (n2 * (h * h)) ** (k / 2.0), 0.0) * fold_full[box]
+            conv = _convolve(spectra, _even_spectrum(half, mshape), mshape, shape)
         np.maximum(out, conv / den, out=out)
     return out
 
 
-def _half_box(reach: tuple[int, ...], cover: int) -> tuple[np.ndarray, np.ndarray]:
+def _half_box(reach: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """|delta|^2 over the nonnegative offsets [0, reach] (in the smallest
-    integer type that holds ``cover``), and each offset's fold count: the
+    integer type that holds the largest), and each offset's fold count: the
     number of offsets it stands for under the reflections of the axes."""
-    dtype = np.min_scalar_type(cover)
+    dtype = np.min_scalar_type(sum(R * R for R in reach))
     n2 = np.zeros((1,) * len(reach), dtype=dtype)
     fold = np.ones((1,) * len(reach))
     for ax, R in enumerate(reach):

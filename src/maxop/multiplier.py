@@ -415,12 +415,12 @@ class _CosineTransform:
     Folding the Gegenbauer representation of m into the radial transform
     turns the zonal inverse into area * c_d * int (1-t^2)^((d-3)/2) C(rho t) dt,
     so once C is tabulated every kernel value is a cheap weighted sum of
-    spline lookups (tested against ``maxop.checks._zonal_inverse``).  The grid
-    step keeps the cubic interpolation error (fourth derivative ~ (2 pi b)^4
-    times the transform's amplitude) below ``abs_tol``; the radial rule size
-    is verified by doubling on a probe of every stride-th grid point.  Grid
-    and probe are arithmetic progressions, so both are summed by
-    :func:`_trig_progression`.
+    spline lookups (tested against a direct quadrature of the zonal inverse
+    in the test suite).  The grid step keeps the cubic interpolation error
+    (fourth derivative ~ (2 pi b)^4 times the transform's amplitude) below
+    ``abs_tol``; the radial rule size is verified by doubling on a probe of
+    every stride-th grid point.  Grid and probe are arithmetic progressions,
+    so both are summed by :func:`_trig_progression`.
 
     The interpolant is a numpy not-a-knot cubic spline on the uniform grid,
     the spline of scipy's ``CubicSpline`` (its test oracle): the slopes solve

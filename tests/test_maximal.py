@@ -173,18 +173,32 @@ def test_radius_cutoff_skips_convolutions(monkeypatch, k):
         weighted_maximal(GridFunction(spec, vals), k, radii)
         counts[name] = len(calls)
     # distinct stencils: in-grid offset sets of the balls the sweep convolves,
-    # from the first one past the center up to the covering one (for k = 0
-    # the covering ball's numerator is the mass, with no convolution)
+    # from the first one past the center up to the covering one, which is an
+    # FFT stencil for every k
     off = np.arange(-(spec.N - 1), spec.N)
     n2 = off[:, None] ** 2 + off[None, :] ** 2
     ts = [_strict_bound(r, spec.h) for r in radii]
-    swept = [t for t in ts if 0 < t < n2.max()] + ([n2.max()] if k else [])
+    swept = [t for t in ts if 0 < t < n2.max()] + [n2.max()]
     stencils = {tuple(np.flatnonzero(n2 <= t)) for t in swept}
     # the corner spike leaves the far corner at 0 below the covering radius,
     # so no radius is skipped; the gaussian skips the radii whose bound its
     # running max already meets everywhere
     assert counts["corner"] == len(stencils)
     assert counts["gaussian"] < len(stencils)
+
+
+def test_center_only_radii_seed_the_max(rng):
+    spec = make_grid(2, 1.5, 12)
+    vals = rng.standard_normal(spec.shape)
+    f = GridFunction(spec, vals)
+    # every ball of radius <= h holds only the center
+    small = (0.3 * spec.h, 0.7 * spec.h, spec.h)
+    assert np.array_equal(hl_maximal(f, small).values, np.abs(vals))
+    for k in (1, 2):
+        assert np.array_equal(weighted_maximal(f, k, small).values, np.zeros(spec.shape))
+    got = hl_maximal(f, small + (2.5 * spec.h,)).values
+    assert np.all(got >= np.abs(vals))
+    assert np.any(got > np.abs(vals))
 
 
 @pytest.mark.parametrize("k", [0, 1])
