@@ -27,34 +27,39 @@ shape growing with the stencil's reach.  The stencil is even in every axis,
 so its spectrum is computed from its nonnegative-offset part, on the
 nonnegative frequencies, and mirrored inside the one array it fills.
 
-Radii whose balls hold the same in-grid offsets share one stencil.  A ball
-that holds only the center (r <= h) averages |f| itself for k = 0 and is
-empty for k >= 1, so such radii seed the max with |f|, taken exactly so that
-Mf >= |f| holds without rounding, or with 0.  Every larger radius takes the
-one FFT path, the covering ball that holds every in-grid offset included:
-it costs one convolution when the sweep reaches it without skipping it.
+The sweep plans its radii once.  Radii with the same key, the largest
+in-grid |delta|^2 <= T, hold the same offsets and so share one stencil and
+its numerators, while the denominator, a cumulative sum of nonnegative
+terms, never shrinks as T grows; division being monotone in it, the sweep
+plans only the smallest radius of each key, which leaves one radius past the
+covering ball that holds every in-grid offset.  A ball that holds only the
+center (r <= h) averages |f| itself for k = 0 and is empty for k >= 1, so
+such radii seed the max with |f|, taken exactly so that Mf >= |f| holds
+without rounding, or with 0.  A k whose weights leave the double range (a
+denominator that overflows, or underflows to 0) raises PreconditionError
+before any stencil is built.
 
-A radius is skipped when it cannot raise the max.  The values are |f| >= 0
-and every in-grid weight of the ball is at most (K h^2)^(k/2) (1 for k = 0),
-K the largest |delta|^2 an in-grid offset of the ball takes, so no numerator
-exceeds mass * (K h^2)^(k/2), and no average exceeds that over the
-denominator.  When every node's running max of a member is already at least
-that bound, for every member, the radius leaves the max unchanged in exact
-arithmetic, and its convolution is not computed.  The cutoff only skips
-radii and never ends the sweep: past the covering ball K is fixed and the
-denominator only grows, so once a radius there is skipped every larger one
-is too, each at the cost of its bound.
+A planned radius is skipped when it cannot raise the max.  The values are
+|f| >= 0 and every in-grid weight of the ball is at most (K h^2)^(k/2) (1
+for k = 0), K the radius's key, so no numerator exceeds mass * (K h^2)^(k/2),
+and no average exceeds that over the denominator.  When every node's running
+max of a member is already at least that bound, for every member, the radius
+leaves the max unchanged in exact arithmetic, and its convolution is not
+computed.  The cutoff only skips radii and never ends the sweep.
 
-Across radii the sweep holds only the members' spectra on the current
-padded shape.  Per radius, their products with the stencil spectrum stream
-through one reused buffer of 4 MiB (at least one member), each group
-inverted in place.  The batch is every member unless their spectra on the
-widest padded shape would exceed 64 MiB; then the sweep runs once per batch
-of as many members as fit there (at least one), and each batch skips radii
+The sweep's one output array is its running max, and every radius raises it
+in place.  Across radii the sweep holds only the members' spectra on the
+current padded shape.  Per radius, their products with the stencil spectrum
+stream through one reused buffer of 4 MiB (at least one member), and each
+group's inverse, cropped to the grid and divided by the denominator, raises
+that group's slice of the max; no convolution of every member is held.  The
+batch is every member unless their spectra on the widest padded shape would
+exceed 64 MiB; then the members go in batches of as many as fit there (at
+least one), each batch a slice of the max that runs the plan and skips radii
 by its own members' bound, which is exact as above.  Measured peaks: HL on
-two members of 16^4 traces 39 MB of arrays; the HL scan row at d = 5 (16^5,
-four members, one per batch) reaches 967 MB RSS, set while one member's
-spectra, the stencil spectrum and one streamed product are live.
+two members of 16^4 traces 37 MB of arrays; the HL scan row at d = 5 (16^5,
+four members, one per batch) reaches about 955 MB RSS, set while one
+member's spectra, the stencil spectrum and one streamed product are live.
 
 The descent operator (:mod:`maxop.rotations`) applies its corner stencils
 with the same FFT helpers: padded shapes, member spectra, batching and
@@ -69,7 +74,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft as _fft
 
-from .grid import GridFunction, GridSpec, VectorField, _integer, _stack, _unstack, fft_workers
+from .grid import GridFunction, GridSpec, PreconditionError, VectorField, _integer, _stack, _unstack, fft_workers
 
 __all__ = ["RadiiSet", "default_radii", "hl_maximal", "weighted_maximal", "maximal_1d"]
 
@@ -148,7 +153,9 @@ def _sq_norm_hist(d: int, tmax: int) -> np.ndarray:
 def _cumulative_weights(d: int, tmax: int, k: int, h: float) -> np.ndarray:
     """W[T] = sum over lattice offsets with |delta|^2 <= T of (|delta| h)^k."""
     hist = _sq_norm_hist(d, tmax)
-    return np.cumsum(hist * (np.arange(tmax + 1, dtype=float) * h * h) ** (k / 2.0))
+    # out of the double range the sums read inf, nan or 0 for the caller to refuse
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        return np.cumsum(hist * (np.arange(tmax + 1, dtype=float) * h * h) ** (k / 2.0))
 
 
 def _ball_max_values(vals: np.ndarray, h: float, radii: tuple[float, ...], k: int) -> np.ndarray:
@@ -156,43 +163,47 @@ def _ball_max_values(vals: np.ndarray, h: float, radii: tuple[float, ...], k: in
     for each member along the leading axis of ``vals`` (shape ``(n, *grid)``)."""
     a = np.abs(np.asarray(vals, dtype=float))
     shape = a.shape[1:]
-    tmax = _strict_bound(radii[-1], h)
-    full = tuple(min(math.isqrt(tmax), m - 1) for m in shape)
-    c = _chunk(_padded_shape(shape, full))
-    if a.shape[0] > c:
-        return np.concatenate([_ball_max_values(a[lo : lo + c], h, radii, k) for lo in range(0, a.shape[0], c)])
-    denom = _cumulative_weights(len(shape), tmax, k, h)
-    axes = tuple(range(1, a.ndim))
+    ts = [_strict_bound(r, h) for r in radii]
+    full = tuple(min(math.isqrt(ts[-1]), m - 1) for m in shape)
     n2_full, fold_full = _half_box(full)
     norms = np.flatnonzero(np.bincount(n2_full.ravel()))  # the |delta|^2 in-grid offsets take
-    mass = a.sum(axis=axes, keepdims=True)
+    # balls with the same largest in-grid |delta|^2 <= t hold the same offsets
+    # and share one stencil; the smallest such radius has the smallest
+    # denominator, so no larger one can raise the max
+    plan = {}
+    for t in ts:
+        if t > 0:
+            plan.setdefault(norms[np.searchsorted(norms, t, side="right") - 1], t)
+    denom = _cumulative_weights(len(shape), ts[-1], k, h)
+    if not (np.isfinite(denom[-1]) and all(denom[t] > 0 for t in plan.values())):
+        raise PreconditionError(
+            f"weight exponent k={k} on the grid of shape {shape} with h={h!r}: "
+            "the lattice ball weights leave the double range"
+        )
+    axes = tuple(range(1, a.ndim))
     # radii <= h: the center alone, |f| exactly for k = 0 and empty for k >= 1
-    out = a.copy() if k == 0 and _strict_bound(radii[0], h) == 0 else np.zeros_like(a)
-    mshape = spectra = skey = conv = None
-    for r in radii:
-        t = _strict_bound(r, h)
-        if t == 0:
-            continue
-        # balls with the same largest in-grid |delta|^2 <= t hold the same
-        # offsets and share one stencil; no average of the radius exceeds the
-        # member's mass times the stencil's largest weight, (key h^2)^(k/2),
-        # over den, so skip the radius when that cannot raise any node's max
-        key = norms[np.searchsorted(norms, t, side="right") - 1]
-        den = denom[t]
-        if np.all(out.min(axis=axes, keepdims=True) >= mass * (key * (h * h)) ** (k / 2.0) / den):
-            continue
-        if key != skey:  # skey and conv are those of one stencil
-            skey = key
+    out = a.copy() if k == 0 and ts[0] == 0 else np.zeros_like(a)
+    c = _chunk(_padded_shape(shape, full))
+    for lo in range(0, a.shape[0], c):
+        part, best = a[lo : lo + c], out[lo : lo + c]
+        mass = part.sum(axis=axes, keepdims=True)
+        mshape = spectra = None
+        for key, t in plan.items():
+            # no average of the radius exceeds the member's mass times the
+            # stencil's largest weight, (key h^2)^(k/2), over the denominator,
+            # so skip the radius when that cannot raise any node's max
+            if np.all(best.min(axis=axes, keepdims=True) >= mass * (key * (h * h)) ** (k / 2.0) / denom[t]):
+                continue
             reach = tuple(min(math.isqrt(key), m - 1) for m in shape)
             shp = _padded_shape(shape, reach)
             if shp != mshape:
                 mshape, spectra = shp, None  # drop the old spectra first
-                spectra = _member_spectra(a, mshape)
+                spectra = _member_spectra(part, mshape)
             box = tuple(slice(0, R + 1) for R in reach)
             n2 = n2_full[box]
-            half = np.where(n2 <= key, (n2 * (h * h)) ** (k / 2.0), 0.0) * fold_full[box]
-            conv = _convolve(spectra, _even_spectrum(half, mshape), mshape, shape)
-        np.maximum(out, conv / den, out=out)
+            with np.errstate(over="ignore"):  # only weights outside the ball can overflow
+                half = np.where(n2 <= key, (n2 * (h * h)) ** (k / 2.0), 0.0) * fold_full[box]
+            _convolve(best, spectra, _even_spectrum(half, mshape), denom[t], mshape, shape)
     return out
 
 
@@ -274,18 +285,21 @@ def _mirror(a: np.ndarray, filled: tuple[slice, ...], spans) -> None:
         a[(dst, *box[1:])] = a[(src, *box[1:])]
 
 
-def _convolve(spectra, sfft, mshape, shape) -> np.ndarray:
-    """Inverse transforms of every member spectrum times ``sfft``, cropped to
-    the grid; the products of a group of members that fits in
-    ``_STREAM_BYTES`` (at least one) stream through one reused buffer."""
+def _convolve(out, spectra, sfft, den, mshape, shape) -> None:
+    """Raise ``out`` in place to the inverse transforms of every member
+    spectrum times ``sfft``, cropped to the grid and divided by ``den``; the
+    products of a group of members that fits in ``_STREAM_BYTES`` (at least
+    one) stream through one reused buffer."""
     n, c = spectra.shape[0], _chunk(mshape, _STREAM_BYTES)
     buf = np.empty((min(n, c),) + spectra.shape[1:], dtype=complex)
-    conv = np.empty((n,) + tuple(shape))
     for lo in range(0, n, c):
         y = buf[: min(c, n - lo)]
         np.multiply(spectra[lo : lo + c], sfft, out=y)
-        conv[lo : lo + c] = _inverse(y, mshape, shape)
-    return conv
+        avg = _inverse(y, mshape, shape)
+        avg /= den
+        best = out[lo : lo + c]
+        np.maximum(best, avg, out=best)
+        del avg  # before the next group's inverse is allocated
 
 
 def _inverse(y, mshape, shape) -> np.ndarray:
@@ -320,7 +334,8 @@ def weighted_maximal(f: GridFunction | VectorField, k: int, radii) -> GridFuncti
     carries zero weight; a radius whose ball holds only the center therefore
     has an empty weighted average, which is taken as 0.  Like
     :func:`hl_maximal` it acts on a GridFunction or on each member of a
-    VectorField.
+    VectorField.  A k whose lattice ball weights leave the double range on
+    the grid raises PreconditionError.
     """
     return _ball_max(f, radii, _integer(k, "weight exponent k", 0))
 

@@ -24,7 +24,6 @@ check its ball average.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -135,14 +134,14 @@ def descent_maximal(
     # sample (i, j) reads |f| at x - r rho_i theta sigma_j: a shift by
     # r rho_i theta sigma_j / h cells, with weight rho_w_i / n_sphere
     shifts = [(-(r * rho)[:, None, None] * units[None] / spec.h).reshape(-1, spec.d) for r in rs]
-    best = _shift_max(absf, shifts, np.repeat(rho_w / n_sphere, n_sphere))
-    return _unstack(f, np.maximum(best, 0.0))
+    return _unstack(f, _shift_max(absf, shifts, np.repeat(rho_w / n_sphere, n_sphere)))
 
 
 def _shift_max(a: np.ndarray, shifts: list[np.ndarray], coeff: np.ndarray) -> np.ndarray:
-    """``max_g sum_o coeff[o] * shift(a, shifts[g][o])`` over the groups g of
-    shifts (one per radius), per member along the leading axis of ``a``,
-    where ``shift`` is ``ndimage.shift(order=1, mode="constant", cval=0)``.
+    """``max(0, max_g sum_o coeff[o] * shift(a, shifts[g][o]))`` over the
+    groups g of shifts (one per radius), per member along the leading axis
+    of ``a``, where ``shift`` is ``ndimage.shift(order=1, mode="constant",
+    cval=0)``.
 
     Write one shift per axis as k + t with integer k and t in [0, 1).  A
     node then reads (1 - t) a(i - k) + t a(i - k - 1) on each axis with
@@ -154,7 +153,8 @@ def _shift_max(a: np.ndarray, shifts: list[np.ndarray], coeff: np.ndarray) -> np
     per axis, the corner's c or 2 where t = 0 (0 zeroes node 0, 1 node N - 1,
     2 nothing); taps are grouped by mask row, and each mask row's masked
     copy is transformed once per batch.  Members go in batches that keep one
-    spectrum per group beside the masked members' spectra.
+    spectrum per group beside the masked members' spectra; each group's
+    inverse raises the batch's slice of the max, seeded with 0, in place.
     """
     shape = a.shape[1:]
     reach = np.zeros(len(shape), dtype=np.int64)
@@ -177,7 +177,7 @@ def _shift_max(a: np.ndarray, shifts: list[np.ndarray], coeff: np.ndarray) -> np
             reach = np.maximum(reach, np.abs(off[live]).max(axis=0, initial=0))
     mshape = _padded_shape(shape, reach)
     n, step = a.shape[0], max(1, _chunk(mshape) // (len(shifts) + 1))
-    out = np.empty(a.shape)
+    out = np.zeros(a.shape)
     for lo in range(0, n, step):
         part = a[lo : lo + step]
         acc = np.zeros((len(shifts), len(part)) + mshape[:-1] + (mshape[-1] // 2 + 1,), dtype=complex)
@@ -191,7 +191,9 @@ def _shift_max(a: np.ndarray, shifts: list[np.ndarray], coeff: np.ndarray) -> np
                 flat = np.ravel_multi_index(tuple(off.T), mshape, mode="wrap")
                 dense = np.bincount(flat, weights=w, minlength=math.prod(mshape)).reshape(mshape)
                 acc[g] += spectra * _member_spectra(dense[None], mshape)[0]
-        out[lo : lo + step] = functools.reduce(np.maximum, (_inverse(y, mshape, shape) for y in acc))
+        best = out[lo : lo + step]
+        for y in acc:
+            np.maximum(best, _inverse(y, mshape, shape), out=best)
     return out
 
 

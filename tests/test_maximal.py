@@ -7,7 +7,7 @@ import scipy.fft
 
 from maxop import maximal
 from maxop.checks import _oracle_hl
-from maxop.grid import GridFunction, VectorField, make_grid, sample
+from maxop.grid import GridFunction, PreconditionError, VectorField, make_grid, sample
 from maxop.grushin import grushin_maximal, iterated_maximal, min_node_gap
 from maxop.maximal import (
     RadiiSet,
@@ -164,14 +164,22 @@ def test_radius_cutoff_is_exact(member, k):
 def test_radius_cutoff_skips_convolutions(monkeypatch, k):
     spec = _CUTOFF_SPEC
     radii = default_radii(spec)
+    # each radius times 1 + 1e-9 keeps its stencil, so the interleaved set
+    # repeats every stencil key, and the sweep convolves each key once, for
+    # its smallest radius
+    repeated = RadiiSet(tuple(s for r in radii for s in (r, r * (1 + 1e-9))))
     calls = []
     convolve = maximal._convolve
     monkeypatch.setattr(maximal, "_convolve", lambda *args: calls.append(args) or convolve(*args))
     counts = {}
     for name, vals in _cutoff_members(spec).items():
+        f = GridFunction(spec, vals)
         calls.clear()
-        weighted_maximal(GridFunction(spec, vals), k, radii)
+        want = weighted_maximal(f, k, radii).values
         counts[name] = len(calls)
+        calls.clear()
+        assert np.array_equal(weighted_maximal(f, k, repeated).values, want)
+        assert len(calls) == counts[name]
     # distinct stencils: in-grid offset sets of the balls the sweep convolves,
     # from the first one past the center up to the covering one, which is an
     # FFT stencil for every k
@@ -201,6 +209,29 @@ def test_center_only_radii_seed_the_max(rng):
     assert np.any(got > np.abs(vals))
 
 
+@pytest.mark.parametrize(
+    "d,L,N,radii,k_ok,k_bad",
+    [(2, 4.0, 32, None, 280, 400), (1, 1.0, 200, None, 160, 200), (2, 4.0, 32, (1.0, 10.0), 300, 400)],
+    ids=["overflow", "underflow", "half-box"],
+)
+def test_weights_out_of_the_double_range_are_refused(monkeypatch, d, L, N, radii, k_ok, k_bad):
+    # at k_bad the largest denominator overflows, or (h = 0.01) the one of the
+    # smallest radius past the center underflows to 0; k_ok stays finite, and
+    # neither raises a RuntimeWarning, also where (radius 10 at k = 300) the
+    # stencil's half box holds offsets beyond the ball whose weights overflow
+    spec = make_grid(d, L, N)
+    f = GridFunction(spec, np.ones(spec.shape))
+    radii = default_radii(spec, 8) if radii is None else radii
+    assert np.all(np.isfinite(weighted_maximal(f, k_ok, radii).values))
+
+    def built(*args):
+        raise AssertionError("a stencil was built before the weights were checked")
+
+    monkeypatch.setattr(maximal, "_even_spectrum", built)
+    with pytest.raises(PreconditionError, match=f"k={k_bad} on the grid"):
+        weighted_maximal(f, k_bad, radii)
+
+
 @pytest.mark.parametrize("k", [0, 1])
 def test_fft_path_is_bit_exact_across_batches(monkeypatch, rng, k):
     spec = _CUTOFF_SPEC
@@ -227,12 +258,14 @@ def test_fft_sweep_peak_memory_is_bounded_by_design(rng):
     # The sweep ends on the widest padded shape (32^4).  Its design bound: both
     # members' spectra there (2 x 8.9 MB), one streamed product group (one
     # member: 8.9 MB), the stencil spectrum (a real array on the spectra's
-    # layout: 4.5 MB), and a margin of 8 arrays of both members on the grid
-    # (8 x 1.05 MB): the stacked input and its abs, the running max, the
-    # previous and the current convolution, one inverse's output, and the
-    # stencil's half-box arrays.
+    # layout: 4.5 MB), and a margin of 6.5 arrays of both members on the grid
+    # (6.5 x 1.05 MB): the stacked input and its abs, the running max that
+    # every radius raises in place, one group's inverse with its cropped
+    # intermediates, and the stencil's half-box arrays.  No convolution of
+    # every member is held, so a sweep that carried one to the next radius
+    # (7.2 arrays) would not fit.
     spectrum = 16 * 32**3 * 17
-    bound = 2 * spectrum + spectrum + spectrum // 2 + 8 * 2 * spec.size * 8
+    bound = 2 * spectrum + spectrum + spectrum // 2 + 13 * spec.size * 8
     tracemalloc.start()
     try:
         hl_maximal(F, radii)

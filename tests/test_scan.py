@@ -149,6 +149,14 @@ def test_error_rows_do_not_abort():
     assert report_violations(rep) == []
 
 
+
+def test_weights_out_of_the_double_range_are_an_error_row():
+    # at k = 400 the ball weights of the d = 2 default grid overflow
+    rep = run_scan(_small_cfg(operator="HL_weighted", k=400, d_range=(2,), n_members=1, grid=(4.0, 32), radii_K=8))
+    assert rep.rows and all(r.extra.startswith("error=weight exponent k=400 on the grid") for r in rep.rows)
+    assert all(math.isnan(r.ratio) for r in rep.rows)
+    assert report_violations(rep) == []
+
 @pytest.mark.parametrize(
     "kw",
     [
