@@ -39,12 +39,14 @@ def sharp_annulus(a: float, b: float, height: float = 1.0) -> RadialProfile:
     """
     if not (0.0 < a < b < math.inf):
         raise ValueError(f"need 0 < a < b < inf, got ({a}, {b})")
+    if not math.isfinite(height):
+        raise ValueError(f"height must be finite, got {height}")
 
     def fn(s):
         s = np.asarray(s, dtype=float)
         return np.where((s >= a) & (s < b), height, 0.0)
 
-    return RadialProfile(fn=fn, support=(a, b), sup_bound=height)
+    return RadialProfile(fn=fn, support=(a, b), sup_bound=abs(height))
 
 
 @dataclass(frozen=True, eq=False)

@@ -353,6 +353,22 @@ def test_kernel_guards_and_phi0_mass():
         kernel(dyadic_piece(2, 4), spec)  # support 32 exceeds extent 4
 
 
+def test_radial_profile_refuses_metadata_that_defeats_its_guards():
+    # nonzero on [0, 3): kernel() refuses it on an extent-2 grid, but with
+    # support (3, 1) its aliasing guard would read b = 1 and alias
+    def fn(s):
+        return np.where(np.asarray(s, float) < 3.0, 1.0, 0.0)
+
+    with pytest.raises(ValueError, match="exceeds"):
+        kernel(RadialProfile(fn=fn, support=(0.0, 3.0)), make_grid(2, 2.0, 16))
+    for support in ((3.0, 1.0), (1.0, 1.0), (-1.0, 2.0), (math.nan, 3.0), (0.0, math.nan)):
+        with pytest.raises(ValueError, match="support"):
+            RadialProfile(fn=fn, support=support)
+    for bound in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="sup_bound"):
+            RadialProfile(fn=fn, support=(0.0, 3.0), sup_bound=bound)
+
+
 # non-dyadic sizes; N = 42 gives an odd DCT length N/2 = 21
 @pytest.mark.parametrize("N", [32, 40, 48, 42])
 def test_kernel_matches_generic_inverse_transform(N):
@@ -552,18 +568,39 @@ def test_kernel_dilation_rule():
 
 @pytest.mark.parametrize("l, d", [(1, 3), (4, 5)])
 def test_cosine_table_spline_matches_scipy(l, d):
-    from scipy.interpolate import CubicSpline
+    from scipy.interpolate import CubicHermiteSpline
 
     table = multiplier._CosineTransform(dyadic_piece(d, l), d, 8.0, abs_tol=1e-6 * 2.0**l)
-    y = table.coef[-1]
+    slopes, y = table.coef[-2:]
     grid = np.arange(y.size) * table.du
     np.testing.assert_array_equal(np.diff(grid), table.du)  # uniform in floating point
-    oracle = CubicSpline(grid, y)
+    oracle = CubicHermiteSpline(grid, y, slopes)
     rng = np.random.default_rng(7)
     end = grid[-1]
     # dense points of both signs, the last 4 grid steps, and past the grid's end
     u = np.concatenate([rng.uniform(-end, end, 20000), end - 4 * table.du * rng.random(2000), end + table.du * rng.random(50)])
     np.testing.assert_allclose(table(u), oracle(np.abs(u)), rtol=0, atol=1e-14 * np.abs(y).max())
+
+
+@pytest.mark.parametrize(
+    "d, profile, u_max, abs_tol",
+    [
+        (5, lambda: dyadic_piece(5, 1), 8.0, 2e-6),
+        (3, lambda: dyadic_piece(3, 3), 8.0, 8e-6),
+        (3, lambda: bump(1), 3.1, 5e-12),  # Funk-Hecke's table at tol 1e-10
+    ],
+    ids=["piece-d5-l1", "piece-d3-l3", "funk-hecke-bump1"],
+)
+def test_cosine_table_meets_its_tolerance_off_the_grid(d, profile, u_max, abs_tol):
+    # against a direct sum on an independent 8,192-node Gauss-Legendre rule
+    prof = profile()
+    table = multiplier._CosineTransform(prof, d, u_max, abs_tol)
+    a, b = prof.support
+    t, w = gegenbauer_rule(3, 8192)
+    s = a + (b - a) * (t + 1.0) / 2.0
+    dens = prof(s) * s ** (d - 1) * (w * (b - a) / 2.0)
+    u = np.random.default_rng(11).uniform(0.0, u_max, 2000)
+    assert np.abs(table(u) - _trig_sum(np.cos, u, s, dens)).max() <= abs_tol
 
 
 def test_funk_hecke_against_zonal_route():

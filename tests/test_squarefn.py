@@ -93,6 +93,17 @@ def test_prop2_inequality_and_zero_member(rng):
     assert abs(lhs2 - lhs) <= 1e-12 * lhs
 
 
+def test_sharp_annulus_bounds_a_negative_height_and_refuses_nan(rng):
+    prof = sharp_annulus(0.5, 2.0, -1.3)
+    assert prof.sup_bound == 1.3
+    F = VectorField(tuple(GridFunction(SPEC, rng.standard_normal(SPEC.shape)) for _ in range(3)))
+    lhs, rhs = prop2_check(F, prof)
+    assert 0.0 < lhs <= rhs * (1 + 1e-2)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="height"):
+            sharp_annulus(0.5, 2.0, bad)
+
+
 def test_prop2_with_dyadic_piece(rng):
     from maxop.multiplier import RadialProfile
 
