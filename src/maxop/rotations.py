@@ -153,8 +153,10 @@ def _shift_max(a: np.ndarray, shifts: list[np.ndarray], coeff: np.ndarray) -> np
     per axis, the corner's c or 2 where t = 0 (0 zeroes node 0, 1 node N - 1,
     2 nothing); taps are grouped by mask row, and each mask row's masked
     copy is transformed once per batch.  Members go in batches that keep one
-    spectrum per group beside the masked members' spectra; each group's
-    inverse raises the batch's slice of the max, seeded with 0, in place.
+    spectrum per group beside the masked members' spectra, in one
+    accumulator allocated for the largest batch and zeroed for each; each
+    group's inverse raises the batch's slice of the max, seeded with 0, in
+    place.
     """
     shape = a.shape[1:]
     reach = np.zeros(len(shape), dtype=np.int64)
@@ -178,9 +180,11 @@ def _shift_max(a: np.ndarray, shifts: list[np.ndarray], coeff: np.ndarray) -> np
     mshape = _padded_shape(shape, reach)
     n, step = a.shape[0], max(1, _chunk(mshape) // (len(shifts) + 1))
     out = np.zeros(a.shape)
+    buf = np.empty((len(shifts), min(n, step)) + mshape[:-1] + (mshape[-1] // 2 + 1,), dtype=complex)
     for lo in range(0, n, step):
         part = a[lo : lo + step]
-        acc = np.zeros((len(shifts), len(part)) + mshape[:-1] + (mshape[-1] // 2 + 1,), dtype=complex)
+        acc = buf[:, : len(part)]
+        acc[...] = 0.0
         for key in sorted(taps):
             masked = part.copy()
             for ax, state in enumerate(key):

@@ -6,8 +6,8 @@ the last bits between machines (BLAS and libm builds differ), so they are
 compared to 1e-12 relative.  The d = 5 rows of the dimension scans take
 about two minutes and are left out.
 
-The decay tables are recomputed for l <= 4 (the rows l = 5, 6 take about
-half a minute more) and compared to 1e-10 relative: their profile sups come
+The decay tables are recomputed in full, every committed row l = 1..6 (about
+3 s per dimension), and compared to 1e-10 relative: their profile sups come
 from quadrature run to 1e-10 stationarity, and regrouping its sums moves
 them by a few 1e-12.
 """
@@ -28,7 +28,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 EXACT = ("operator", "d", "p", "q", "family", "n_members", "extra")
 NUMERIC = ("input_norm", "output_norm", "ratio")
 MAX_D = 4
-DECAY_L_MAX = 4
+DECAY_L_MAX = 6
 
 
 def _script_configs(name):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -116,6 +117,27 @@ def test_descent_member_batches_do_not_change_values(rng, monkeypatch):
     monkeypatch.setattr(maximal, "_BATCH_BYTES", 1)  # one member per batch
     for g, w in zip(descent_maximal(F, *args, n_radial=4, n_sphere=8), whole):
         assert np.array_equal(g.values, w.values)
+
+
+def test_descent_batches_share_one_accumulator(rng, monkeypatch):
+    # one member per batch: every batch reuses the accumulator of the first,
+    # so three members peak as one does; a batch that allocates its own while
+    # the last one's is still alive reads about 1.76
+    a = rng.uniform(0.5, 1.5, (3, 16, 16, 16))
+    shifts = [rng.uniform(-3.0, 3.0, (8, 3)) for _ in range(16)]
+    coeff = np.full(8, 1.0 / 8.0)
+    whole = _shift_max(a, shifts, coeff)
+    monkeypatch.setattr(maximal, "_BATCH_BYTES", 1)
+    peaks = []
+    for members in (a[:1], a):
+        tracemalloc.start()
+        try:
+            got = _shift_max(members, shifts, coeff)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert np.array_equal(got, whole)
+    assert peaks[1] <= 1.25 * peaks[0], peaks[1] / peaks[0]
 
 
 def test_shift_sums_match_ndimage_at_the_edges(rng):
