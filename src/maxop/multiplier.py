@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -72,25 +71,21 @@ def sphere_area(d: int) -> float:
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """A scalar profile of radius s >= 0 with support and bound metadata.
+    """A scalar profile of radius s >= 0: its function and its support.
 
     ``fn`` must be vectorized over nonnegative arrays and vanish outside
-    ``support`` = (a, b); ``sup_bound``, when present, bounds |fn| everywhere.
-    Construction refuses metadata that cannot hold (anything but
-    0 <= a < b <= inf, or a negative or non-finite ``sup_bound``), since the
-    kernel's aliasing guard and the square-function bound read it unchecked.
+    ``support`` = (a, b).  Construction refuses a support that cannot hold
+    (anything but 0 <= a < b <= inf), since the kernel's aliasing guard and
+    the square function's annulus read it unchecked.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
     support: tuple[float, float]
-    sup_bound: float | None = None
 
     def __post_init__(self):
         a, b = self.support
         if not (0.0 <= a < b <= math.inf):
             raise ValueError(f"support must satisfy 0 <= a < b <= inf, got {self.support}")
-        if self.sup_bound is not None and not (0.0 <= self.sup_bound < math.inf):
-            raise ValueError(f"sup_bound must be None or finite and nonnegative, got {self.sup_bound}")
 
     def __call__(self, s):
         arr = np.asarray(s, dtype=float)
@@ -206,7 +201,7 @@ def surface_multiplier(d: int) -> RadialProfile:
     d = _integer(d, "sphere dimension d", 1)
     if d < 2:
         raise PreconditionError(f"surface multiplier needs d >= 2, got {d}")
-    return RadialProfile(fn=lambda s: _m(d, s), support=(0.0, math.inf), sup_bound=1.0)
+    return RadialProfile(fn=lambda s: _m(d, s), support=(0.0, math.inf))
 
 
 def _plateau(s, deriv: bool = False) -> np.ndarray:
@@ -246,7 +241,7 @@ def bump(l: int) -> RadialProfile:
     """Dyadic partition-of-unity bump: the unit plateau for l = 0, the
     difference of two dilates for l >= 1 (supported in [2^(l-1), 2^(l+1)])."""
     l = _integer(l, "dyadic index l", 0)
-    return RadialProfile(fn=lambda s: _cutoff(l, s), support=_bump_support(l), sup_bound=1.0)
+    return RadialProfile(fn=lambda s: _cutoff(l, s), support=_bump_support(l))
 
 
 def _piece(s: np.ndarray, cut: np.ndarray, m: np.ndarray, dcut=None, dm=None) -> np.ndarray:
@@ -257,29 +252,13 @@ def _piece(s: np.ndarray, cut: np.ndarray, m: np.ndarray, dcut=None, dm=None) ->
     return s * (dcut * m + cut * dm)
 
 
+# the evenly spaced points on which a profile's sup over its support is read
 _SWEEP_POINTS = 8192
 
 
-@lru_cache(maxsize=64)
-def _swept_m(d: int, l: int, deriv: bool) -> np.ndarray:
-    """m (m' for ``deriv``) on the evenly spaced sweep of bump l's support;
-    cached, so the pieces' sup_bound and the decay constants read one sweep."""
-    a, b = _bump_support(l)
-    vals = _sums(d, np.linspace(a, b, _SWEEP_POINTS), deriv, 1e-10, du=(b - a) / (_SWEEP_POINTS - 1))
-    vals.setflags(write=False)
-    return vals
-
-
-def _swept_sup(d: int, l: int, tilde: bool) -> float:
-    """max |piece| (|tilde piece| for ``tilde``) over the sweep."""
-    s = np.linspace(*_bump_support(l), _SWEEP_POINTS)
-    dcut, dm = (_cutoff(l, s, True), _swept_m(d, l, True)) if tilde else (None, None)
-    return float(np.max(np.abs(_piece(s, _cutoff(l, s), _swept_m(d, l, False), dcut, dm))))
-
-
 def _piece_profile(d: int, l: int, tilde: bool) -> RadialProfile:
-    """The profile of the piece (the tilde piece for ``tilde``), bounded by its
-    sweep's max plus 1e-4 relative."""
+    """The profile of the piece (the tilde piece for ``tilde``) on bump l's
+    support; building it evaluates nothing."""
     l = _integer(l, "dyadic index l", 0)
     m = surface_multiplier(d).fn  # rejects d < 2 here, not at the first evaluation
 
@@ -296,8 +275,7 @@ def _piece_profile(d: int, l: int, tilde: bool) -> RadialProfile:
             out[mask] = _piece(sm, cut[mask], m(sm), *rest)
         return out
 
-    sup = _swept_sup(d, l, tilde) * (1.0 + 1e-4)
-    return RadialProfile(fn=fn, support=_bump_support(l), sup_bound=sup)
+    return RadialProfile(fn=fn, support=_bump_support(l))
 
 
 def dyadic_piece(d: int, l: int) -> RadialProfile:
@@ -572,15 +550,19 @@ def decay_constants(d: int, l_max: int) -> list[DecayRow]:
     Boundedness of the three columns across l is the quantitative content of
     the sup-norm and kernel-decay estimates.  Kernel sups are taken over the
     window |x| <= 8, where the decay envelope is fully visible; profile sups
-    are the dense sweeps over the supporting annulus that also set the
-    pieces' sup_bound.
+    are maxima over _SWEEP_POINTS evenly spaced points of the supporting
+    annulus, where m and m' are each swept once by angle addition.
     """
     _check_decay_range(d, l_max)
     xs = np.linspace(0.0, 8.0, 161)
     rows = []
     for l in range(1, int(l_max) + 1):
-        c1 = _swept_sup(d, l, tilde=False) * 2.0 ** (l * (d - 1) / 2.0)
-        c2 = _swept_sup(d, l, tilde=True) * 2.0 ** (l * (d - 3) / 2.0)
+        a, b = _bump_support(l)
+        s = np.linspace(a, b, _SWEEP_POINTS)
+        m, dm = (_sums(d, s, deriv, 1e-10, du=(b - a) / (_SWEEP_POINTS - 1)) for deriv in (False, True))
+        cut = _cutoff(l, s)
+        c1 = float(np.max(np.abs(_piece(s, cut, m)))) * 2.0 ** (l * (d - 1) / 2.0)
+        c2 = float(np.max(np.abs(_piece(s, cut, m, _cutoff(l, s, True), dm)))) * 2.0 ** (l * (d - 3) / 2.0)
         table = _CosineTransform(dyadic_piece(d, l), d, 8.0, abs_tol=1e-6 * 2.0**l)
         kern = _zonal_from_table(table, d, xs, tol=1e-8)
         c3 = float(np.max(np.abs(kern) * (1.0 + xs) ** (d + 1))) / 2.0**l

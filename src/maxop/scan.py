@@ -26,7 +26,7 @@ import numpy as np
 
 from .families import FAMILIES, family_values
 from .grid import GridFunction, GridSpec, PreconditionError, VectorField, _integer, _wrap, node_coordinates
-from .grushin import _scan_radii, cc_domination_note, grushin_maximal, iterated_maximal
+from .grushin import _koranyi_limit, _scan_radii, cc_domination_note, grushin_maximal, iterated_maximal
 from .maximal import RadiiSet, default_radii, hl_maximal, weighted_maximal
 from .multiplier import dyadic_piece, maximal_multiplier, spherical_maximal
 from .norms import _pvalue, mixed_norm
@@ -81,8 +81,8 @@ class ScanConfig:
     k: int = 1  # weight exponent for HL_weighted
 
     def __post_init__(self):
-        # plain arithmetic only, so building a config stays cheap: no grid,
-        # radii or profile is built here
+        # plain arithmetic only, so building a config stays cheap: no field,
+        # operator or profile is built here
         if not isinstance(self.operator, str) or self.operator not in OPERATORS:
             raise ValueError(f"unknown operator {self.operator!r}; choose from {tuple(OPERATORS)}")
         if self.family not in FAMILIES:
@@ -112,6 +112,13 @@ class ScanConfig:
         counts = (("n_members", 1), ("radii_K", 2), ("k", 0), ("l", int(self.operator == "SQFN")), ("seed", 0))
         for name, least in counts:
             object.__setattr__(self, name, _integer(getattr(self, name), name, least))
+        if self.operator == "MK" and self.grid is not None:
+            # its Koranyi radii end at a fixed radius, which a small box does not reach
+            for d in self.d_range:
+                spec = GridSpec(d + 1, *self.grid)
+                top, limit = _scan_radii(spec, self.radii_K)[0].radii[-1], _koranyi_limit(spec)
+                if top > limit:
+                    raise ValueError(f"MK's Koranyi radii reach {top}, past the limit {limit} of grid {self.grid}")
 
     @classmethod
     def from_json(cls, path: str) -> "ScanConfig":

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridFunction, GridSpec, VectorField, _integer, _stack, _unstack
-from .multiplier import RadialProfile, _dilation_sweep
+from .multiplier import _SWEEP_POINTS, RadialProfile, _dilation_sweep
 from .norms import lp_norm, lq_pointwise
 
 __all__ = ["TGrid", "default_tgrid", "sharp_annulus", "square_function", "prop2_check"]
@@ -46,7 +46,7 @@ def sharp_annulus(a: float, b: float, height: float = 1.0) -> RadialProfile:
         s = np.asarray(s, dtype=float)
         return np.where((s >= a) & (s < b), height, 0.0)
 
-    return RadialProfile(fn=fn, support=(a, b), sup_bound=abs(height))
+    return RadialProfile(fn=fn, support=(a, b))
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,13 +114,15 @@ def prop2_check(F: VectorField, profile: RadialProfile) -> tuple[float, float]:
 
     Returns (lhs, rhs) with lhs the L^2 norm of the l^2 aggregation of
     g(f_n) and rhs = C sqrt(log rho) times the same norm of the inputs,
-    where C is the profile's recorded sup bound and rho its annulus ratio.
-    The inequality lhs <= rhs holds up to the dilation-grid discretization.
+    where rho is the annulus ratio b/a and C is a sampled sup of |profile|:
+    its largest value on _SWEEP_POINTS evenly spaced points of [a, b] (exact
+    for a constant height, and below the true sup by the sampling error
+    otherwise).  The inequality lhs <= rhs holds up to the dilation-grid
+    discretization.
     """
     a, b = _require_annulus(profile)
-    if profile.sup_bound is None:
-        raise ValueError("prop2_check needs a profile with a recorded sup_bound")
+    C = float(np.max(np.abs(profile(np.linspace(a, b, _SWEEP_POINTS)))))
     tg = default_tgrid(profile, F.spec)
     lhs = lp_norm(lq_pointwise(square_function(F, profile, tg), 2.0), 2.0)
-    rhs = profile.sup_bound * math.sqrt(math.log(b / a)) * lp_norm(lq_pointwise(F, 2.0), 2.0)
+    rhs = C * math.sqrt(math.log(b / a)) * lp_norm(lq_pointwise(F, 2.0), 2.0)
     return lhs, rhs

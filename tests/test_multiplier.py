@@ -81,7 +81,7 @@ def test_surface_progression_matches_the_direct_quadrature(d, deriv):
 
 
 def test_decay_constants_sweep_each_piece_once(monkeypatch):
-    # c1, c2 and the pieces' sup_bound read the same m and m' samples
+    # c1 and c2 read the same m and m' samples
     calls = []
 
     def counting(d, args, deriv, tol, du=None):
@@ -90,7 +90,6 @@ def test_decay_constants_sweep_each_piece_once(monkeypatch):
         return _sums(d, args, deriv, tol, du)
 
     monkeypatch.setattr(multiplier, "_sums", counting)
-    multiplier._swept_m.cache_clear()
     decay_constants(3, 3)
     want = [(3, *multiplier._bump_support(l), 8192, deriv) for l in (1, 2, 3) for deriv in (False, True)]
     assert sorted(calls) == sorted(want)
@@ -225,9 +224,6 @@ def test_dyadic_piece_vanishing_and_support():
     piece = dyadic_piece(3, 1)
     assert piece(0.0) == 0.0
     assert np.all(piece(np.array([4.1, 7.0, 100.0])) == 0.0)
-    assert piece.sup_bound is not None
-    s = np.linspace(1.0, 4.0, 500)
-    assert np.max(np.abs(piece(s))) <= piece.sup_bound
 
 
 def test_tilde_piece_matches_finite_differences():
@@ -242,12 +238,15 @@ def test_tilde_piece_matches_finite_differences():
 
 
 @pytest.mark.parametrize("d,l", [(3, 1), (5, 2)])
-def test_tilde_piece_sup_bound_is_the_sweep_max(d, l):
-    # a sweep four times denser than the one that sets the bound, through the
-    # profile's own pointwise evaluation
-    tilde = tilde_piece(d, l)
-    sweep = np.max(np.abs(tilde(np.linspace(*tilde.support, 4 * 8191 + 1))))
-    assert sweep <= tilde.sup_bound <= sweep * (1.0 + 1e-4) * (1.0 + 1e-9)
+def test_decay_sups_match_a_denser_pointwise_max(d, l):
+    # c1 and c2 without their 2^(...) factors, against a sweep four times
+    # denser than theirs through the pieces' own pointwise evaluation
+    row = decay_constants(d, 2)[l - 1]
+    sups = (row.c1 / 2.0 ** (l * (d - 1) / 2.0), row.c2 / 2.0 ** (l * (d - 3) / 2.0))
+    for builder, sup in zip((dyadic_piece, tilde_piece), sups):
+        piece = builder(d, l)
+        dense = np.max(np.abs(piece(np.linspace(*piece.support, 4 * 8191 + 1))))
+        assert abs(sup - dense) <= 1e-4 * dense
 
 
 def test_apply_multiplier_identity_and_linearity(rng):
@@ -287,7 +286,7 @@ def test_maximal_multiplier_basics(rng):
     spec = make_grid(2, 2.0, 16)
     f = GridFunction(spec, rng.standard_normal(spec.shape))
     radii = RadiiSet((0.5, 1.0, 2.0))
-    ident = RadialProfile(fn=lambda s: np.ones_like(np.asarray(s, float)), support=(0.0, math.inf), sup_bound=1.0)
+    ident = RadialProfile(fn=lambda s: np.ones_like(np.asarray(s, float)), support=(0.0, math.inf))
     M = maximal_multiplier(f, ident, radii)
     np.testing.assert_allclose(M.values, np.abs(f.values), atol=1e-12)
     c = -2.5
@@ -364,9 +363,6 @@ def test_radial_profile_refuses_metadata_that_defeats_its_guards():
     for support in ((3.0, 1.0), (1.0, 1.0), (-1.0, 2.0), (math.nan, 3.0), (0.0, math.nan)):
         with pytest.raises(ValueError, match="support"):
             RadialProfile(fn=fn, support=support)
-    for bound in (-1.0, math.inf, math.nan):
-        with pytest.raises(ValueError, match="sup_bound"):
-            RadialProfile(fn=fn, support=(0.0, 3.0), sup_bound=bound)
 
 
 # non-dyadic sizes; N = 42 gives an odd DCT length N/2 = 21
@@ -492,7 +488,7 @@ def test_fourier_operators_evaluate_profiles_per_shell(rng):
         sizes.append(np.size(s))
         return prof.fn(s)
 
-    counted = RadialProfile(fn=fn, support=prof.support, sup_bound=prof.sup_bound)
+    counted = RadialProfile(fn=fn, support=prof.support)
 
     def close(got, want):
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
@@ -556,7 +552,6 @@ def test_kernel_dilation_rule():
     dilated = RadialProfile(
         fn=lambda s: prof.fn(np.asarray(s, float) * r),
         support=(prof.support[0] / r, prof.support[1] / r),
-        sup_bound=prof.sup_bound,
     )
     kd = kernel(dilated, spec)
     probes = np.array([0.6, 1.1, 2.3])

@@ -317,6 +317,8 @@ def test_cli_scan_and_exit_codes(tmp_path, capsys):
         ([], "-2"),
         # DESCENT on N = 4: its radii would run from h = L/2 to L/2
         (["--operator", "DESCENT", "--d_range", "3", "--grid", "4,4"], None),
+        # MK on L = 0.2: its Koranyi radii end at 1.2, past the box's limit 1.03
+        (["--operator", "MK", "--d_range", "1", "--grid", "0.2,8"], None),
     ],
 )
 def test_cli_rejects_bad_config_up_front(tmp_path, monkeypatch, capsys, flags, env):

@@ -95,25 +95,28 @@ def test_prop2_inequality_and_zero_member(rng):
 
 def test_sharp_annulus_bounds_a_negative_height_and_refuses_nan(rng):
     prof = sharp_annulus(0.5, 2.0, -1.3)
-    assert prof.sup_bound == 1.3
     F = VectorField(tuple(GridFunction(SPEC, rng.standard_normal(SPEC.shape)) for _ in range(3)))
     lhs, rhs = prop2_check(F, prof)
     assert 0.0 < lhs <= rhs * (1 + 1e-2)
+    # C is |height|: rhs is 1.3 sqrt(log 4) times the L^2(l^2) norm of F
+    norm = math.sqrt(sum(np.sum(m.values**2) for m in F) * SPEC.cell_volume)
+    assert abs(rhs - 1.3 * math.sqrt(math.log(4.0)) * norm) <= 1e-13 * rhs
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="height"):
             sharp_annulus(0.5, 2.0, bad)
 
 
 def test_prop2_with_dyadic_piece(rng):
-    from maxop.multiplier import RadialProfile
-
     piece = dyadic_piece(2, 1)
     F = VectorField(tuple(GridFunction(SPEC, rng.standard_normal(SPEC.shape)) for _ in range(2)))
     lhs, rhs = prop2_check(F, piece)
     assert lhs <= rhs * (1 + 1e-2)
-    unbounded = RadialProfile(fn=piece.fn, support=piece.support, sup_bound=None)
-    with pytest.raises(ValueError):
-        prop2_check(F, unbounded)
+    # its C, a sampled sup, against a pointwise max four times denser
+    a, b = piece.support
+    norm = math.sqrt(sum(np.sum(m.values**2) for m in F) * SPEC.cell_volume)
+    C = rhs / (math.sqrt(math.log(b / a)) * norm)
+    dense = np.max(np.abs(piece(np.linspace(a, b, 4 * 8191 + 1))))
+    assert abs(C - dense) <= 1e-4 * dense
 
 
 def test_tgrid_refinement_convergence(rng):
