@@ -26,7 +26,6 @@ import math
 import numbers
 import os
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -138,11 +137,10 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@lru_cache(maxsize=32)
 def node_coordinates(spec: GridSpec) -> np.ndarray:
     """Node coordinates, shape spec.shape + (d,)."""
     axes = np.meshgrid(*([spec.axis_nodes()] * spec.d), indexing="ij")
-    return _readonly(np.stack(axes, axis=-1))
+    return np.stack(axes, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -227,10 +225,9 @@ def sample(spec: GridSpec, field: Callable[[np.ndarray], np.ndarray]) -> GridFun
     return GridFunction(spec, np.broadcast_to(field(node_coordinates(spec)), spec.shape))
 
 
-@lru_cache(maxsize=32)
 def _forward_phase(N: int) -> np.ndarray:
     k = np.arange(N) - N // 2
-    return _readonly(np.where(k % 2 == 0, 1.0, -1.0) * np.exp(-1j * np.pi * k / N))
+    return np.where(k % 2 == 0, 1.0, -1.0) * np.exp(-1j * np.pi * k / N)
 
 
 def _apply_axis_phases(a: np.ndarray, phase: np.ndarray, d: int) -> np.ndarray:

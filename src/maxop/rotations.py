@@ -131,8 +131,8 @@ def descent_maximal(
     rho, rho_w = radial_power_rule(n_radial, split.k + split.d_prime)
     # unit offsets theta (sigma_j, 0) in R^d
     units = sphere @ rotation.matrix[:, : split.d_prime].T
-    # sample (i, j) reads |f| at x - r rho_i theta sigma_j: a shift by
-    # r rho_i theta sigma_j / h cells, with weight rho_w_i / n_sphere
+    # sample (i, j) reads |f| at x + r rho_i theta sigma_j, weight rho_w_i /
+    # n_sphere; _shift_max's shift s reads node i - s, hence the minus sign
     shifts = [(-(r * rho)[:, None, None] * units[None] / spec.h).reshape(-1, spec.d) for r in rs]
     return _unstack(f, _shift_max(absf, shifts, np.repeat(rho_w / n_sphere, n_sphere)))
 
@@ -235,7 +235,9 @@ def rotation_average_check(
     n_sphere: int = 64,
 ) -> MCComparison:
     """Ball average at one node vs the Haar-rotation average of weighted
-    d'-plane averages; they agree up to MC error and O(h) interpolation."""
+    d'-plane averages; they agree up to MC error and O(h) interpolation.
+    Its samples x - r rho theta sigma mirror descent's x + r rho theta sigma
+    through x, and sigma is uniform, so the two are equal in distribution."""
     from scipy import ndimage
 
     n_mc, seed = _integer(n_mc, "n_mc", 2), _integer(seed, "seed", 0)

@@ -10,7 +10,13 @@ from maxop.checks import CRITERIA
 
 
 @pytest.mark.parametrize("name", list(CRITERIA))
-def test_criterion(name):
+def test_criterion(name, request, monkeypatch):
+    if name == "stability":
+        # the first of criterion 10's two runs is the session's headline run,
+        # which the outputs gate reads too; its re-run stays a fresh one
+        shared = [request.getfixturevalue("headline_scan")]
+        fresh = checks._stability_scan
+        monkeypatch.setattr(checks, "_stability_scan", lambda: shared.pop() if shared else fresh())
     result = CRITERIA[name]()
     status = "PASS" if result.passed else "FAIL"
     print(f"\n{status} {result.name} ({result.seconds:.1f}s): {result.detail}")

@@ -1,10 +1,15 @@
+import importlib
 import math
+import pkgutil
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import maxop
 from maxop.grid import (
     GridFunction,
     VectorField,
@@ -14,6 +19,7 @@ from maxop.grid import (
     node_coordinates,
     sample,
 )
+from maxop.scan import ScanConfig, run_scan
 
 
 def test_make_grid_spacing():
@@ -130,3 +136,30 @@ def test_vector_field_validation():
 def test_node_coordinates_shape():
     spec = make_grid(3, 1.0, 4)
     assert node_coordinates(spec).shape == (4, 4, 4, 3)
+
+
+def test_only_the_quadrature_rule_builders_are_cached():
+    # a coordinate grid or a phase table kept for the process would outlive
+    # the sampling that built it
+    cached = set()
+    for info in pkgutil.iter_modules(maxop.__path__):
+        module = importlib.import_module(f"maxop.{info.name}")
+        for obj in vars(module).values():
+            if callable(obj) and hasattr(obj, "cache_info"):
+                cached.add(f"{obj.__module__}.{obj.__qualname__}")
+    assert cached == {"maxop.quadrature.gegenbauer_rule", "maxop.quadrature.radial_power_rule"}
+
+
+def test_a_scan_leaves_no_coordinate_grid_behind():
+    # L = 3.3 is a grid no other test samples; its 16^4 x 4 coordinates take 2 MiB
+    cfg = ScanConfig(operator="HL", d_range=(4,), p_list=(2.0,), q_list=(2.0,), n_members=1,
+                     grid=(3.3, 16), radii_K=4)
+    run_scan(replace(cfg, d_range=(1,)))  # imports and first-call set-up, untraced
+    tracemalloc.start()
+    try:
+        report = run_scan(cfg)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(report.rows) == 1 and report.rows[0].ratio >= 1.0
+    assert held < 16**4 * 4 * 8 / 4

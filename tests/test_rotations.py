@@ -3,11 +3,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from maxop import maximal, rotations
 from maxop.checks import _oracle_descent, _oracle_shift_sum
 from maxop.grid import GridFunction, PreconditionError, VectorField, make_grid, sample
 from maxop.maximal import RadiiSet, hl_maximal
+from maxop.quadrature import radial_power_rule
 from maxop.rotations import (
     DescentSplit,
     RotationMatrix,
@@ -107,6 +109,30 @@ def test_descent_matches_shift_oracle_at_d4_with_two_members(rng):
     for g, f in zip(G, F):
         want = _oracle_descent(f, *args, n_radial=6, n_sphere=16, seed=4)
         assert np.abs(g.values - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_descent_reads_f_at_x_plus_the_sample_offset(rng):
+    # one radial node and one sphere point: descent is the radial weight
+    # times |f| interpolated (order 1, zero off the grid) at x + r rho theta
+    # sigma, drawn as descent_maximal draws it; the oracle above copies
+    # descent's sign, so only this test pins the point
+    spec = make_grid(3, 2.0, 8)
+    f = GridFunction(spec, rng.standard_normal(spec.shape))
+    rotation, split, r, seed = haar_rotation(3, 5), DescentSplit(3, 3), 0.9, 7
+    got = descent_maximal(f, rotation, split, (r,), n_radial=1, n_sphere=1, seed=seed).values
+    sigma = rotations._sphere_points(np.random.default_rng(np.random.SeedSequence(seed)), 1, split.d_prime)
+    rho, rho_w = radial_power_rule(1, split.k + split.d_prime)
+    offset = r * rho[0] * (sigma @ rotation.matrix[:, : split.d_prime].T)[0] / spec.h
+    nodes = np.indices(spec.shape).reshape(spec.d, -1)
+
+    def at(sign):
+        vals = ndimage.map_coordinates(
+            np.abs(f.values), nodes + sign * offset[:, None], order=1, mode="constant", cval=0.0, prefilter=False
+        )
+        return rho_w[0] * vals.reshape(spec.shape)
+
+    assert np.abs(got - at(+1)).max() <= 1e-12 * np.abs(got).max()
+    assert np.abs(got - at(-1)).max() > 0.1 * np.abs(got).max()
 
 
 def test_descent_member_batches_do_not_change_values(rng, monkeypatch):
