@@ -54,7 +54,7 @@ from .rotations import (
     sphere_identity_check,
 )
 from .scan import ScanConfig, _decay_window, csv_text, report_violations, run_scan
-from .squarefn import default_tgrid, prop2_check, sharp_annulus, square_function
+from .squarefn import _prop2, _sampled_sup, default_tgrid, sharp_annulus, square_function
 
 __all__ = ["CheckResult", "run_all", "CRITERIA"]
 
@@ -418,13 +418,16 @@ def criterion_square_function():
     rel = abs(lhs - rhs) / rhs
     checks.append((f"equality case {rel:.1e}", rel <= 1e-3))
 
+    # each profile's sampled sup is read once for all the fields
+    piece = dyadic_piece(2, 1)
+    sharp_sup, piece_sup = _sampled_sup(sharp), _sampled_sup(piece)
     ok = 0
     for trial in range(10):
         F = VectorField(
             tuple(_wrap(spec, rng.standard_normal(spec.shape)) for _ in range(3))
         )
-        l1, r1 = prop2_check(F, sharp)
-        l2, r2 = prop2_check(F, dyadic_piece(2, 1))
+        l1, r1 = _prop2(F, sharp, sharp_sup)
+        l2, r2 = _prop2(F, piece, piece_sup)
         if l1 <= r1 * (1 + 1e-2) and l2 <= r2 * (1 + 1e-2):
             ok += 1
     checks.append((f"annulus bound on {ok}/10 fields", ok == 10))

@@ -26,6 +26,8 @@ applied to every member of the batch by zero-padded convolution, the padded
 shape growing with the stencil's reach.  The stencil is even in every axis,
 so its spectrum is computed from its nonnegative-offset part, on the
 nonnegative frequencies, and mirrored inside the one array it fills.
+Padded lengths are 5-smooth, the lengths scipy's real transforms take
+fastest, which also keeps the number of distinct padded shapes small.
 
 The sweep plans its radii once.  Radii with the same key, the largest
 in-grid |delta|^2 <= T, hold the same offsets and so share one stencil and
@@ -48,18 +50,22 @@ leaves the max unchanged in exact arithmetic, and its convolution is not
 computed.  The cutoff only skips radii and never ends the sweep.
 
 The sweep's one output array is its running max, and every radius raises it
-in place.  Across radii the sweep holds only the members' spectra on the
-current padded shape.  Per radius, their products with the stencil spectrum
-stream through one reused buffer of 4 MiB (at least one member), and each
-group's inverse, cropped to the grid and divided by the denominator, raises
-that group's slice of the max; no convolution of every member is held.  The
-batch is every member unless their spectra on the widest padded shape would
-exceed 64 MiB; then the members go in batches of as many as fit there (at
-least one), each batch a slice of the max that runs the plan and skips radii
-by its own members' bound, which is exact as above.  Measured peaks: HL on
-two members of 16^4 traces 37 MB of arrays; the HL scan row at d = 5 (16^5,
-four members, one per batch) reaches about 955 MB RSS, set while one
-member's spectra, the stencil spectrum and one streamed product are live.
+in place.  The planned radii are grouped by padded shape, and each group
+runs over member batches whose spectra on that shape fit in 4 MiB (at least
+one member); a batch's spectra are transformed once per group, and each of
+the group's radii builds its stencil spectrum, multiplies the batch's
+spectra by it into one product, and raises the batch's slice of the max by
+the product's inverse, cropped to the grid and divided by the denominator.
+So the sweep holds one batch's spectra, one product and one stencil
+spectrum, and no convolution is carried to the next radius.  Where a shape
+splits into several batches its stencil spectra are rebuilt per batch.
+Each batch skips radii by its own members' bound, which is exact as above.
+On small grids every member shares one batch; at d = 4 on 16^4 the shapes
+from 24^4 on take one member per batch, and at d = 5 every shape does.
+Measured peaks: HL on two members of 16^4 traces 27 MB of arrays;
+the HL scan row at d = 5 (16^5, four members) reaches about 910 MB
+RSS, set while one member's spectra, the stencil spectrum and the product
+are live.
 
 The descent operator (:mod:`maxop.rotations`) applies its corner stencils
 with the same FFT helpers: padded shapes, member spectra, batching and
@@ -78,10 +84,10 @@ from .grid import GridFunction, GridSpec, PreconditionError, VectorField, _integ
 
 __all__ = ["RadiiSet", "default_radii", "hl_maximal", "weighted_maximal", "maximal_1d"]
 
-# bytes of padded member spectra the radius sweep holds at once; at d = 5 on
+# bytes of padded member spectra a descent batch holds at once; at d = 5 on
 # the default grid a single member already exceeds it
 _BATCH_BYTES = 1 << 26
-# bytes of the buffer each radius streams its spectrum products through
+# bytes of padded member spectra a ball-sweep batch holds on its padded shape
 _STREAM_BYTES = 1 << 22
 
 
@@ -183,27 +189,35 @@ def _ball_max_values(vals: np.ndarray, h: float, radii: tuple[float, ...], k: in
     axes = tuple(range(1, a.ndim))
     # radii <= h: the center alone, |f| exactly for k = 0 and empty for k >= 1
     out = a.copy() if k == 0 and ts[0] == 0 else np.zeros_like(a)
-    c = _chunk(_padded_shape(shape, full))
-    for lo in range(0, a.shape[0], c):
-        part, best = a[lo : lo + c], out[lo : lo + c]
-        mass = part.sum(axis=axes, keepdims=True)
-        mshape = spectra = None
-        for key, t in plan.items():
-            # no average of the radius exceeds the member's mass times the
-            # stencil's largest weight, (key h^2)^(k/2), over the denominator,
-            # so skip the radius when that cannot raise any node's max
-            if np.all(best.min(axis=axes, keepdims=True) >= mass * (key * (h * h)) ** (k / 2.0) / denom[t]):
-                continue
-            reach = tuple(min(math.isqrt(key), m - 1) for m in shape)
-            shp = _padded_shape(shape, reach)
-            if shp != mshape:
-                mshape, spectra = shp, None  # drop the old spectra first
-                spectra = _member_spectra(part, mshape)
-            box = tuple(slice(0, R + 1) for R in reach)
-            n2 = n2_full[box]
-            with np.errstate(over="ignore"):  # only weights outside the ball can overflow
-                half = np.where(n2 <= key, (n2 * (h * h)) ** (k / 2.0), 0.0) * fold_full[box]
-            _convolve(best, spectra, _even_spectrum(half, mshape), denom[t], mshape, shape)
+    mass = a.sum(axis=axes, keepdims=True)
+    # the planned radii by padded shape, which grows with the key
+    groups = {}
+    for key, t in plan.items():
+        reach = tuple(min(math.isqrt(key), m - 1) for m in shape)
+        groups.setdefault(_padded_shape(shape, reach), []).append((key, t, reach))
+    for mshape, group in groups.items():
+        c = _chunk(mshape, _STREAM_BYTES)
+        for lo in range(0, a.shape[0], c):
+            best = out[lo : lo + c]
+            spectra = None  # drop the last batch's spectra first
+            for key, t, reach in group:
+                # no average of the radius exceeds the member's mass times the
+                # stencil's largest weight, (key h^2)^(k/2), over the
+                # denominator, so skip the radius when that cannot raise any
+                # node's max
+                bound = mass[lo : lo + c] * (key * (h * h)) ** (k / 2.0) / denom[t]
+                if np.all(best.min(axis=axes, keepdims=True) >= bound):
+                    continue
+                if spectra is None:
+                    spectra = _member_spectra(a[lo : lo + c], mshape)
+                box = tuple(slice(0, R + 1) for R in reach)
+                n2 = n2_full[box]
+                with np.errstate(over="ignore"):  # only weights outside the ball can overflow
+                    half = np.where(n2 <= key, (n2 * (h * h)) ** (k / 2.0), 0.0) * fold_full[box]
+                avg = _inverse(spectra * _even_spectrum(half, mshape), mshape, shape)
+                avg /= denom[t]
+                np.maximum(best, avg, out=best)
+                del avg  # before the next radius's product is allocated
     return out
 
 
@@ -224,9 +238,10 @@ def _half_box(reach: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _padded_shape(shape: tuple[int, ...], reach) -> tuple[int, ...]:
-    """Fast FFT lengths that hold a zero-padded convolution of the grid with
-    a stencil of per-axis reach ``reach``, free of wrap-around."""
-    return tuple(_fft.next_fast_len(int(m + R)) for m, R in zip(shape, reach))
+    """The smallest 5-smooth lengths that hold a zero-padded convolution of
+    the grid with a stencil of per-axis reach ``reach``, free of
+    wrap-around."""
+    return tuple(_fft.next_fast_len(int(m + R), real=True) for m, R in zip(shape, reach))
 
 
 def _chunk(mshape: tuple[int, ...], nbytes: int | None = None) -> int:
@@ -283,23 +298,6 @@ def _mirror(a: np.ndarray, filled: tuple[slice, ...], spans) -> None:
         box[ax] = slice(None)
     for dst, src in spans[:1]:
         a[(dst, *box[1:])] = a[(src, *box[1:])]
-
-
-def _convolve(out, spectra, sfft, den, mshape, shape) -> None:
-    """Raise ``out`` in place to the inverse transforms of every member
-    spectrum times ``sfft``, cropped to the grid and divided by ``den``; the
-    products of a group of members that fits in ``_STREAM_BYTES`` (at least
-    one) stream through one reused buffer."""
-    n, c = spectra.shape[0], _chunk(mshape, _STREAM_BYTES)
-    buf = np.empty((min(n, c),) + spectra.shape[1:], dtype=complex)
-    for lo in range(0, n, c):
-        y = buf[: min(c, n - lo)]
-        np.multiply(spectra[lo : lo + c], sfft, out=y)
-        avg = _inverse(y, mshape, shape)
-        avg /= den
-        best = out[lo : lo + c]
-        np.maximum(best, avg, out=best)
-        del avg  # before the next group's inverse is allocated
 
 
 def _inverse(y, mshape, shape) -> np.ndarray:

@@ -10,7 +10,10 @@ normalized so that m(0) = 1.  Everything downstream (dyadic pieces, their
 radial derivatives, zonal kernel evaluations) is built from this single 1-D
 Gegenbauer-weight integral; no Bessel routines are used anywhere.  The same
 weight appears in the Funk-Hecke reduction of zonal sphere integrals, which
-is what the FFT-independent kernel oracle below exploits.
+is what the FFT-independent kernel oracle below exploits.  Its quadrature
+sums contract with np.einsum, numpy's own loops, and not with BLAS matrix
+products, whose grouping of the sums follows the BLAS thread count; so the
+values do not depend on it.
 
 The multiplier operators and the square function reduce one dilation sweep
 over a real GridFunction or VectorField: one rfftn of the stacked members,
@@ -105,7 +108,7 @@ def _trig_sum(trig, u: np.ndarray, x: np.ndarray, w: np.ndarray) -> np.ndarray:
     out = np.empty(u.size)
     step = max(1, _CHUNK // x.size)
     for i in range(0, u.size, step):
-        out[i : i + step] = trig(2.0 * np.pi * np.outer(u[i : i + step], x)) @ w
+        out[i : i + step] = np.einsum("ij,j->i", trig(2.0 * np.pi * np.outer(u[i : i + step], x)), w)
     return out
 
 
@@ -117,7 +120,7 @@ def _trig_progression(trig, u0: float, du: float, n: int, x: np.ndarray, w: np.n
     trig' = -sin for cos and cos for sin, turns the n |x| cos/sin calls of
     :func:`_trig_sum` into about 2 (n / B + B) |x|: one anchor table alpha at
     u0 + a B du and one offset table beta at b du, contracted against the
-    weights by two matrix products.  Tables stay within _CHUNK entries.
+    weights by two einsum contractions.  Tables stay within _CHUNK entries.
     """
     B = max(1, min(math.isqrt(n - 1) + 1, _CHUNK // x.size))
     n_anchor = -(-n // B)
@@ -129,9 +132,9 @@ def _trig_progression(trig, u0: float, du: float, n: int, x: np.ndarray, w: np.n
         alpha = (2.0 * np.pi) * np.outer(u0 + du * B * np.arange(i, min(i + rows, n_anchor)), x)
         cos_a, sin_a = np.cos(alpha) * w, np.sin(alpha) * w
         if trig is np.cos:
-            block = cos_a @ cos_b.T - sin_a @ sin_b.T
+            block = np.einsum("ik,jk->ij", cos_a, cos_b) - np.einsum("ik,jk->ij", sin_a, sin_b)
         else:
-            block = sin_a @ cos_b.T + cos_a @ sin_b.T
+            block = np.einsum("ik,jk->ij", sin_a, cos_b) + np.einsum("ik,jk->ij", cos_a, sin_b)
         out[i * B : i * B + block.size] = block.reshape(-1)
     return out[:n]
 
@@ -489,7 +492,7 @@ def _zonal_from_table(table: _CosineTransform, d: int, rho: np.ndarray, tol: flo
 
     def with_rule(n: int) -> np.ndarray:
         t, w = gegenbauer_rule(d, n)
-        return (table(flat[:, None] * t[None, :]) @ w) / mass
+        return np.einsum("ij,j->i", table(flat[:, None] * t[None, :]), w) / mass
 
     rmax = float(np.max(np.abs(flat))) if flat.size else 0.0
     out = refine_until_stationary(with_rule, max_arg=table.osc_rate * max(rmax, 1.0), tol=tol)
@@ -524,7 +527,7 @@ def funk_hecke_kernel(l: int, d: int, x_norm, tol: float = 1e-9):
         t, w = gegenbauer_rule(d, n)
         chord = np.sqrt(np.maximum(x[:, None] ** 2 + 1.0 - 2.0 * x[:, None] * t[None, :], 0.0))
         vals = _zonal_from_table(table, d, chord, tol=tol * 0.1)
-        return (vals @ w) / mass
+        return np.einsum("ij,j->i", vals, w) / mass
 
     out = refine_until_stationary(with_rule, max_arg=2.0 ** (l + 2), tol=tol)
     if arr.ndim == 0:

@@ -120,9 +120,21 @@ def prop2_check(F: VectorField, profile: RadialProfile) -> tuple[float, float]:
     otherwise).  The inequality lhs <= rhs holds up to the dilation-grid
     discretization.
     """
+    return _prop2(F, profile, _sampled_sup(profile))
+
+
+def _sampled_sup(profile: RadialProfile) -> float:
+    """The largest |profile| on _SWEEP_POINTS evenly spaced points of its
+    annulus support [a, b]: the C of :func:`prop2_check`."""
     a, b = _require_annulus(profile)
-    C = float(np.max(np.abs(profile(np.linspace(a, b, _SWEEP_POINTS)))))
+    return float(np.max(np.abs(profile(np.linspace(a, b, _SWEEP_POINTS)))))
+
+
+def _prop2(F: VectorField, profile: RadialProfile, sup: float) -> tuple[float, float]:
+    """:func:`prop2_check` with the profile's sampled sup given, so that a
+    caller checking many fields against one profile samples it once."""
+    a, b = _require_annulus(profile)
     tg = default_tgrid(profile, F.spec)
     lhs = lp_norm(lq_pointwise(square_function(F, profile, tg), 2.0), 2.0)
-    rhs = C * math.sqrt(math.log(b / a)) * lp_norm(lq_pointwise(F, 2.0), 2.0)
+    rhs = sup * math.sqrt(math.log(b / a)) * lp_norm(lq_pointwise(F, 2.0), 2.0)
     return lhs, rhs

@@ -168,9 +168,11 @@ def test_radius_cutoff_skips_convolutions(monkeypatch, k):
     # repeats every stencil key, and the sweep convolves each key once, for
     # its smallest radius
     repeated = RadiiSet(tuple(s for r in radii for s in (r, r * (1 + 1e-9))))
+    # one member on a small grid is one batch per padded shape, so every
+    # convolved radius runs one inverse transform
     calls = []
-    convolve = maximal._convolve
-    monkeypatch.setattr(maximal, "_convolve", lambda *args: calls.append(args) or convolve(*args))
+    inverse = maximal._inverse
+    monkeypatch.setattr(maximal, "_inverse", lambda *args: calls.append(args) or inverse(*args))
     counts = {}
     for name, vals in _cutoff_members(spec).items():
         f = GridFunction(spec, vals)
@@ -237,15 +239,18 @@ def test_fft_path_is_bit_exact_across_batches(monkeypatch, rng, k):
     spec = _CUTOFF_SPEC
     F = VectorField(tuple(GridFunction(spec, rng.standard_normal(spec.shape)) for _ in range(3)))
     radii = default_radii(spec)
-    whole = weighted_maximal(F, k, radii)
-    monkeypatch.setattr(maximal, "_BATCH_BYTES", 1)  # one member per batch
-    assert maximal._chunk((64, 64)) == 1
     sizes = []
     spectra = maximal._member_spectra
     monkeypatch.setattr(maximal, "_member_spectra", lambda a, mshape: sizes.append(len(a)) or spectra(a, mshape))
+    whole = weighted_maximal(F, k, radii)
+    # every padded shape of the 12^2 grid holds the three members in one batch
+    assert sizes and set(sizes) == {3}
+    monkeypatch.setattr(maximal, "_STREAM_BYTES", 1)  # one member per batch
+    assert maximal._chunk((64, 64), maximal._STREAM_BYTES) == 1
+    sizes.clear()
     for g, w in zip(weighted_maximal(F, k, radii), whole):
         assert np.array_equal(g.values, w.values)
-    # the sweep runs once per batch, so it holds one member's spectra at a time
+    # each batch holds one member's spectra at a time
     assert sizes and max(sizes) == 1
 
 
@@ -255,17 +260,17 @@ def test_fft_sweep_peak_memory_is_bounded_by_design(rng):
     spike[(0,) * 4] = 1.0  # keeps the far corner at 0, so no radius is skipped
     F = VectorField((GridFunction(spec, spike), GridFunction(spec, rng.random(spec.shape))))
     radii = default_radii(spec)
-    # The sweep ends on the widest padded shape (32^4).  Its design bound: both
-    # members' spectra there (2 x 8.9 MB), one streamed product group (one
-    # member: 8.9 MB), the stencil spectrum (a real array on the spectra's
-    # layout: 4.5 MB), and a margin of 6.5 arrays of both members on the grid
-    # (6.5 x 1.05 MB): the stacked input and its abs, the running max that
-    # every radius raises in place, one group's inverse with its cropped
-    # intermediates, and the stencil's half-box arrays.  No convolution of
-    # every member is held, so a sweep that carried one to the next radius
-    # (7.2 arrays) would not fit.
+    # The sweep ends on the widest padded shape (32^4), where one member's
+    # spectra (8.9 MB) exceed the 4 MiB batch, so the members go one at a
+    # time.  Its design bound: one member's spectra there, their product with
+    # the stencil spectrum (8.9 MB), the stencil spectrum (a real array on the
+    # spectra's layout: 4.5 MB), and a margin of 6.5 arrays of both members
+    # on the grid (6.5 x 1.05 MB): the stacked input and its abs, the running
+    # max that every radius raises in place, one batch's inverse with its
+    # cropped intermediates, and the stencil's half-box arrays.  A sweep that
+    # held both members' spectra there (one more 8.9 MB) would not fit.
     spectrum = 16 * 32**3 * 17
-    bound = 2 * spectrum + spectrum + spectrum // 2 + 13 * spec.size * 8
+    bound = spectrum + spectrum + spectrum // 2 + 13 * spec.size * 8
     tracemalloc.start()
     try:
         hl_maximal(F, radii)
@@ -275,13 +280,29 @@ def test_fft_sweep_peak_memory_is_bounded_by_design(rng):
     assert peak <= bound, (peak, bound)
 
 
+@pytest.mark.parametrize("shape", [(16,) * 4, (12, 12), (7, 31, 100), (1,)])
+def test_padded_shapes_are_5_smooth_and_free_of_wrap_around(shape):
+    def smooth(n):
+        for p in (2, 3, 5):
+            while n % p == 0:
+                n //= p
+        return n == 1
+
+    for R in range(max(shape)):
+        reach = tuple(min(R, m - 1) for m in shape)
+        got = maximal._padded_shape(shape, reach)
+        assert all(smooth(n) and n >= m + r for n, m, r in zip(got, shape, reach)), (reach, got)
+        # the smallest such lengths
+        assert all(not any(smooth(j) for j in range(m + r, n)) for n, m, r in zip(got, shape, reach))
+
+
 @pytest.mark.parametrize(
     "mshape",
     [(18, 21), (21, 25), (25, 27), (27, 32), (32, 33), (33, 35), (35, 63), (63, 18), (21, 33, 25), (63, 27, 35)],
 )
 def test_even_spectrum_mirror_matches_the_gather(rng, mshape):
-    # odd padded lengths come from next_fast_len at d = 3; every length sits
-    # on a mirrored (non-last) axis at least once
+    # odd and even lengths, the padded 5-smooth ones (18, 25, 27, 32) among
+    # them; every length sits on a mirrored (non-last) axis at least once
     half = rng.random(tuple(min(6, m // 2) for m in mshape))
     got = _even_spectrum(half, mshape)
     s = half

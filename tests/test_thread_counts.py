@@ -2,9 +2,9 @@
 
 The decay table and a Funk-Hecke kernel are computed in two fresh
 processes, one with every FFT and BLAS thread variable set to 1 and one with
-them set to 2.  Their BLAS products may regroup sums, so the values may move
-in the last bits, but no further than the 1e-10 relative gate that the
-committed decay tables are held to.
+them set to 2.  Their quadrature sums contract with numpy's own loops, not
+with BLAS products that regroup sums by thread count, so the values agree
+bit for bit.
 """
 
 import json
@@ -41,4 +41,4 @@ def test_decay_and_funk_hecke_agree_across_thread_counts():
     for key in ("decay", "funk_hecke"):
         a, b = np.ravel(one[key]), np.ravel(two[key])
         assert a.size == b.size > 0, key
-        assert np.all(np.abs(a - b) <= 1e-10 * np.abs(b)), (key, a, b)
+        assert np.array_equal(a, b), (key, a - b)
