@@ -26,8 +26,6 @@ applied to every member of the batch by zero-padded convolution, the padded
 shape growing with the stencil's reach.  The stencil is even in every axis,
 so its spectrum is computed from its nonnegative-offset part, on the
 nonnegative frequencies, and mirrored inside the one array it fills.
-Padded lengths are 5-smooth, the lengths scipy's real transforms take
-fastest, which also keeps the number of distinct padded shapes small.
 
 The sweep plans its radii once.  Radii with the same key, the largest
 in-grid |delta|^2 <= T, hold the same offsets and so share one stencil and
@@ -60,8 +58,8 @@ So the sweep holds one batch's spectra, one product and one stencil
 spectrum, and no convolution is carried to the next radius.  Where a shape
 splits into several batches its stencil spectra are rebuilt per batch.
 Each batch skips radii by its own members' bound, which is exact as above.
-On small grids every member shares one batch; at d = 4 on 16^4 the shapes
-from 24^4 on take one member per batch, and at d = 5 every shape does.
+Two members share one batch on every shape of 32^3; at d = 4 on 16^4 the
+shapes from 24^4 on take one member per batch, and at d = 5 every shape does.
 Measured peaks: HL on two members of 16^4 traces 27 MB of arrays;
 the HL scan row at d = 5 (16^5, four members) reaches about 910 MB
 RSS, set while one member's spectra, the stencil spectrum and the product
@@ -84,11 +82,8 @@ from .grid import GridFunction, GridSpec, PreconditionError, VectorField, _integ
 
 __all__ = ["RadiiSet", "default_radii", "hl_maximal", "weighted_maximal", "maximal_1d"]
 
-# bytes of padded member spectra a descent batch holds at once; at d = 5 on
-# the default grid a single member already exceeds it
-_BATCH_BYTES = 1 << 26
 # bytes of padded member spectra a ball-sweep batch holds on its padded shape
-_STREAM_BYTES = 1 << 22
+_SWEEP_BATCH_BYTES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -196,7 +191,7 @@ def _ball_max_values(vals: np.ndarray, h: float, radii: tuple[float, ...], k: in
         reach = tuple(min(math.isqrt(key), m - 1) for m in shape)
         groups.setdefault(_padded_shape(shape, reach), []).append((key, t, reach))
     for mshape, group in groups.items():
-        c = _chunk(mshape, _STREAM_BYTES)
+        c = _chunk(mshape, _SWEEP_BATCH_BYTES)
         for lo in range(0, a.shape[0], c):
             best = out[lo : lo + c]
             spectra = None  # drop the last batch's spectra first
@@ -238,17 +233,16 @@ def _half_box(reach: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _padded_shape(shape: tuple[int, ...], reach) -> tuple[int, ...]:
-    """The smallest 5-smooth lengths that hold a zero-padded convolution of
-    the grid with a stencil of per-axis reach ``reach``, free of
-    wrap-around."""
-    return tuple(_fft.next_fast_len(int(m + R), real=True) for m, R in zip(shape, reach))
+    """Fast FFT lengths that hold a zero-padded convolution of the grid with
+    a stencil of per-axis reach ``reach``, free of wrap-around."""
+    return tuple(_fft.next_fast_len(int(m + R)) for m, R in zip(shape, reach))
 
 
-def _chunk(mshape: tuple[int, ...], nbytes: int | None = None) -> int:
-    """Members whose padded spectra on ``mshape`` fit in ``nbytes`` (default
-    ``_BATCH_BYTES``), at least 1."""
+def _chunk(mshape: tuple[int, ...], nbytes: int) -> int:
+    """Members whose padded spectra on ``mshape`` fit in ``nbytes``, at
+    least 1."""
     per_member = 16 * math.prod(mshape[:-1]) * (mshape[-1] // 2 + 1)
-    return max(1, (_BATCH_BYTES if nbytes is None else nbytes) // per_member)
+    return max(1, nbytes // per_member)
 
 
 def _member_spectra(a: np.ndarray, mshape: tuple[int, ...]) -> np.ndarray:

@@ -49,6 +49,10 @@ __all__ = [
     "dimension_split",
 ]
 
+# bytes of padded spectra a descent batch holds at once, its accumulator
+# included; at d = 5 on the default grid a single member already exceeds it
+_DESCENT_BATCH_BYTES = 1 << 26
+
 
 @dataclass(frozen=True)
 class RotationMatrix:
@@ -178,7 +182,7 @@ def _shift_max(a: np.ndarray, shifts: list[np.ndarray], coeff: np.ndarray) -> np
                     taps.setdefault(tuple(np.where(p, 2, c).tolist()), []).append((g, off[sel], w[sel]))
             reach = np.maximum(reach, np.abs(off[live]).max(axis=0, initial=0))
     mshape = _padded_shape(shape, reach)
-    n, step = a.shape[0], max(1, _chunk(mshape) // (len(shifts) + 1))
+    n, step = a.shape[0], max(1, _chunk(mshape, _DESCENT_BATCH_BYTES) // (len(shifts) + 1))
     out = np.zeros(a.shape)
     buf = np.empty((len(shifts), min(n, step)) + mshape[:-1] + (mshape[-1] // 2 + 1,), dtype=complex)
     for lo in range(0, n, step):

@@ -245,8 +245,8 @@ def test_fft_path_is_bit_exact_across_batches(monkeypatch, rng, k):
     whole = weighted_maximal(F, k, radii)
     # every padded shape of the 12^2 grid holds the three members in one batch
     assert sizes and set(sizes) == {3}
-    monkeypatch.setattr(maximal, "_STREAM_BYTES", 1)  # one member per batch
-    assert maximal._chunk((64, 64), maximal._STREAM_BYTES) == 1
+    monkeypatch.setattr(maximal, "_SWEEP_BATCH_BYTES", 1)  # one member per batch
+    assert maximal._chunk((64, 64), maximal._SWEEP_BATCH_BYTES) == 1
     sizes.clear()
     for g, w in zip(weighted_maximal(F, k, radii), whole):
         assert np.array_equal(g.values, w.values)
@@ -280,29 +280,13 @@ def test_fft_sweep_peak_memory_is_bounded_by_design(rng):
     assert peak <= bound, (peak, bound)
 
 
-@pytest.mark.parametrize("shape", [(16,) * 4, (12, 12), (7, 31, 100), (1,)])
-def test_padded_shapes_are_5_smooth_and_free_of_wrap_around(shape):
-    def smooth(n):
-        for p in (2, 3, 5):
-            while n % p == 0:
-                n //= p
-        return n == 1
-
-    for R in range(max(shape)):
-        reach = tuple(min(R, m - 1) for m in shape)
-        got = maximal._padded_shape(shape, reach)
-        assert all(smooth(n) and n >= m + r for n, m, r in zip(got, shape, reach)), (reach, got)
-        # the smallest such lengths
-        assert all(not any(smooth(j) for j in range(m + r, n)) for n, m, r in zip(got, shape, reach))
-
-
 @pytest.mark.parametrize(
     "mshape",
     [(18, 21), (21, 25), (25, 27), (27, 32), (32, 33), (33, 35), (35, 63), (63, 18), (21, 33, 25), (63, 27, 35)],
 )
 def test_even_spectrum_mirror_matches_the_gather(rng, mshape):
-    # odd and even lengths, the padded 5-smooth ones (18, 25, 27, 32) among
-    # them; every length sits on a mirrored (non-last) axis at least once
+    # odd padded lengths come from next_fast_len at d = 3; every length sits
+    # on a mirrored (non-last) axis at least once
     half = rng.random(tuple(min(6, m // 2) for m in mshape))
     got = _even_spectrum(half, mshape)
     s = half

@@ -140,7 +140,7 @@ def test_descent_member_batches_do_not_change_values(rng, monkeypatch):
     F = VectorField(tuple(GridFunction(spec, rng.standard_normal(spec.shape)) for _ in range(3)))
     args = (haar_rotation(3, 2), DescentSplit(3, 3), (0.3, 0.6, 0.9))
     whole = descent_maximal(F, *args, n_radial=4, n_sphere=8)
-    monkeypatch.setattr(maximal, "_BATCH_BYTES", 1)  # one member per batch
+    monkeypatch.setattr(rotations, "_DESCENT_BATCH_BYTES", 1)  # one member per batch
     for g, w in zip(descent_maximal(F, *args, n_radial=4, n_sphere=8), whole):
         assert np.array_equal(g.values, w.values)
 
@@ -153,7 +153,7 @@ def test_descent_batches_share_one_accumulator(rng, monkeypatch):
     shifts = [rng.uniform(-3.0, 3.0, (8, 3)) for _ in range(16)]
     coeff = np.full(8, 1.0 / 8.0)
     whole = _shift_max(a, shifts, coeff)
-    monkeypatch.setattr(maximal, "_BATCH_BYTES", 1)
+    monkeypatch.setattr(rotations, "_DESCENT_BATCH_BYTES", 1)
     peaks = []
     for members in (a[:1], a):
         tracemalloc.start()
