@@ -24,8 +24,9 @@ balls, every fiber a member of one call.  Every grid takes the one FFT
 sweep: each distinct ball stencil is transformed once per member batch and
 applied to every member of the batch by zero-padded convolution, the padded
 shape growing with the stencil's reach.  The stencil is even in every axis,
-so its spectrum is computed from its nonnegative-offset part, on the
-nonnegative frequencies, and mirrored inside the one array it fills.
+so its spectrum is computed from its nonnegative-offset part on the
+nonnegative frequencies only, and that box is mirrored one block at a time
+as the convolution reads it.
 
 The sweep plans its radii once.  Radii with the same key, the largest
 in-grid |delta|^2 <= T, hold the same offsets and so share one stencil and
@@ -50,24 +51,36 @@ computed.  The cutoff only skips radii and never ends the sweep.
 The sweep's one output array is its running max, and every radius raises it
 in place.  The planned radii are grouped by padded shape, and each group
 runs over member batches whose spectra on that shape fit in 4 MiB (at least
-one member); a batch's spectra are transformed once per group, and each of
-the group's radii builds its stencil spectrum, multiplies the batch's
-spectra by it into one product, and raises the batch's slice of the max by
-the product's inverse, cropped to the grid and divided by the denominator.
-So the sweep holds one batch's spectra, one product and one stencil
-spectrum, and no convolution is carried to the next radius.  Where a shape
-splits into several batches its stencil spectra are rebuilt per batch.
-Each batch skips radii by its own members' bound, which is exact as above.
+one member).  A batch's spectra are transformed once per group and stored
+with the half-spectrum axis (the last axis's real transform) right after the
+member axis, so that a block of half-spectrum planes holds every other axis
+whole.  Each of the group's radii builds its stencil spectrum's
+nonnegative-frequency box and then goes over blocks of planes whose spectra
+fit in 2 MiB (at least one plane): the block's stencil spectrum is copied
+from the box and mirrored by :func:`_mirror`, multiplied into the block, and
+inverted along the grid axes, each cropped to the grid as soon as it is
+transformed, into one buffer of the cropped size, 2^(d-1) times smaller than
+the spectra.
+One inverse along the half-spectrum axis gives the averages, which divided
+by the denominator raise the batch's slice of the max.  So the sweep holds
+one batch's spectra, one block's product and mirrored stencil spectrum, the
+cropped buffer and the box, and no convolution is carried to the next
+radius.  The blocks run the same one-axis transforms in the same order as
+whole arrays would, so the values do not depend on the block or batch
+sizes, bit for bit, nor on the FFT workers; a transform of at most 2 MiB
+runs on one worker, since waking a second one costs more than it saves
+there.  Where a shape splits into several batches its boxes are rebuilt per
+batch.  Each batch skips radii by its own members' bound, which is exact as
+above.
 Two members share one batch on every shape of 32^3; at d = 4 on 16^4 the
-shapes from 24^4 on take one member per batch, and at d = 5 every shape does.
-Measured peaks: HL on two members of 16^4 traces 27 MB of arrays;
-the HL scan row at d = 5 (16^5, four members) reaches about 910 MB
-RSS, set while one member's spectra, the stencil spectrum and the product
-are live.
+shapes from 24^4 on take one member per batch, and at d = 5 every shape
+does, with one plane per block.  Measured peaks: HL on two members of 16^4
+traces 19 MB of arrays; the HL scan row at d = 5 (16^5, four members)
+reaches about 570 MB RSS, set while one member's spectra (285 MB) are live.
 
 The descent operator (:mod:`maxop.rotations`) applies its corner stencils
-with the same FFT helpers: padded shapes, member spectra, batching and
-cropped inverses.
+with the same FFT helpers: padded shapes, member spectra in the same layout,
+batching, and the same blocked, cropped inverse.
 """
 
 from __future__ import annotations
@@ -82,8 +95,13 @@ from .grid import GridFunction, GridSpec, PreconditionError, VectorField, _integ
 
 __all__ = ["RadiiSet", "default_radii", "hl_maximal", "weighted_maximal", "maximal_1d"]
 
-# bytes of padded member spectra a ball-sweep batch holds on its padded shape
+# bytes of padded member spectra a ball-sweep batch holds on its padded shape;
+# half of it sizes the blocks of half-spectrum planes that _member_spectra and
+# _inverse go over, for the ball sweep and for descent alike
 _SWEEP_BATCH_BYTES = 1 << 22
+# bytes up to which a transform runs on one FFT worker; of 1, 2 and 4 MiB, 2
+# MiB ran the lattice_scan benchmark's scans fastest
+_ONE_WORKER_BYTES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -209,10 +227,10 @@ def _ball_max_values(vals: np.ndarray, h: float, radii: tuple[float, ...], k: in
                 n2 = n2_full[box]
                 with np.errstate(over="ignore"):  # only weights outside the ball can overflow
                     half = np.where(n2 <= key, (n2 * (h * h)) ** (k / 2.0), 0.0) * fold_full[box]
-                avg = _inverse(spectra * _even_spectrum(half, mshape), mshape, shape)
+                avg = _inverse(spectra, mshape, shape, _stencil_spectrum(half, mshape))
                 avg /= denom[t]
                 np.maximum(best, avg, out=best)
-                del avg  # before the next radius's product is allocated
+                del avg  # before the next radius's buffers are allocated
     return out
 
 
@@ -245,36 +263,92 @@ def _chunk(mshape: tuple[int, ...], nbytes: int) -> int:
     return max(1, nbytes // per_member)
 
 
+def _planes(n: int, mshape: tuple[int, ...]) -> int:
+    """Half-spectrum planes per block: those of ``n`` members on ``mshape``
+    that fit in half a ball-sweep batch, at least 1."""
+    return max(1, (_SWEEP_BATCH_BYTES // 2) // (16 * n * math.prod(mshape[:-1])))
+
+
+def _workers(x: np.ndarray) -> int:
+    """FFT workers for a transform of ``x``: one when ``x`` is at most
+    ``_ONE_WORKER_BYTES``, where waking a second worker between the sweep's
+    numpy steps costs more than it saves, else the
+    :func:`~maxop.grid.fft_workers` cap, which is read (and a malformed
+    MAXOP_THREADS refused) either way."""
+    cap = fft_workers()
+    return cap if x.nbytes > _ONE_WORKER_BYTES else 1
+
+
 def _member_spectra(a: np.ndarray, mshape: tuple[int, ...]) -> np.ndarray:
-    """rfftn of every member zero-padded to ``mshape``, one axis at a time and
-    last axis first, so each axis is padded only when it is transformed."""
-    y = _fft.rfftn(a, s=mshape[-1:], axes=(a.ndim - 1,), workers=fft_workers())
-    for ax in range(a.ndim - 2, 0, -1):
-        y = _fft.fftn(y, s=(mshape[ax - 1],), axes=(ax,), overwrite_x=True, workers=fft_workers())
-    return y
+    """rfftn of every member zero-padded to ``mshape``, stored half-spectrum
+    axis first: shape ``(n, mshape[-1] // 2 + 1, *mshape[:-1])``.  One axis
+    at a time and last axis first; the grid axes go one block of
+    half-spectrum planes at a time, each block zero-padded in place and each
+    axis transformed over the rows of the axes before it that hold data."""
+    d, grid = a.ndim - 1, a.shape[1:-1]
+    y = np.moveaxis(_fft.rfftn(a, s=mshape[-1:], axes=(d,), workers=_workers(a)), -1, 1)
+    if d == 1:  # no grid axis left to pad
+        return y
+    out = np.zeros(y.shape[:2] + mshape[:-1], dtype=complex)
+    step = _planes(len(a), mshape)
+    for lo in range(0, out.shape[1], step):
+        block = out[:, lo : lo + step]
+        block[(slice(None), slice(None), *map(slice, grid))] = y[:, lo : lo + step]
+        for ax in range(d, 1, -1):
+            z = block[(slice(None), slice(None), *map(slice, grid[: ax - 2]))]
+            t = _fft.fftn(z, axes=(ax,), overwrite_x=True, workers=_workers(z))
+            if not np.may_share_memory(t, z):  # scipy transformed a copy
+                z[...] = t
+    return out
 
 
-def _even_spectrum(half: np.ndarray, mshape: tuple[int, ...]) -> np.ndarray:
-    """Spectrum, on the layout of the member spectra, of the even stencil
-    centered at offset 0 whose nonnegative-offset part, times the fold
-    counts, is ``half``.
-
-    Per axis the transform of an even sequence is the real part of the
-    transform of its folded half, and it is even in the frequency, so only
-    frequencies 0..m//2 are computed, into the returned array, and
-    frequencies m//2+1..m-1 are copied in place from 1..m - m//2 - 1.
-    """
+def _stencil_spectrum(half: np.ndarray, mshape: tuple[int, ...]) -> np.ndarray:
+    """The nonnegative-frequency box of the spectrum on ``mshape`` of the
+    even stencil centered at offset 0 whose nonnegative-offset part, times
+    the fold counts, is ``half``; half-spectrum axis first, as the member
+    spectra.  Per axis the transform of an even sequence is the real part of
+    the transform of its folded half, and it is even in the frequency, so
+    frequencies 0..m//2 hold all of it."""
     s = half
     for ax, m in enumerate(mshape):
-        s = _fft.rfftn(s, s=(m,), axes=(ax,), workers=fft_workers()).real
-    # the last transform's complex half box is freed before the output exists
-    s = s.copy()
-    out = np.empty(mshape[:-1] + s.shape[-1:])
-    filled = tuple(slice(0, m // 2 + 1) for m in mshape[:-1]) + (slice(None),)
-    out[filled] = s
-    del s
-    _mirror(out, filled, [(slice(m // 2 + 1, m), slice(m - m // 2 - 1, 0, -1)) for m in mshape[:-1]])
-    return out
+        s = _fft.rfftn(s, s=(m,), axes=(ax,), workers=_workers(s)).real
+    return np.ascontiguousarray(np.moveaxis(s, -1, 0))
+
+
+def _inverse(spectra, mshape, shape, box=None) -> np.ndarray:
+    """Inverse transforms, cropped to the grid, of the member spectra (on
+    the layout of :func:`_member_spectra`) times the even stencil spectrum
+    whose nonnegative-frequency box is ``box``, or of the spectra alone
+    (overwritten) when ``box`` is None.  The grid axes go one block of
+    half-spectrum planes at a time: the block's stencil spectrum is mirrored
+    from the box and multiplied into the block, in two buffers reused by
+    every block, each axis cropped as soon as it is transformed, and the
+    result stored in one buffer of the cropped size; one inverse along the
+    half-spectrum axis ends it."""
+    n, d = len(spectra), len(shape)
+    cropped = np.empty((n, spectra.shape[1], *shape[:-1]), dtype=complex)
+    step = _planes(n, mshape)
+    if box is not None:
+        prod = np.empty((n, min(step, spectra.shape[1]), *mshape[:-1]), dtype=complex)
+        mirrored = np.empty(prod.shape[1:])
+        filled = tuple(slice(0, m // 2 + 1) for m in mshape[:-1])
+        spans = [(slice(m // 2 + 1, m), slice(m - m // 2 - 1, 0, -1)) for m in mshape[:-1]]
+    for lo in range(0, spectra.shape[1], step):
+        y = spectra[:, lo : lo + step]
+        if box is not None:
+            # one multiply over whole rows: a multiply per orthant runs on
+            # rows half as long and takes about twice as long
+            s = mirrored[: y.shape[1]]
+            s[(slice(None), *filled)] = box[lo : lo + step]
+            # the planes' axis last, where _mirror copies it whole
+            _mirror(np.moveaxis(s, 0, -1), (*filled, slice(None)), spans)
+            y = np.multiply(y, s, out=prod[:, : y.shape[1]])
+        for ax in range(2, d + 1):
+            y = _fft.ifftn(y, axes=(ax,), overwrite_x=True, workers=_workers(y))
+            y = y[(slice(None),) * ax + (slice(0, shape[ax - 2]),)]
+        cropped[:, lo : lo + step] = y
+    y = _fft.irfftn(cropped, s=mshape[-1:], axes=(1,), overwrite_x=True, workers=_workers(cropped))
+    return np.moveaxis(y[:, : shape[-1]], 1, -1)
 
 
 def _mirror(a: np.ndarray, filled: tuple[slice, ...], spans) -> None:
@@ -292,18 +366,6 @@ def _mirror(a: np.ndarray, filled: tuple[slice, ...], spans) -> None:
         box[ax] = slice(None)
     for dst, src in spans[:1]:
         a[(dst, *box[1:])] = a[(src, *box[1:])]
-
-
-def _inverse(y, mshape, shape) -> np.ndarray:
-    """Inverse transforms of the spectra ``y`` (one per member, on the layout
-    of the member spectra, overwritten), cropped to the grid; each axis is
-    cropped as soon as it is transformed."""
-    d = len(shape)
-    for ax in range(1, d):
-        y = _fft.ifftn(y, axes=(ax,), overwrite_x=True, workers=fft_workers())
-        y = y[(slice(None),) * ax + (slice(0, shape[ax - 1]),)]
-    y = _fft.irfftn(y, s=mshape[-1:], axes=(d,), workers=fft_workers())
-    return y[..., : shape[-1]]
 
 
 def _ball_max(f, radii, k: int):

@@ -184,7 +184,7 @@ def _shift_max(a: np.ndarray, shifts: list[np.ndarray], coeff: np.ndarray) -> np
     mshape = _padded_shape(shape, reach)
     n, step = a.shape[0], max(1, _chunk(mshape, _DESCENT_BATCH_BYTES) // (len(shifts) + 1))
     out = np.zeros(a.shape)
-    buf = np.empty((len(shifts), min(n, step)) + mshape[:-1] + (mshape[-1] // 2 + 1,), dtype=complex)
+    buf = np.empty((len(shifts), min(n, step), mshape[-1] // 2 + 1) + mshape[:-1], dtype=complex)
     for lo in range(0, n, step):
         part = a[lo : lo + step]
         acc = buf[:, : len(part)]

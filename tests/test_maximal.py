@@ -11,7 +11,9 @@ from maxop.grid import GridFunction, PreconditionError, VectorField, make_grid, 
 from maxop.grushin import grushin_maximal, iterated_maximal, min_node_gap
 from maxop.maximal import (
     RadiiSet,
-    _even_spectrum,
+    _inverse,
+    _member_spectra,
+    _stencil_spectrum,
     _strict_bound,
     default_radii,
     hl_maximal,
@@ -168,8 +170,8 @@ def test_radius_cutoff_skips_convolutions(monkeypatch, k):
     # repeats every stencil key, and the sweep convolves each key once, for
     # its smallest radius
     repeated = RadiiSet(tuple(s for r in radii for s in (r, r * (1 + 1e-9))))
-    # one member on a small grid is one batch per padded shape, so every
-    # convolved radius runs one inverse transform
+    # every convolved radius runs one inverse, however many blocks of
+    # half-spectrum planes it takes: one plane per block leaves the counts
     calls = []
     inverse = maximal._inverse
     monkeypatch.setattr(maximal, "_inverse", lambda *args: calls.append(args) or inverse(*args))
@@ -182,6 +184,11 @@ def test_radius_cutoff_skips_convolutions(monkeypatch, k):
         calls.clear()
         assert np.array_equal(weighted_maximal(f, k, repeated).values, want)
         assert len(calls) == counts[name]
+        with monkeypatch.context() as m:
+            m.setattr(maximal, "_SWEEP_BATCH_BYTES", 1)
+            calls.clear()
+            assert np.array_equal(weighted_maximal(f, k, radii).values, want)
+            assert len(calls) == counts[name]
     # distinct stencils: in-grid offset sets of the balls the sweep convolves,
     # from the first one past the center up to the covering one, which is an
     # FFT stencil for every k
@@ -229,29 +236,43 @@ def test_weights_out_of_the_double_range_are_refused(monkeypatch, d, L, N, radii
     def built(*args):
         raise AssertionError("a stencil was built before the weights were checked")
 
-    monkeypatch.setattr(maximal, "_even_spectrum", built)
+    monkeypatch.setattr(maximal, "_stencil_spectrum", built)
     with pytest.raises(PreconditionError, match=f"k={k_bad} on the grid"):
         weighted_maximal(f, k_bad, radii)
 
 
-@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("k", [0, 1, 2])
 def test_fft_path_is_bit_exact_across_batches(monkeypatch, rng, k):
-    spec = _CUTOFF_SPEC
-    F = VectorField(tuple(GridFunction(spec, rng.standard_normal(spec.shape)) for _ in range(3)))
-    radii = default_radii(spec)
-    sizes = []
+    # a 12^2 and a 12^3 grid, three members each; at the default budget
+    # every padded shape holds the three members in one batch and all of a
+    # batch's half-spectrum planes in one block
+    specs = (_CUTOFF_SPEC, make_grid(3, 2.0, 12))
+    fields = [VectorField(tuple(GridFunction(s, rng.standard_normal(s.shape)) for _ in range(3))) for s in specs]
+    sizes, blocks = [], []
     spectra = maximal._member_spectra
     monkeypatch.setattr(maximal, "_member_spectra", lambda a, mshape: sizes.append(len(a)) or spectra(a, mshape))
-    whole = weighted_maximal(F, k, radii)
-    # every padded shape of the 12^2 grid holds the three members in one batch
+    planes = maximal._planes
+    monkeypatch.setattr(maximal, "_planes", lambda n, mshape: blocks.append(planes(n, mshape)) or blocks[-1])
+
+    def run(F):  # k = 0 through hl_maximal, the name the scans call
+        return hl_maximal(F, default_radii(F.spec)) if k == 0 else weighted_maximal(F, k, default_radii(F.spec))
+
+    whole = [run(F) for F in fields]
     assert sizes and set(sizes) == {3}
-    monkeypatch.setattr(maximal, "_SWEEP_BATCH_BYTES", 1)  # one member per batch
-    assert maximal._chunk((64, 64), maximal._SWEEP_BATCH_BYTES) == 1
+    assert min(blocks) >= 24 // 2 + 1
+    # both byte budgets at 1: one member per batch and one plane per block;
+    # and every transform on two FFT workers, where the default run took one
+    monkeypatch.setattr(maximal, "_SWEEP_BATCH_BYTES", 1)
+    monkeypatch.setattr(maximal, "_ONE_WORKER_BYTES", 0)
+    monkeypatch.setenv("MAXOP_THREADS", "2")
+    assert maximal._workers(np.zeros(1)) == 2
     sizes.clear()
-    for g, w in zip(weighted_maximal(F, k, radii), whole):
-        assert np.array_equal(g.values, w.values)
-    # each batch holds one member's spectra at a time
+    blocks.clear()
+    for F, want in zip(fields, whole):
+        for g, w in zip(run(F), want):
+            assert np.array_equal(g.values, w.values)
     assert sizes and max(sizes) == 1
+    assert blocks and max(blocks) == 1
 
 
 def test_fft_sweep_peak_memory_is_bounded_by_design(rng):
@@ -262,15 +283,18 @@ def test_fft_sweep_peak_memory_is_bounded_by_design(rng):
     radii = default_radii(spec)
     # The sweep ends on the widest padded shape (32^4), where one member's
     # spectra (8.9 MB) exceed the 4 MiB batch, so the members go one at a
-    # time.  Its design bound: one member's spectra there, their product with
-    # the stencil spectrum (8.9 MB), the stencil spectrum (a real array on the
-    # spectra's layout: 4.5 MB), and a margin of 6.5 arrays of both members
-    # on the grid (6.5 x 1.05 MB): the stacked input and its abs, the running
-    # max that every radius raises in place, one batch's inverse with its
-    # cropped intermediates, and the stencil's half-box arrays.  A sweep that
-    # held both members' spectra there (one more 8.9 MB) would not fit.
-    spectrum = 16 * 32**3 * 17
-    bound = spectrum + spectrum + spectrum // 2 + 13 * spec.size * 8
+    # time.  Its design bound: one member's spectra there, one block of
+    # their product (2 MiB, four of the 17 half-spectrum planes), the buffer
+    # of cropped grid-axis inverses (17 planes of 16^3: 1.1 MB), the stencil
+    # spectrum's nonnegative-frequency box (17^4 reals: 0.7 MB), and a margin
+    # of 6.5 arrays of both members on the grid (6.5 x 1.05 MB): the stacked
+    # input and its abs, the running max that every radius raises in place,
+    # one batch's inverse, the block's mirrored stencil spectrum, and the
+    # stencil's half-box arrays.  A sweep that formed a whole member's
+    # product (one more 8.9 MB) or mirrored the whole stencil spectrum (4.5
+    # MB) would not fit.
+    spectrum, block = 16 * 32**3 * 17, maximal._SWEEP_BATCH_BYTES // 2
+    bound = spectrum + block + 16 * 16**3 * 17 + 8 * 17**4 + 13 * spec.size * 8
     tracemalloc.start()
     try:
         hl_maximal(F, radii)
@@ -281,43 +305,60 @@ def test_fft_sweep_peak_memory_is_bounded_by_design(rng):
 
 
 @pytest.mark.parametrize(
+    "shape,mshape",
+    [((7,), (18,)), ((9, 14), (25, 27)), ((12, 5, 9), (21, 18, 25)), ((6, 8, 5, 9), (15, 18, 16, 21))],
+)
+def test_member_spectra_are_the_padded_transforms_half_spectrum_axis_first(monkeypatch, rng, shape, mshape):
+    # the same one-axis transforms in the same order, last axis first, so
+    # the values are bit-identical; only the storage order moves, with the
+    # half-spectrum axis right after the member axis
+    a = rng.random((3,) + shape)
+    y = scipy.fft.rfft(a, n=mshape[-1], axis=-1)
+    for ax in range(len(shape) - 1, 0, -1):
+        y = scipy.fft.fft(y, n=mshape[ax - 1], axis=ax)
+    want = np.moveaxis(y, -1, 1)
+    got = _member_spectra(a, mshape)
+    assert got.shape == want.shape == (3, mshape[-1] // 2 + 1, *mshape[:-1])
+    assert np.array_equal(got, want)
+    np.testing.assert_allclose(got, np.moveaxis(np.fft.rfftn(a, s=mshape, axes=range(1, a.ndim)), -1, 1), atol=1e-12)
+    monkeypatch.setattr(maximal, "_SWEEP_BATCH_BYTES", 1)  # one plane per block
+    assert maximal._planes(3, mshape) == 1
+    assert np.array_equal(_member_spectra(a, mshape), want)
+
+
+@pytest.mark.parametrize(
     "mshape",
     [(18, 21), (21, 25), (25, 27), (27, 32), (32, 33), (33, 35), (35, 63), (63, 18), (21, 33, 25), (63, 27, 35)],
 )
-def test_even_spectrum_mirror_matches_the_gather(rng, mshape):
+def test_even_spectrum_mirror_matches_the_gather(monkeypatch, rng, mshape):
     # odd padded lengths come from next_fast_len at d = 3; every length sits
-    # on a mirrored (non-last) axis at least once
+    # on a mirrored (non-last) axis at least once.  The stencil spectrum is
+    # kept as its nonnegative-frequency box of the gathered full spectrum.
     half = rng.random(tuple(min(6, m // 2) for m in mshape))
-    got = _even_spectrum(half, mshape)
+    box = _stencil_spectrum(half, mshape)
     s = half
     for ax, m in enumerate(mshape):
         s = scipy.fft.rfftn(s, s=(m,), axes=(ax,)).real
+    assert np.array_equal(box, np.moveaxis(s, -1, 0))
     idx = [np.minimum(np.arange(m), m - np.arange(m)) for m in mshape[:-1]]
-    want = s[np.ix_(*idx, np.arange(s.shape[-1]))]
-    assert got.shape == want.shape and np.array_equal(got, want)
+    want = np.moveaxis(s[np.ix_(*idx, np.arange(s.shape[-1]))], -1, 0)
+    assert np.array_equal(box, want[(slice(None), *(slice(0, m // 2 + 1) for m in mshape[:-1]))])
+    # the blocked inverse mirrors the box one block of half-spectrum planes
+    # at a time with _mirror and multiplies by it: the products with the
+    # gathered spectrum bit for bit, one plane per block or all in one
+    shape = tuple(m // 2 for m in mshape)
+    spectra = _member_spectra(rng.random((2, *shape)), mshape)
+    product = _inverse(spectra * want, mshape, shape)
+    assert np.array_equal(_inverse(spectra, mshape, shape, box), product)
+    monkeypatch.setattr(maximal, "_SWEEP_BATCH_BYTES", 1)
+    assert np.array_equal(_inverse(spectra, mshape, shape, box), product)
     # and it is the spectrum of the even stencil laid out with wrap-around
     full = np.zeros(mshape)
     for corner in np.ndindex(*half.shape):
         fold = 2 ** sum(c > 0 for c in corner)
         for signs in np.ndindex(*(2,) * len(mshape)):
             full[tuple(-c if sg else c for c, sg in zip(corner, signs))] = half[corner] / fold
-    np.testing.assert_allclose(got, np.fft.rfftn(full).real, rtol=0, atol=1e-12 * np.abs(got).max())
-
-
-def test_even_spectrum_allocates_one_full_size_array(rng):
-    # the d = 4 stencil spectrum on the padded 32^4 shape: the output beside
-    # the real half box (17^4 nodes, 0.15 of the output's bytes) reads 1.15;
-    # keeping the complex half box alive while the output is allocated reads
-    # 1.30, and mirroring by concatenation 1.53
-    mshape = (32,) * 4
-    half = rng.random((9,) * 4)
-    tracemalloc.start()
-    try:
-        got = _even_spectrum(half, mshape)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.25 * got.nbytes, peak / got.nbytes
+    np.testing.assert_allclose(want, np.moveaxis(np.fft.rfftn(full).real, -1, 0), rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 def test_fft_path_matches_naive_oracle(rng):

@@ -140,7 +140,10 @@ def test_descent_member_batches_do_not_change_values(rng, monkeypatch):
     F = VectorField(tuple(GridFunction(spec, rng.standard_normal(spec.shape)) for _ in range(3)))
     args = (haar_rotation(3, 2), DescentSplit(3, 3), (0.3, 0.6, 0.9))
     whole = descent_maximal(F, *args, n_radial=4, n_sphere=8)
-    monkeypatch.setattr(rotations, "_DESCENT_BATCH_BYTES", 1)  # one member per batch
+    # one member per batch, and one half-spectrum plane per block of the
+    # forward and inverse transforms it shares with the ball sweep
+    monkeypatch.setattr(rotations, "_DESCENT_BATCH_BYTES", 1)
+    monkeypatch.setattr(maximal, "_SWEEP_BATCH_BYTES", 1)
     for g, w in zip(descent_maximal(F, *args, n_radial=4, n_sphere=8), whole):
         assert np.array_equal(g.values, w.values)
 
